@@ -3,8 +3,18 @@
 Graphs are built define-by-run: every primitive allocates a fresh node and
 ``backward`` walks the tape once, accumulating gradients by the chain rule.
 Sized for the small MLP/GRU/VAE workloads in this package: float64 only,
-no fusion, no views, no GPU.  Any non-finite value produced by a forward
-or backward pass raises :class:`NonFiniteError` immediately.
+no views, no GPU.  Two fused ops keep graphs small: :func:`linear`
+(``x @ W + b`` as one node) and :func:`gru_sequence` (a whole masked GRU
+window as one node, with a hand-written backprop-through-time VJP).
+
+Every node records whether it needs a gradient: parameters and plain
+``Tensor(...)`` leaves do, :func:`constant` and :func:`stop_gradient`
+outputs do not, and any other node does when one of its parents does.
+``backward`` visits only nodes that need a gradient, and the matmul-like
+VJPs skip the operands that need none.  Any non-finite value produced by
+a forward pass, and any gradient ``backward`` computes, including each of
+the fused ops' outputs and gradients, raises :class:`NonFiniteError`
+immediately.
 """
 
 from __future__ import annotations
@@ -30,13 +40,14 @@ def _as_array(x) -> np.ndarray:
 class Tensor:
     """One node of the compute graph: a value plus a gradient accumulator."""
 
-    __slots__ = ("value", "grad", "op", "_parents", "_vjp", "_param")
+    __slots__ = ("value", "grad", "op", "needs_grad", "_parents", "_vjp", "_param")
 
     def __init__(self, value, op: str = "leaf", parents: Sequence["Tensor"] = (),
-                 vjp: Optional[Callable] = None, param=None):
+                 vjp: Optional[Callable] = None, param=None, needs_grad: bool = True):
         self.value = _as_array(value)
         self.grad: Optional[np.ndarray] = None
         self.op = op
+        self.needs_grad = needs_grad
         self._parents = tuple(parents)
         self._vjp = vjp
         self._param = param
@@ -87,12 +98,13 @@ def _wrap(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    return Tensor(x, op="const")
+    return Tensor(x, op="const", needs_grad=False)
 
 
-def _node(op: str, value: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _node(op: str, value: np.ndarray, parents: Sequence[Tensor], vjp: Optional[Callable]) -> Tensor:
     _check_finite(value, op)
-    return Tensor(value, op=op, parents=parents, vjp=vjp)
+    return Tensor(value, op=op, parents=parents, vjp=vjp,
+                  needs_grad=any(p.needs_grad for p in parents))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -112,7 +124,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     v = a.value @ b.value
     return _node("matmul", v, (a, b),
-                 lambda g: (g @ b.value.T, a.value.T @ g))
+                 lambda g: (g @ b.value.T if a.needs_grad else None,
+                            a.value.T @ g if b.needs_grad else None))
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one node; values equal ``add(matmul(x, W), b)`` bit for bit."""
+    v = x.value @ W.value + b.value
+
+    def vjp(g):
+        return (g @ W.value.T if x.needs_grad else None,
+                x.value.T @ g if W.needs_grad else None,
+                _unbroadcast(g, b.shape) if b.needs_grad else None)
+
+    return _node("linear", v, (x, W, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -124,8 +149,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     v = a.value * b.value
     return _node("mul", v, (a, b),
-                 lambda g: (_unbroadcast(g * b.value, a.shape),
-                            _unbroadcast(g * a.value, b.shape)))
+                 lambda g: (_unbroadcast(g * b.value, a.shape) if a.needs_grad else None,
+                            _unbroadcast(g * a.value, b.shape) if b.needs_grad else None))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -182,13 +207,15 @@ def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log softmax over the last axis."""
     x = a.value
     m = x.max(axis=-1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + m
+    p = x - m
+    np.exp(p, out=p)
+    lse = np.log(p.sum(axis=-1, keepdims=True)) + m
     v = x - lse
-    p = np.exp(v)
+    np.exp(v, out=p)
 
     def vjp(g):
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        out = p * g.sum(axis=-1, keepdims=True)
+        return (np.subtract(g, out, out=out),)
 
     return _node("softmax-log", v, (a,), vjp)
 
@@ -272,8 +299,105 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
+               b: np.ndarray, mask: Optional[np.ndarray] = None,
+               tape: Optional[list] = None) -> np.ndarray:
+    """Value-only GRU over a window: h0 [B, H], x [B, T, in] -> h_T [B, H].
+
+    Gates are fused column blocks (z, r, n) of W [in, 3H], U [H, 3H] and
+    b [3H]:
+
+        z = sigmoid(x Wz + h Uz + bz)
+        r = sigmoid(x Wr + h Ur + br)
+        n = tanh(x Wn + r * (h Un) + bn)
+        h' = (1 - z) * h + z * n
+
+    A [B, T] 0/1 mask keeps a row's state where it is 0:
+    h_t = m * h' + (1 - m) * h_{t-1}.  Every step's pre-activations are
+    checked for finiteness.  With a ``tape`` list, each step appends
+    (h_prev, [z | r], n, h Un) for :func:`gru_sequence`'s backward pass.
+    """
+    H = h0.shape[-1]
+    h = h0
+    for t in range(x.shape[1]):
+        pre = x[:, t] @ W
+        gh = h @ U
+        pre[:, :2 * H] += gh[:, :2 * H]
+        pre[:, :2 * H] += b[:2 * H]
+        zr = _sigmoid(pre[:, :2 * H])
+        z, r = zr[:, :H], zr[:, H:]
+        gh_n = gh[:, 2 * H:]
+        pre[:, 2 * H:] += r * gh_n
+        pre[:, 2 * H:] += b[2 * H:]
+        _check_finite(pre, "gru-sequence")
+        n = np.tanh(pre[:, 2 * H:])
+        h_new = (1.0 - z) * h + z * n
+        if mask is not None:
+            m = mask[:, t, None]
+            h_new = m * h_new + (1.0 - m) * h
+        if tape is not None:
+            tape.append((h, zr, n, gh_n))
+        h = h_new
+    return h
+
+
+def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
+                 mask: Optional[np.ndarray] = None) -> Tensor:
+    """A whole GRU window (see :func:`gru_window`) as one node.
+
+    The VJP is masked backprop through time, accumulating the weight
+    gradients one step at a time; each step's gate and state gradients are
+    checked for finiteness.
+    """
+    if x.value.ndim != 3 or x.shape[2] != W.shape[0] or h0.shape[-1] != U.shape[0]:
+        raise ValueError("gru_sequence input/hidden shape mismatch")
+    tape: list = []
+    v = gru_window(h0.value, x.value, W.value, U.value, b.value, mask, tape)
+
+    def vjp(g):
+        H = U.shape[0]
+        xv, Wv, Uv = x.value, W.value, U.value
+        dx = np.zeros_like(xv) if x.needs_grad else None
+        dW = np.zeros_like(Wv) if W.needs_grad else None
+        dU = np.zeros_like(Uv) if U.needs_grad else None
+        db = np.zeros_like(b.value) if b.needs_grad else None
+        dh = g
+        for t in reversed(range(len(tape))):
+            h_prev, zr, n, gh_n = tape[t]
+            z, r = zr[:, :H], zr[:, H:]
+            if mask is not None:
+                m = mask[:, t, None]
+                dh_keep = (1.0 - m) * dh
+                dh = m * dh
+            d = np.empty((g.shape[0], 3 * H))       # dL/d(pre-activations)
+            d[:, :H] = dh * (n - h_prev) * (z * (1.0 - z))
+            d[:, 2 * H:] = dh * z * (1.0 - n * n)
+            d[:, H:2 * H] = d[:, 2 * H:] * gh_n * (r * (1.0 - r))
+            _check_finite(d, "gru-sequence")
+            if dW is not None:
+                dW += xv[:, t].T @ d
+            if db is not None:
+                db += d.sum(axis=0)
+            if dx is not None:
+                dx[:, t] = d @ Wv.T
+            d[:, 2 * H:] *= r                       # now dL/d(h U)
+            if dU is not None:
+                dU += h_prev.T @ d
+            if t == 0 and not h0.needs_grad:
+                break
+            dh_prev = d @ Uv.T
+            dh_prev += dh * (1.0 - z)
+            if mask is not None:
+                dh_prev += dh_keep
+            _check_finite(dh_prev, "gru-sequence")
+            dh = dh_prev
+        return (dh if h0.needs_grad else None, dx, dW, dU, db)
+
+    return _node("gru-sequence", v, (h0, x, W, U, b), vjp)
+
+
 def stop_gradient(a: Tensor) -> Tensor:
-    return _node("stop-gradient", a.value, (a,), lambda g: (None,))
+    return _node("stop-gradient", a.value, (), None)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +418,7 @@ def _toposort(root: Tensor) -> list:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.needs_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -302,8 +426,10 @@ def _toposort(root: Tensor) -> list:
 def backward(root: Tensor) -> None:
     """Populate gradients of every node (and bound parameter) reachable from root.
 
-    The root must be scalar-valued.  Parameter gradients touched by this
-    graph are zeroed before accumulation, so each call stands on its own.
+    Only nodes that need a gradient are visited; a constant's ``grad``
+    stays None.  The root must be scalar-valued.  Parameter gradients
+    touched by this graph are zeroed before accumulation, so each call
+    stands on its own.
     """
     if root.value.size != 1:
         raise ValueError(f"backward() root must be scalar, got shape {root.value.shape}")
@@ -319,14 +445,17 @@ def backward(root: Tensor) -> None:
         _check_finite(node.grad, node.op)
         if node._param is not None:
             node._param.grad += node.grad
-        if node._vjp is None:
+        if node._vjp is None or not node.needs_grad:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None:
+            if g is None or not parent.needs_grad:
                 continue
             if parent.grad is None:
-                # Copy: vjps may alias their output gradient across parents.
-                parent.grad = np.array(g, dtype=np.float64)
+                # A vjp returns per parent an array it allocated for that
+                # parent alone, or node.grad itself or a view of it, which
+                # several parents may share: only those are copied.
+                fresh = type(g) is np.ndarray and g.base is None and g is not node.grad
+                parent.grad = g if fresh else np.array(g, dtype=np.float64)
             else:
                 parent.grad += g
 
@@ -334,12 +463,19 @@ def backward(root: Tensor) -> None:
 # Numerically stable scalar kernels shared with plain-numpy inference paths.
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without branching on x.
+
+    With e = exp(-|x|) the numerator is 1 or e: e*[x<0] + [x>=0] picks it
+    exactly (a product with 0 or 1 and a sum with 0 are exact), and is far
+    cheaper than np.where with a scalar operand or boolean-mask indexing.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    num = e * (x < 0)
+    num += x >= 0
+    e += 1.0
+    num /= e
+    return num
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

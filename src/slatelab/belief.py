@@ -92,21 +92,20 @@ class BeliefEncoder:
         return ids
 
     def _inputs_array(self, slates: np.ndarray, clicks: np.ndarray) -> np.ndarray:
-        """[B, k] ids and clicks -> [B, k*(e+1)] per-slot [emb ‖ click] rows."""
+        """[..., k] ids and clicks -> [..., k*(e+1)] per-slot [emb ‖ click] rows."""
         ids = self._check_ids(slates)
-        emb = self.table_value()[ids]                       # [B, k, e]
+        emb = self.table_value()[ids]                       # [..., k, e]
         cl = np.asarray(clicks, dtype=np.float64)[..., None]
-        return np.concatenate([emb, cl], axis=-1).reshape(ids.shape[0], self.input_dim)
+        return np.concatenate([emb, cl], axis=-1).reshape(*ids.shape[:-1], self.input_dim)
 
     def _inputs_graph(self, slates: np.ndarray, clicks: np.ndarray) -> Tensor:
         ids = self._check_ids(slates)
         if not self.trainable_table:
             return ad.constant(self._inputs_array(slates, clicks))
-        b, k = ids.shape
         emb = ad.reshape(ad.gather_rows(self.store.tensor(self.prefix + ".items"),
-                                        ids.reshape(-1)), (b, k, self.item_dim))
-        cl = ad.constant(np.asarray(clicks, dtype=np.float64).reshape(b, k, 1))
-        return ad.reshape(ad.concat([emb, cl], axis=-1), (b, self.input_dim))
+                                        ids.reshape(-1)), (*ids.shape, self.item_dim))
+        cl = ad.constant(np.asarray(clicks, dtype=np.float64)[..., None])
+        return ad.reshape(ad.concat([emb, cl], axis=-1), (*ids.shape[:-1], self.input_dim))
 
     # -- single-episode API ------------------------------------------------
 
@@ -140,25 +139,14 @@ class BeliefEncoder:
     def recompute_array(self, slates: np.ndarray, clicks: np.ndarray,
                         lengths: np.ndarray) -> np.ndarray:
         """Belief from scratch over right-aligned [B, W, k] histories."""
-        b, window = slates.shape[0], slates.shape[1]
-        mask = self._masks(window, lengths)
-        h = self.init_hidden(b)
-        for t in range(window):
-            h_new = self.step_hidden(h, slates[:, t], clicks[:, t])
-            m = mask[:, t][:, None]
-            h = m * h_new + (1.0 - m) * h
-        return h
+        mask = self._masks(slates.shape[1], lengths)
+        return self.cell.sequence_array(self.init_hidden(slates.shape[0]),
+                                        self._inputs_array(slates, clicks), mask)
 
     def recompute_graph(self, slates: np.ndarray, clicks: np.ndarray,
                         lengths: np.ndarray) -> Tensor:
-        """Graph twin of recompute_array; gradients reach the GRU (and a
-        learned table) through every unmasked step."""
-        b, window = slates.shape[0], slates.shape[1]
-        mask = self._masks(window, lengths)
-        h = ad.constant(self.init_hidden(b))
-        for t in range(window):
-            h_new = self.cell(h, self._inputs_graph(slates[:, t], clicks[:, t]))
-            m = mask[:, t][:, None]
-            h = ad.add(ad.mul(ad.constant(m), h_new),
-                       ad.mul(ad.constant(1.0 - m), h))
-        return h
+        """Graph twin of recompute_array, one gru-sequence node; gradients
+        reach the GRU (and a learned table) through every unmasked step."""
+        mask = self._masks(slates.shape[1], lengths)
+        return self.cell.sequence(ad.constant(self.init_hidden(slates.shape[0])),
+                                  self._inputs_graph(slates, clicks), mask)

@@ -266,10 +266,5 @@ def load_gems(path) -> GemsModel:
         raise ValueError("checkpoint does not hold a slate VAE")
     cfg = GemsConfig(**{**meta["config"], "hidden": tuple(meta["config"]["hidden"])})
     model = GemsModel(cfg, meta["num_items"], meta["slate_size"], seed=0)
-    model.store.copy_values_from(stores["gems"])
-    for name, p in stores["gems"].items():
-        mine = model.store[name]
-        mine.m[...] = p.m
-        mine.v[...] = p.v
-    model.store.step_count = stores["gems"].step_count
+    model.store.load_state_from(stores["gems"])
     return model

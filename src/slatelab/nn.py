@@ -21,7 +21,7 @@ def init_linear(store: ParameterStore, prefix: str, fan_in: int, fan_out: int,
 
 
 def linear(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, store.tensor(prefix + ".W")), store.tensor(prefix + ".b"))
+    return ad.linear(x, store.tensor(prefix + ".W"), store.tensor(prefix + ".b"))
 
 
 class Mlp:
@@ -87,6 +87,8 @@ class GruCell:
         n = tanh(Wn x + r * (Un h) + bn)
         h' = (1 - z) * h + z * n
 
+    The gates are stored fused, as column blocks (z, r, n) of
+    ``<prefix>.W`` [in, 3H], ``<prefix>.U`` [H, 3H] and ``<prefix>.b`` [3H].
     With all-zero weights and biases this reduces to h' = 0.5 * h.
     """
 
@@ -100,41 +102,33 @@ class GruCell:
         self.hidden_dim = hidden_dim
         si = 1.0 / np.sqrt(input_dim)
         sh = 1.0 / np.sqrt(hidden_dim)
-        for gate in self.GATES:
-            store.add(f"{prefix}.W{gate}", rng.normal(0.0, si, size=(input_dim, hidden_dim)))
-            store.add(f"{prefix}.U{gate}", rng.normal(0.0, sh, size=(hidden_dim, hidden_dim)))
-            store.add(f"{prefix}.b{gate}", np.zeros(hidden_dim))
+        # Per-gate blocks drawn gate by gate, W before U.
+        blocks = [(rng.normal(0.0, si, size=(input_dim, hidden_dim)),
+                   rng.normal(0.0, sh, size=(hidden_dim, hidden_dim)))
+                  for _ in self.GATES]
+        store.add(prefix + ".W", np.concatenate([w for w, _ in blocks], axis=1))
+        store.add(prefix + ".U", np.concatenate([u for _, u in blocks], axis=1))
+        store.add(prefix + ".b", np.zeros(len(self.GATES) * hidden_dim))
 
-    def _gate(self, name: str, x: Tensor, h: Tensor) -> Tensor:
-        s = self.store
-        return ad.add(
-            ad.add(ad.matmul(x, s.tensor(f"{self.prefix}.W{name}")),
-                   ad.matmul(h, s.tensor(f"{self.prefix}.U{name}"))),
-            s.tensor(f"{self.prefix}.b{name}"))
+    def sequence(self, h0: Tensor, x: Tensor, mask=None) -> Tensor:
+        """Graph GRU over x [B, T, in]; see :func:`autodiff.gru_sequence`."""
+        p = self.prefix
+        return ad.gru_sequence(h0, x, self.store.tensor(p + ".W"),
+                               self.store.tensor(p + ".U"),
+                               self.store.tensor(p + ".b"), mask)
+
+    def sequence_array(self, h0: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
+        """Value-only twin of :meth:`sequence`; the same kernel, no graph."""
+        s, p = self.store, self.prefix
+        return ad.gru_window(h0, x, s[p + ".W"].value, s[p + ".U"].value,
+                             s[p + ".b"].value, mask)
 
     def __call__(self, h_prev: Tensor, x: Tensor) -> Tensor:
+        """One step: a 1-step window of :meth:`sequence`."""
         if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
             raise ValueError("gru_cell input/hidden shape mismatch")
-        s = self.store
-        z = ad.logistic(self._gate("z", x, h_prev))
-        r = ad.logistic(self._gate("r", x, h_prev))
-        n = ad.tanh(ad.add(
-            ad.add(ad.matmul(x, s.tensor(f"{self.prefix}.Wn")),
-                   ad.mul(r, ad.matmul(h_prev, s.tensor(f"{self.prefix}.Un")))),
-            s.tensor(f"{self.prefix}.bn")))
-        one_minus_z = ad.add(ad.scale(z, -1.0), ad.constant(1.0))
-        return ad.add(ad.mul(one_minus_z, h_prev), ad.mul(z, n))
+        return self.sequence(h_prev, ad.reshape(x, (x.shape[0], 1, self.input_dim)))
 
     def forward_array(self, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Plain-numpy step for rollouts; mirrors __call__ exactly."""
-        s = self.store
-        p = self.prefix
-        zf = ad._sigmoid(x @ s[f"{p}.Wz"].value + h_prev @ s[f"{p}.Uz"].value + s[f"{p}.bz"].value)
-        rf = ad._sigmoid(x @ s[f"{p}.Wr"].value + h_prev @ s[f"{p}.Ur"].value + s[f"{p}.br"].value)
-        nf = np.tanh(x @ s[f"{p}.Wn"].value + rf * (h_prev @ s[f"{p}.Un"].value) + s[f"{p}.bn"].value)
-        return (1.0 - zf) * h_prev + zf * nf
-
-
-def gru_cell(h_prev: Tensor, x: Tensor, cell: GruCell) -> Tensor:
-    """Functional form of one GRU step; differentiable through backward()."""
-    return cell(h_prev, x)
+        return self.sequence_array(h_prev, x[:, None, :])

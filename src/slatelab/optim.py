@@ -75,10 +75,6 @@ class ParameterStore:
         for p in self._entries.values():
             p.grad[...] = 0.0
 
-    def copy_values_from(self, other: "ParameterStore") -> None:
-        for name, p in other.items():
-            self._entries[name].value[...] = p.value
-
     def load_state_from(self, other: "ParameterStore") -> None:
         """Adopt another store's values, Adam moments and step count.
 
@@ -86,8 +82,10 @@ class ParameterStore:
         same shapes; used to restore a freshly built model from a
         checkpointed store without rebinding any graph references.
         """
-        if set(self._entries) != set(dict(other.items())):
-            raise ValueError("parameter name sets differ")
+        mine, theirs = set(self._entries), set(dict(other.items()))
+        if mine != theirs:
+            raise ValueError(f"parameter name sets differ: missing {sorted(mine - theirs)}, "
+                             f"unexpected {sorted(theirs - mine)}")
         for name, src in other.items():
             dst = self._entries[name]
             if dst.value.shape != src.value.shape:

@@ -37,7 +37,6 @@ class SacConfig:
     critic_lr: float = 0.001
     actor_lr: float = 0.003
     batch_size: int = 256
-    update_per_step: int = 1
     hidden: tuple = (256, 256)
 
     def __post_init__(self):
@@ -49,8 +48,8 @@ class SacConfig:
             raise ValueError("tau must lie in (0, 1]")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
-        if self.batch_size <= 0 or self.update_per_step <= 0:
-            raise ValueError("batch_size and update_per_step must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 
@@ -134,7 +133,7 @@ def _frozen_mlp_graph(store: ParameterStore, prefix: str, n_layers: int,
     for i in range(n_layers):
         w = ad.constant(store[f"{prefix}.l{i}.W"].value)
         b = ad.constant(store[f"{prefix}.l{i}.b"].value)
-        h = ad.add(ad.matmul(h, w), b)
+        h = ad.linear(h, w, b)
         if i != n_layers - 1:
             h = ad.relu(h)
     return h

@@ -26,7 +26,7 @@ from slatelab.gems import (
     pretrain,
 )
 from slatelab.logged import LoggedDataset, generate_dataset
-from slatelab.nn import Mlp, GruCell, gru_cell
+from slatelab.nn import Mlp, GruCell
 from slatelab.optim import ParameterStore
 from slatelab.rankers import rank_short_term_oracle, rank_wknn
 from slatelab.replay import HistoryWindow, ReplayBuffer
@@ -101,7 +101,7 @@ def _fd_gru(seed):
     x = substream(seed, "x").normal(0.0, 1.0, (5, 3))
 
     def graph():
-        h1 = gru_cell(ad.constant(h0), ad.constant(x), cell)
+        h1 = cell(ad.constant(h0), ad.constant(x))
         return ad.mean(ad.square(h1))
 
     _assert_grads_match(store, lambda: graph().item(), graph)

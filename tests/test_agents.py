@@ -4,6 +4,7 @@ from scipy import stats as sps
 
 from slatelab import autodiff as ad
 from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState
+from slatelab.checkpoint import load_checkpoint, save_checkpoint
 from slatelab.optim import ParameterStore
 from slatelab.reinforce import (
     BaselineState,
@@ -183,6 +184,65 @@ def test_belief_gradient_through_chained_updates_matches_fd():
     fd = finite_difference_grads(store, loss_fn)
     for name in fd:
         assert max_relative_error(grads[name], fd[name]) < 1e-4, name
+
+
+def test_learned_table_gradient_through_short_windows_matches_fd():
+    # a batch of right-aligned histories of lengths 3, 1 and 0: the table's
+    # gradient reaches it through the fused GRU's input gradient
+    store, enc = small_encoder(belief_dim=4, window=3, source="learned", seed=10)
+    rng = substream(10, "episode")
+    slates = rng.integers(0, 12, (3, 3, 2))
+    clicks = (rng.random((3, 3, 2)) < 0.5).astype(float)
+    lengths = np.array([3, 1, 0])
+    w = substream(10, "w").normal(0.0, 1.0, (3, 4))
+
+    def graph():
+        h = enc.recompute_graph(slates, clicks, lengths)
+        return ad.sum_(ad.mul(ad.square(h), ad.constant(w)))
+
+    ad.backward(graph())
+    grads = {name: p.grad.copy() for name, p in store.items()}
+    assert np.any(grads["belief.items"] != 0.0)
+    fd = finite_difference_grads(store, lambda: graph().item())
+    for name in fd:
+        assert max_relative_error(grads[name], fd[name]) < 1e-4, name
+
+
+def _graph_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _critic_fixture(window):
+    cfg = SacConfig(action_dim=2, hidden=(4,), batch_size=4)
+    bcfg = BeliefConfig(belief_dim=3, item_source="mf", truncation=window)
+    model = SacModel(cfg, bcfg, 1, small_table(num_items=4, dim=2), substream(0, "init"))
+    buf = ReplayBuffer(capacity=64, window=window, slate_size=1, action_dim=2)
+    hw = HistoryWindow(window, 1)
+    roll = substream(0, "roll")
+    for t in range(3 * window):
+        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
+        buf.push(hw, roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False)
+    return cfg, model, buf.sample(4, substream(0, "s"))
+
+
+def test_graph_size_does_not_grow_with_the_window():
+    sizes = {}
+    for window in (2, 20):
+        cfg, model, batch = _critic_fixture(window)
+        hidden = model.belief.recompute_graph(batch.prev_slates, batch.prev_clicks,
+                                              batch.prev_lengths)
+        assert [n.op for n in _graph_nodes(hidden)].count("gru-sequence") == 1
+        loss, _ = critic_loss(model, batch, cfg, substream(0, "eps"))
+        nodes = _graph_nodes(loss)
+        assert [n.op for n in nodes].count("gru-sequence") == 1
+        sizes[window] = len(nodes)
+    assert sizes[2] == sizes[20]
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +655,25 @@ def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
     for name, p in model.critic_store.items():
         assert np.array_equal(p.value, loaded.critic_store[name].value)
     assert model.critic_store.step_count == loaded.critic_store.step_count
+
+
+def test_checkpoint_with_per_gate_gru_parameters_is_rejected(tmp_path):
+    # the GRU once stored one W/U/b triple per gate; such files must not load
+    _, model = tiny_sac(belief_dim=2, window=2)
+    path = tmp_path / "agent.ckpt"
+    save_sac(model, path)
+    stores, meta = load_checkpoint(path)
+    old = ParameterStore()
+    for name, p in stores["critic"].items():
+        if name.startswith("belief.gru."):
+            for gate in ("z", "r", "n"):
+                old.add(f"{name}{gate}", p.value)
+        else:
+            old.add(name, p.value)
+    stores["critic"] = old
+    save_checkpoint(path, stores, meta)
+    with pytest.raises(ValueError, match="belief.gru.Wz"):
+        load_sac(path)
 
 
 def test_losses_stay_finite_over_many_updates():

@@ -4,7 +4,7 @@ import pytest
 from slatelab import autodiff as ad
 from slatelab.autodiff import NonFiniteError, Tensor, backward
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
-from slatelab.nn import GruCell, Mlp, gru_cell
+from slatelab.nn import GruCell, Mlp
 from slatelab.optim import AdamConfig, ParameterStore, adam_step, polyak_update
 from slatelab import rng as rngmod
 
@@ -60,6 +60,18 @@ def test_gru_zero_weights_halve_state():
     h_prev = np.array([[0.2, -0.4, 1.0, 0.0]])
     h_next = cell(Tensor(h_prev), Tensor(np.ones((1, 3))))
     np.testing.assert_allclose(h_next.value, 0.5 * h_prev, atol=1e-15)
+
+
+def test_gru_fused_gate_blocks_keep_per_gate_draw_order():
+    store = ParameterStore()
+    GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(7))
+    ref = np.random.default_rng(7)
+    for i in range(3):  # z, r, n: W block, then U block
+        np.testing.assert_array_equal(store["gru.W"].value[:, 4 * i:4 * i + 4],
+                                      ref.normal(0.0, 1.0 / np.sqrt(3), (3, 4)))
+        np.testing.assert_array_equal(store["gru.U"].value[:, 4 * i:4 * i + 4],
+                                      ref.normal(0.0, 0.5, (4, 4)))
+    np.testing.assert_array_equal(store["gru.b"].value, np.zeros(12))
 
 
 def test_gru_zero_everything_stays_zero():
@@ -187,11 +199,83 @@ def test_gru_matches_fd():
     cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=rng)
     h0 = rng.uniform(-1, 1, size=(1, 4))
     x = rng.uniform(-1, 1, size=(1, 3))
-    build = lambda s: ad.sum_(gru_cell(Tensor(h0), Tensor(x), cell))
+    build = lambda s: ad.sum_(cell(Tensor(h0), Tensor(x)))
     got = autodiff_grads(store, build)
     want = finite_difference_grads(store, lambda: build(store).item())
     for name in want:
         assert max_relative_error(got[name], want[name]) < 1e-4
+
+
+def test_linear_fd():
+    check_fd(lambda s: ad.sum_(ad.square(ad.linear(s.tensor("x"), s.tensor("W"),
+                                                   s.tensor("b")))),
+             [("x", (3, 4)), ("W", (4, 2)), ("b", (2,))])
+
+
+def test_linear_equals_add_of_matmul_bit_for_bit():
+    rng = np.random.default_rng(1)
+    x, W, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    fused = ad.linear(Tensor(x), Tensor(W), Tensor(b)).value
+    np.testing.assert_array_equal(fused, ad.add(ad.matmul(Tensor(x), Tensor(W)), Tensor(b)).value)
+
+
+def _right_aligned_mask(window, lengths):
+    lengths = np.asarray(lengths)
+    return (np.arange(window)[None, :] >= (window - lengths)[:, None]).astype(np.float64)
+
+
+def test_gru_sequence_fd_short_windows_and_nonzero_h0():
+    # rows: full window, a short right-aligned history, and an empty one
+    # whose output is h0 itself; h0 and x are parameters, so both get checked
+    mask = _right_aligned_mask(5, [5, 2, 0])
+    w = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    build = lambda s: ad.sum_(ad.mul(ad.gru_sequence(
+        s.tensor("h0"), s.tensor("x"), s.tensor("W"), s.tensor("U"), s.tensor("b"), mask),
+        ad.constant(w)))
+    check_fd(build, [("h0", (3, 4)), ("x", (3, 5, 2)), ("W", (2, 12)), ("U", (4, 12)),
+                     ("b", (12,))], seed=3)
+
+
+def test_gru_sequence_equals_single_steps():
+    rng = np.random.default_rng(6)
+    store = ParameterStore()
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=rng)
+    store["gru.b"].value[...] = rng.normal(0.0, 0.3, 12)
+    h0 = rng.uniform(-1, 1, size=(4, 4))
+    x = rng.uniform(-1, 1, size=(4, 6, 3))
+    for mask in (None, _right_aligned_mask(6, [6, 3, 1, 0])):
+        h = h0
+        for t in range(6):
+            step = cell(Tensor(h), Tensor(x[:, t])).value
+            if mask is None:
+                h = step
+            else:
+                m = mask[:, t, None]
+                h = m * step + (1.0 - m) * h
+        np.testing.assert_array_equal(cell.sequence(Tensor(h0), Tensor(x), mask).value, h)
+        np.testing.assert_array_equal(cell.sequence_array(h0, x, mask), h)
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_two_branch_formula():
+    edges = [0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0, 36.0, 40.0, 709.0, 710.0, 745.0,
+             800.0, np.inf]
+    grid = np.array(edges + [-v for v in edges])
+    rng = np.random.default_rng(0)
+    x = np.concatenate([grid, rng.normal(0.0, 5.0, 20_000), rng.normal(0.0, 300.0, 2_000)])
+    np.testing.assert_array_equal(ad._sigmoid(x).view(np.int64),
+                                  _two_branch_sigmoid(x).view(np.int64))
+    assert np.signbit(ad._sigmoid(np.array([-0.0]))[0]) == np.signbit(0.5)
+    assert float(ad._sigmoid(np.asarray(0.3))) == _two_branch_sigmoid(np.array([0.3]))[0]
+    assert np.isnan(ad._sigmoid(np.array([np.nan]))).all()
 
 
 def test_gru_forward_array_matches_graph():
@@ -256,6 +340,55 @@ def test_nonfinite_forward_raises():
         ad.exp(Tensor(np.array([1000.0])))
     with pytest.raises(NonFiniteError):
         ad.log(Tensor(np.array([-1.0])))
+
+
+def test_gru_sequence_nonfinite_input_raises():
+    store = ParameterStore()
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(0))
+    x = np.zeros((2, 3, 3))
+    x[1, 2, 0] = np.inf  # saturated gates would hide it in the output alone
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence(ad.constant(np.zeros((2, 4))), ad.constant(x))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence_array(np.zeros((2, 4)), x)
+
+
+def test_gru_sequence_nonfinite_upstream_gradient_raises():
+    store = ParameterStore()
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(1))
+    x = np.random.default_rng(2).uniform(-1, 1, size=(2, 3, 3))
+    h = cell.sequence(ad.constant(np.zeros((2, 4))), ad.constant(x))
+    # exp(s*h) peaks at e^705 in the forward pass, but its gradient times
+    # s > 705 overflows on the way into the GRU node
+    assert 0.0 < h.value.max() < 1.0
+    root = ad.sum_(ad.exp(ad.scale(h, 705.0 / h.value.max())))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        backward(root)
+
+
+def test_constant_operands_get_no_gradient_and_change_no_parameter_gradient():
+    rng = np.random.default_rng(5)
+    store = ParameterStore()
+    mlp = Mlp(store, "net", [3, 5, 2], rng)
+    cell = GruCell(store, "gru", input_dim=2, hidden_dim=3, rng=rng)
+    x = rng.uniform(-1, 1, size=(4, 3))
+    seq = rng.uniform(-1, 1, size=(4, 2, 2))
+    c = rng.uniform(-1, 1, size=(4, 2))
+    mask = _right_aligned_mask(2, [2, 1, 2, 0])
+
+    def grads(leaf):
+        operands = [leaf(v) for v in (x, seq, c)]
+        h = cell.sequence(leaf(np.zeros((4, 3))), operands[1], mask)
+        y = ad.mul(mlp(operands[0]), operands[2])
+        backward(ad.add(ad.sum_(ad.square(y)), ad.sum_(h)))
+        return operands, {name: p.grad.copy() for name, p in store.items()}
+
+    consts, pruned = grads(ad.constant)
+    leaves, full = grads(Tensor)
+    assert all(t.grad is None for t in consts)
+    assert all(t.grad is not None for t in leaves)
+    for name in full:
+        np.testing.assert_array_equal(pruned[name], full[name])
 
 
 def test_stop_gradient_blocks_backward():
