@@ -3,9 +3,11 @@
 Graphs are built define-by-run: every primitive allocates a fresh node and
 ``backward`` walks the tape once, accumulating gradients by the chain rule.
 Sized for the small MLP/GRU/VAE workloads in this package: float64 only,
-no views, no GPU.  Two fused ops keep graphs small: :func:`linear`
-(``x @ W + b`` as one node) and :func:`gru_sequence` (a whole masked GRU
-window as one node, with a hand-written backprop-through-time VJP).
+no views, no GPU.  Three fused ops keep graphs and their arrays small:
+:func:`linear` (``x @ W + b`` as one node), :func:`gru_sequence` (a whole
+masked GRU window as one node, with a hand-written backprop-through-time
+VJP) and :func:`softmax_pick` (the log-softmax of ``x @ table.T`` at one
+index per row, computed in row blocks so the full logits never exist).
 
 Every node records whether it needs a gradient: parameters and plain
 ``Tensor(...)`` leaves do, :func:`constant` and :func:`stop_gradient`
@@ -218,6 +220,68 @@ def log_softmax(a: Tensor) -> Tensor:
         return (np.subtract(g, out, out=out),)
 
     return _node("softmax-log", v, (a,), vjp)
+
+
+# Rows per block.  At 1000 items, 64-row blocks ran about 15% faster, but
+# below about 126 rows OpenBLAS rounds the block's dx product differently
+# from the whole-batch product, so the gradient would no longer match the
+# unfused graph bit for bit.
+_SOFTMAX_PICK_BLOCK = 256
+
+
+def softmax_pick(x: Tensor, table: np.ndarray, idx: np.ndarray) -> Tensor:
+    """``log_softmax(x @ table.T)[i, idx[i]]`` as one node of shape [N].
+
+    ``table`` [M, e] is a constant.  Rows go through in fixed blocks, so the
+    [N, M] logits never exist: the forward pass keeps each row's log-sum-exp
+    and the VJP recomputes a block's logits to form its softmax.  Value and
+    gradient equal ``pick(log_softmax(matmul(x, transpose(constant(table)))),
+    idx)`` bit for bit wherever the BLAS rounds a row of a block's product
+    as it rounds that row of the whole-batch product (OpenBLAS does at the
+    GeMS shapes the tests check).  Each block's logits and gradient are
+    checked for finiteness, and so are the output and ``dx``.
+    """
+    xv = x.value
+    table = _as_array(table)
+    idx = np.asarray(idx)
+    if (xv.ndim != 2 or table.ndim != 2 or xv.shape[1] != table.shape[1]
+            or idx.shape != xv.shape[:1]):
+        raise ValueError("softmax_pick shape mismatch")
+    table_t = np.ascontiguousarray(table.T)   # the operand layout matmul sees unfused
+    # The last block takes the remainder rows: a short trailing product can
+    # run a different BLAS kernel than the whole-batch one and round apart.
+    n = xv.shape[0]
+    starts = list(range(0, max(n - _SOFTMAX_PICK_BLOCK, 0) + 1, _SOFTMAX_PICK_BLOCK))
+    blocks = list(zip(starts, starts[1:] + [n]))
+    lse = np.empty((n, 1))
+    v = np.empty(n)
+    for lo, hi in blocks:
+        logits = xv[lo:hi] @ table_t
+        _check_finite(logits, "softmax-pick")
+        m = logits.max(axis=-1, keepdims=True)
+        picked = logits[np.arange(hi - lo), idx[lo:hi]]
+        logits -= m
+        np.exp(logits, out=logits)
+        lse[lo:hi] = np.log(logits.sum(axis=-1, keepdims=True)) + m
+        v[lo:hi] = picked - lse[lo:hi, 0]
+
+    def vjp(g):
+        dx = np.empty_like(xv)
+        for lo, hi in blocks:
+            rows, cols = np.arange(hi - lo), idx[lo:hi]
+            grad = xv[lo:hi] @ table_t
+            grad -= lse[lo:hi]
+            np.exp(grad, out=grad)                  # softmax p
+            grad *= g[lo:hi, None]
+            at_pick = g[lo:hi] - grad[rows, cols]
+            np.subtract(0.0, grad, out=grad)        # 0 - p*g, as the dense VJP does
+            grad[rows, cols] = at_pick
+            _check_finite(grad, "softmax-pick")
+            dx[lo:hi] = grad @ table_t.T
+        _check_finite(dx, "softmax-pick")
+        return (dx,)
+
+    return _node("softmax-pick", v, (x,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -465,15 +529,18 @@ def backward(root: Tensor) -> None:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without branching on x.
 
-    With e = exp(-|x|) the numerator is 1 or e: e*[x<0] + [x>=0] picks it
-    exactly (a product with 0 or 1 and a sum with 0 are exact), and is far
-    cheaper than np.where with a scalar operand or boolean-mask indexing.
+    The numerator exp(min(x, 0)) is exactly 1 for x >= 0 and e^x below,
+    and the denominator is 1 + exp(-|x|), so both branches come out bit for
+    bit, far cheaper than np.where with a scalar operand or boolean-mask
+    indexing.  Working in place saves allocating a temporary per step.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    num = e * (x < 0)
-    num += x >= 0
+    e = np.abs(x, out=np.empty_like(x))     # out= keeps 0-d inputs arrays
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     e += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(num, out=num)
     num /= e
     return num
 

@@ -3,9 +3,10 @@
 The encoder maps a slate with its clicks to a diagonal Gaussian over a
 d-dimensional latent; the decoder maps a latent back to per-slot item logits
 (dot products of reconstructed embeddings against a stop-gradient copy of
-the learnable item table) and per-slot click probabilities.  After
-pretraining on logged data, the frozen decoder turns agent proto-actions
-into slates.
+the learnable item table) and per-slot click probabilities.  Training
+scores each slot's logged item with one fused ``softmax_pick`` node, so
+the [b*k, num_items] logits are never built.  After pretraining on logged
+data, the frozen decoder turns agent proto-actions into slates.
 """
 
 from __future__ import annotations
@@ -97,22 +98,23 @@ class GemsModel:
         out = self.encoder(x)
         return out[:, :d], out[:, d:]
 
-    def decode_graph(self, z: Tensor, frozen_table: Optional[np.ndarray] = None):
-        """Decoder half of the graph.  The item logits always treat the item
-        table as a constant; passing an explicit frozen_table snapshot lets a
-        finite-difference oracle perturb the live table while holding the
-        frozen copy fixed, exactly mirroring the stop-gradient semantics."""
+    def decode_graph(self, z: Tensor, slates: np.ndarray,
+                     frozen_table: Optional[np.ndarray] = None):
+        """Decoder half of the graph: the log-probability of each slot's
+        item in ``slates`` [b, k], flattened to [b*k], and click logits [b, k].
+
+        The item logits always treat the item table as a constant; passing
+        an explicit frozen_table snapshot lets a finite-difference oracle
+        perturb the live table while holding the frozen copy fixed, exactly
+        mirroring the stop-gradient semantics."""
         b = z.shape[0]
         k, e = self.slate_size, self.cfg.item_embed_dim
         out = ad.reshape(self.decoder(z), (b, k, e + 1))
         recon = ad.reshape(out[:, :, :e], (b * k, e))
         click_logits = out[:, :, e]
-        if frozen_table is None:
-            table = ad.stop_gradient(self.store.tensor("items.E"))
-        else:
-            table = ad.constant(frozen_table)
-        item_logits = ad.matmul(recon, ad.transpose(table))
-        return item_logits, click_logits
+        table = self.item_table() if frozen_table is None else frozen_table
+        targets = np.asarray(slates).reshape(-1)
+        return ad.softmax_pick(recon, table, targets), click_logits
 
     # Array paths (inference) ----------------------------------------------------
 
@@ -196,10 +198,7 @@ def gems_loss(model: GemsModel, slates: np.ndarray, clicks: np.ndarray,
     mu, log_sigma = model.encode_graph(slates, clicks)
     sigma = ad.exp(log_sigma)
     z = ad.add(mu, ad.mul(sigma, ad.constant(noise)))
-    item_logits, click_logits = model.decode_graph(z, frozen_table)
-
-    log_probs = ad.log_softmax(item_logits)
-    picked = ad.pick(log_probs, slates.reshape(-1))
+    picked, click_logits = model.decode_graph(z, slates, frozen_table)
     slate_nll = ad.scale(ad.sum_(picked), -1.0 / b)
 
     c = ad.constant(np.asarray(clicks, dtype=np.float64))

@@ -94,6 +94,14 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _check_artifact(path: Path, what: str, field: str, got: int, want: int) -> None:
+    """A loaded artifact must fit the configured simulator, or decoding and
+    ranking would fail late or return the wrong item ids."""
+    if got != want:
+        raise ValueError(f"{what} {path} has {field}={got}, but the config has "
+                         f"sim.{field}={want}")
+
+
 class Policy:
     """Acting bundle: optional agent model, belief encoder, and a ranker."""
 
@@ -114,14 +122,18 @@ class Policy:
         self.gems_model = None
         if ranker == "gems" or (agent != "none"
                                 and self._belief_source() == "gems-table"):
-            self.gems_model = load_gems(_require_file(cfg.gems_ckpt, "gems checkpoint"))
+            path = _require_file(cfg.gems_ckpt, "gems checkpoint")
+            self.gems_model = load_gems(path)
+            _check_artifact(path, "gems checkpoint", "num_items",
+                            self.gems_model.num_items, cfg.sim.num_items)
+            _check_artifact(path, "gems checkpoint", "slate_size",
+                            self.gems_model.slate_size, cfg.sim.slate_size)
 
         self.table = None            # ranker embedding table (topk / wknn)
         if ranker in ("topk-mf", "topk-ideal", "wknn"):
             source = cfg.wknn_source if ranker == "wknn" else ranker.split("-")[1]
             if source == "mf":
-                self.table = load_mf_embeddings(
-                    _require_file(cfg.mf_embeddings, "mf embeddings"))
+                self.table = self._mf_table()
             else:
                 self.table = catalog.embeddings
         self.needs_disclosed = (
@@ -142,13 +154,19 @@ class Policy:
             return self.cfg.belief_item_source
         return "learned" if self.cfg.agent == "reinforce" else "gems-table"
 
+    def _mf_table(self) -> np.ndarray:
+        path = _require_file(self.cfg.mf_embeddings, "mf embeddings")
+        table = load_mf_embeddings(path)
+        _check_artifact(path, "mf embeddings", "num_items", table.shape[0],
+                        self.cfg.sim.num_items)
+        return table
+
     def _belief_table(self, rng: np.random.Generator) -> np.ndarray:
         source = self._belief_source()
         if source == "gems-table":
             return self.gems_model.item_table()
         if source == "mf":
-            return load_mf_embeddings(_require_file(self.cfg.mf_embeddings,
-                                                    "mf embeddings"))
+            return self._mf_table()
         if source == "ideal":
             return self.catalog.embeddings
         # learned: trainable table, initialized small

@@ -2,12 +2,17 @@
 
 Everything here is deliberately written without importing the library's own
 numerics (beyond data containers), so a bug in the package cannot hide in
-its own test oracle.
+its own test oracle.  The one exception is :func:`reference_gems_loss`: it
+is the GeMS loss built from the unfused autodiff primitives, the reference
+that the fused slot-reconstruction op must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from slatelab import autodiff as ad
+from slatelab.gems import GemsLossParts
 
 
 def finite_difference_grads(store, loss_fn, h=1e-5):
@@ -67,3 +72,41 @@ def mc_gaussian_kl(mu, sigma, num_samples, seed):
     log_q = -0.5 * (((z - mu) / sigma) ** 2 + np.log(2.0 * np.pi)) - np.log(sigma)
     log_p = -0.5 * (z**2 + np.log(2.0 * np.pi))
     return float(np.mean(np.sum(log_q - log_p, axis=1)))
+
+
+def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
+    """GeMS batch loss and its parts with the whole [b*k, num_items] item
+    logits built: matmul against the constant item table, log_softmax over
+    the catalogue, then pick of each slot's logged item."""
+    cfg = model.cfg
+    b, k = slates.shape
+    e = cfg.item_embed_dim
+    mu, log_sigma = model.encode_graph(slates, clicks)
+    sigma = ad.exp(log_sigma)
+    z = ad.add(mu, ad.mul(sigma, ad.constant(noise)))
+    out = ad.reshape(model.decoder(z), (b, k, e + 1))
+    recon = ad.reshape(out[:, :, :e], (b * k, e))
+    click_logits = out[:, :, e]
+    table = model.item_table() if frozen_table is None else frozen_table
+    item_logits = ad.matmul(recon, ad.transpose(ad.constant(table)))
+    picked = ad.pick(ad.log_softmax(item_logits), slates.reshape(-1))
+    slate_nll = ad.scale(ad.sum_(picked), -1.0 / b)
+
+    c = ad.constant(np.asarray(clicks, dtype=np.float64))
+    bce = ad.add(ad.softplus(click_logits), ad.scale(ad.mul(c, click_logits), -1.0))
+    click_nll = ad.scale(ad.sum_(bce), 1.0 / b)
+
+    if cfg.kl_form == "standard":
+        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
+                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(-1.0)))
+        kl = ad.scale(ad.sum_(per), 0.5 / b)
+    else:
+        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
+                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(-1.0)))
+        kl = ad.scale(ad.sum_(per), 1.0 / b)
+
+    total = ad.add(ad.add(slate_nll, ad.scale(click_nll, cfg.lam)),
+                   ad.scale(kl, cfg.beta))
+    parts = GemsLossParts(total=total.item(), slate_nll=slate_nll.item(),
+                          click_nll=click_nll.item(), kl=kl.item())
+    return total, parts

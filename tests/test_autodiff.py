@@ -219,6 +219,53 @@ def test_linear_equals_add_of_matmul_bit_for_bit():
     np.testing.assert_array_equal(fused, ad.add(ad.matmul(Tensor(x), Tensor(W)), Tensor(b)).value)
 
 
+@pytest.mark.parametrize("n", [5, 2 * ad._SOFTMAX_PICK_BLOCK + 37])
+def test_softmax_pick_fd_within_and_across_row_blocks(n):
+    rng = np.random.default_rng(n)
+    table = rng.uniform(-1, 1, size=(7, 3))
+    idx = rng.integers(0, 7, size=n)
+    w = rng.uniform(-1, 1, size=n)
+    check_fd(lambda s: ad.sum_(ad.mul(ad.softmax_pick(s.tensor("x"), table, idx),
+                                      ad.constant(w))),
+             [("x", (n, 3))], seed=n)
+
+
+@pytest.mark.parametrize("n", [2560, 2320])   # a full paper-default batch, a short last one
+def test_softmax_pick_equals_unfused_graph_bit_for_bit(n):
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 1.0, size=(n, 8))
+    table = rng.normal(0.0, 0.5, size=(1000, 8))
+    idx = rng.integers(0, 1000, size=n)
+    w = ad.constant(rng.normal(size=n))
+    fused, ref = Tensor(x), Tensor(x)
+    a = ad.softmax_pick(fused, table, idx)
+    b = ad.pick(ad.log_softmax(ad.matmul(ref, ad.transpose(ad.constant(table)))), idx)
+    backward(ad.sum_(ad.mul(a, w)))
+    backward(ad.sum_(ad.mul(b, w)))
+    np.testing.assert_array_equal(a.value.view(np.int64), b.value.view(np.int64))
+    np.testing.assert_array_equal(fused.grad.view(np.int64), ref.grad.view(np.int64))
+
+
+def test_softmax_pick_nonfinite_forward_raises():
+    n = ad._SOFTMAX_PICK_BLOCK + 3
+    x = np.random.default_rng(0).uniform(-1, 1, size=(n, 2))
+    x[n - 1, 0] = 1e300   # overflows one logit in the last block only
+    with pytest.raises(NonFiniteError, match="softmax-pick"):
+        ad.softmax_pick(Tensor(x), np.full((4, 2), 1e10), np.zeros(n, dtype=int))
+
+
+def test_softmax_pick_nonfinite_upstream_gradient_raises():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.uniform(-1, 1, size=(6, 3)))
+    lp = ad.softmax_pick(x, rng.uniform(-1, 1, size=(5, 3)), rng.integers(0, 5, size=6))
+    # exp(s*lp) peaks at e^705 in the forward pass, but its gradient times
+    # |s| > 705 overflows on the way into the softmax-pick node
+    assert lp.value.max() < 0.0
+    root = ad.sum_(ad.exp(ad.scale(lp, 705.0 / lp.value.min())))
+    with pytest.raises(NonFiniteError, match="softmax-pick"):
+        backward(root)
+
+
 def _right_aligned_mask(window, lengths):
     lengths = np.asarray(lengths)
     return (np.arange(window)[None, :] >= (window - lengths)[:, None]).astype(np.float64)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slatelab.gems
 from slatelab import autodiff as ad
 from slatelab.autodiff import backward
 from slatelab.gems import (
@@ -18,7 +19,8 @@ from slatelab.gems import (
 from slatelab.logged import LoggedDataset, generate_dataset
 from slatelab.simulator import SimConfig, generate_item_catalog
 
-from oracles import finite_difference_grads, max_relative_error, mc_gaussian_kl
+from oracles import (finite_difference_grads, max_relative_error, mc_gaussian_kl,
+                     reference_gems_loss)
 
 
 def tiny_model(**kw):
@@ -182,10 +184,12 @@ def test_kl_gradient_matches_fd():
 def test_item_table_gets_no_gradient_through_decoder_logits():
     model = tiny_model()
     z = ad.constant(np.random.default_rng(11).standard_normal((2, 3)))
-    item_logits, _ = model.decode_graph(z)
-    targets = np.array([0, 1, 2, 3, 4, 5])
-    backward(ad.scale(ad.sum_(ad.pick(ad.log_softmax(item_logits), targets)), -1.0))
-    np.testing.assert_array_equal(model.store["items.E"].grad, 0.0)
+    slot_log_probs, _ = model.decode_graph(z, np.array([[0, 1, 2], [3, 4, 5]]))
+    assert slot_log_probs.shape == (6,)
+    model.store["items.E"].grad[...] = 1.0
+    backward(ad.scale(ad.sum_(slot_log_probs), -1.0))
+    assert np.abs(model.store["dec.l0.W"].grad).max() > 0.0
+    np.testing.assert_array_equal(model.store["items.E"].grad, 1.0)   # never touched
 
 
 def test_encoder_path_does_update_item_table():
@@ -195,6 +199,28 @@ def test_encoder_path_does_update_item_table():
     total, _ = gems_loss(model, slates, clicks, noise)
     backward(total)
     assert np.abs(model.store["items.E"].grad).max() > 0.0
+
+
+def _graph_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_gems_loss_graph_never_holds_catalogue_sized_logits():
+    model = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=4, hidden=(16,)),
+                      num_items=50, slate_size=3, seed=0)
+    slates, clicks = batch(seed=15, b=64, n=50)
+    noise = np.random.default_rng(16).standard_normal((64, 3))
+    limit = 64 * 3 * 50
+    ref, _ = reference_gems_loss(model, slates, clicks, noise)
+    assert max(t.size for t in _graph_nodes(ref)) >= limit   # the test can tell
+    total, _ = gems_loss(model, slates, clicks, noise)
+    assert max(t.size for t in _graph_nodes(total)) < limit
 
 
 # --- pretraining ----------------------------------------------------------------
@@ -221,6 +247,20 @@ def test_pretrain_seed_determinism():
     _, h1 = pretrain(ds, cfg, seed=3)
     _, h2 = pretrain(ds, cfg, seed=3)
     assert abs(h1[-1].total - h2[-1].total) < 1e-10
+
+
+def test_pretrain_reproduces_the_unfused_reference_exactly(monkeypatch):
+    # batches of 128 slates x 5 slots span two softmax-pick row blocks, and
+    # the last batch of each epoch is short
+    ds = small_logged_dataset(num_traj=5)
+    cfg = GemsConfig(latent_dim=4, item_embed_dim=4, hidden=(16,), epochs=2,
+                     batch_size=128)
+    model, history = pretrain(ds, cfg, seed=5)
+    monkeypatch.setattr(slatelab.gems, "gems_loss", reference_gems_loss)
+    ref_model, ref_history = pretrain(ds, cfg, seed=5)
+    assert history == ref_history
+    for name, p in ref_model.store.items():
+        np.testing.assert_array_equal(model.store[name].value, p.value)
 
 
 def test_overfit_roundtrip_on_tiny_corpus():

@@ -101,6 +101,27 @@ def test_missing_artifacts_raise():
         build_policy(cfg, catalog, 0)
 
 
+def test_gems_checkpoint_that_does_not_fit_the_simulator_is_rejected(artifacts):
+    for field, value in (("num_items", 16), ("slate_size", 4)):
+        cfg = tiny_config(gems_ckpt=artifacts["gems"], **{f"sim.{field}": value})
+        catalog = generate_item_catalog(cfg.sim, 0)
+        want = getattr(tiny_config().sim, field)
+        with pytest.raises(ValueError, match=f"gems checkpoint .*gems.slk has "
+                                             f"{field}={want}, .*sim.{field}={value}"):
+            build_policy(cfg, catalog, 0)
+
+
+def test_mf_embeddings_with_wrong_row_count_are_rejected(artifacts):
+    # the ranker's table, then the belief's table alone
+    for ranker in ("topk-mf", "topk-ideal"):
+        cfg = tiny_config(**{"sim.num_items": 16, "ranker": ranker,
+                             "belief_item_source": "mf", "mf_embeddings": artifacts["mf"]})
+        catalog = generate_item_catalog(cfg.sim, 0)
+        with pytest.raises(ValueError, match=r"mf embeddings .*mf.npz has "
+                                             r"num_items=15, .*sim.num_items=16"):
+            build_policy(cfg, catalog, 0)
+
+
 def test_action_dims(artifacts):
     cases = [
         (dict(ranker="gems", gems_ckpt=artifacts["gems"]), 4),
