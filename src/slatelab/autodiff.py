@@ -4,26 +4,47 @@ Graphs are built define-by-run: every primitive allocates a fresh node and
 ``backward`` walks the tape once, accumulating gradients by the chain rule.
 Sized for the small MLP/GRU/VAE workloads in this package: float64 only,
 no views, no GPU.  Three fused ops keep graphs and their arrays small:
-:func:`linear` (``x @ W + b`` as one node), :func:`gru_sequence` (a whole
-masked GRU window as one node, with a hand-written backprop-through-time
-VJP) and :func:`softmax_pick` (the log-softmax of ``x @ table.T`` at one
-index per row, computed in row blocks so the full logits never exist).
+:func:`mlp` (a fully connected stack as one node) and :func:`gru_sequence`
+(a masked GRU window as one node, with backprop through time), each over a
+value-only kernel that inference calls directly (:func:`mlp_values`,
+:func:`gru_window`), and :func:`softmax_pick` (the log-softmax of
+``x @ table.T`` at one index per row, in row blocks so the logits never
+exist whole).
 
-Every node records whether it needs a gradient: parameters and plain
-``Tensor(...)`` leaves do, :func:`constant` and :func:`stop_gradient`
-outputs do not, and any other node does when one of its parents does.
-``backward`` visits only nodes that need a gradient, and the matmul-like
-VJPs skip the operands that need none.  Any non-finite value produced by
-a forward pass, and any gradient ``backward`` computes, including each of
-the fused ops' outputs and gradients, raises :class:`NonFiniteError`
-immediately.
+A node needs a gradient when it is a parameter or ``Tensor(...)`` leaf, or
+when one of its parents does; one that does not, such as a
+:func:`constant`, keeps neither parents nor VJP.  Inside :class:`no_grad`
+parameters are constants, while other operands still get gradients.
+``backward`` visits only nodes that need a gradient.  Any non-finite value
+of a forward pass or gradient raises :class:`NonFiniteError` at once; the
+fused ops and their kernels, inference included, check every layer's or
+step's pre-activations and gradients, so a saturating tanh hides nothing.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("slatelab_grad_enabled", default=True)
+
+
+class no_grad:
+    """Context manager inside which ``ParameterStore.tensor`` returns
+    constants: parameters get no gradient and value-only graphs no tape."""
+
+    def __enter__(self):
+        self._token = _GRAD_ENABLED.set(False)
+
+    def __exit__(self, *exc):
+        _GRAD_ENABLED.reset(self._token)
+
+
+def grad_enabled() -> bool:
+    """False inside :class:`no_grad`."""
+    return _GRAD_ENABLED.get()
 
 
 class NonFiniteError(ArithmeticError):
@@ -105,8 +126,9 @@ def constant(x) -> Tensor:
 
 def _node(op: str, value: np.ndarray, parents: Sequence[Tensor], vjp: Optional[Callable]) -> Tensor:
     _check_finite(value, op)
-    return Tensor(value, op=op, parents=parents, vjp=vjp,
-                  needs_grad=any(p.needs_grad for p in parents))
+    if not any(p.needs_grad for p in parents):
+        return Tensor(value, op=op, needs_grad=False)
+    return Tensor(value, op=op, parents=parents, vjp=vjp)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -128,18 +150,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node("matmul", v, (a, b),
                  lambda g: (g @ b.value.T if a.needs_grad else None,
                             a.value.T @ g if b.needs_grad else None))
-
-
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b as one node; values equal ``add(matmul(x, W), b)`` bit for bit."""
-    v = x.value @ W.value + b.value
-
-    def vjp(g):
-        return (g @ W.value.T if x.needs_grad else None,
-                x.value.T @ g if W.needs_grad else None,
-                _unbroadcast(g, b.shape) if b.needs_grad else None)
-
-    return _node("linear", v, (x, W, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -235,11 +245,11 @@ def softmax_pick(x: Tensor, table: np.ndarray, idx: np.ndarray) -> Tensor:
     ``table`` [M, e] is a constant.  Rows go through in fixed blocks, so the
     [N, M] logits never exist: the forward pass keeps each row's log-sum-exp
     and the VJP recomputes a block's logits to form its softmax.  Value and
-    gradient equal ``pick(log_softmax(matmul(x, transpose(constant(table)))),
-    idx)`` bit for bit wherever the BLAS rounds a row of a block's product
-    as it rounds that row of the whole-batch product (OpenBLAS does at the
-    GeMS shapes the tests check).  Each block's logits and gradient are
-    checked for finiteness, and so are the output and ``dx``.
+    gradient equal ``pick(log_softmax(matmul(x, constant(table.T))), idx)``
+    (a contiguous ``table.T``) bit for bit wherever the BLAS rounds a row of
+    a block's product as it rounds that row of the whole-batch product
+    (OpenBLAS does at the GeMS shapes the tests check).  Each block's logits
+    and gradient are checked for finiteness, and so are the output and ``dx``.
     """
     xv = x.value
     table = _as_array(table)
@@ -312,13 +322,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node("reshape", v, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.value.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    return _node("transpose", np.ascontiguousarray(a.value.T), (a,),
-                 lambda g: (g.T,))
-
-
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Select rows of a 2-D table by integer id; backward scatter-adds."""
     ids = np.asarray(ids)
@@ -361,6 +364,66 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.value.size if axis is None else a.value.shape[axis]
     return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+# Hidden-layer activations of mlp: a forward that may overwrite its
+# argument, and the VJP from the activation's output, written exactly as
+# the elementwise ops above write them.
+_MLP_ACTIVATIONS = {
+    "tanh": (lambda v: np.tanh(v, out=v), lambda g, v: g * (1.0 - v * v)),
+    "relu": (lambda v: np.maximum(v, 0.0, out=v), lambda g, v: g * (v > 0.0)),
+    "logistic": (lambda v: _sigmoid(v), lambda g, v: g * v * (1.0 - v)),
+}
+MLP_ACTIVATIONS = tuple(_MLP_ACTIVATIONS)
+
+
+def mlp_values(x: np.ndarray, Ws: Sequence[np.ndarray], bs: Sequence[np.ndarray],
+               act: str, tape: Optional[list] = None) -> np.ndarray:
+    """Value-only fully connected stack: ``act(h @ W + b)`` for every layer
+    but the last, which is linear.  Every pre-activation is checked for
+    finiteness; with a ``tape`` list, each layer's input is appended for
+    :func:`mlp`'s backward pass."""
+    forward = _MLP_ACTIVATIONS[act][0]
+    h = x
+    last = len(Ws) - 1
+    for i, (W, b) in enumerate(zip(Ws, bs)):
+        if tape is not None:
+            tape.append(h)
+        pre = h @ W
+        pre += b
+        _check_finite(pre, "mlp")
+        h = pre if i == last else forward(pre)
+    return h
+
+
+def mlp(x: Tensor, Ws: Sequence[Tensor], bs: Sequence[Tensor], act: str) -> Tensor:
+    """:func:`mlp_values` as one node; value and gradients equal the chain of
+    ``add(matmul(h, W), b)`` and activation nodes bit for bit.  The VJP
+    checks each hidden layer's gradient and skips operands needing none."""
+    Ws, bs = list(Ws), list(bs)
+    parents = (x, *Ws, *bs)
+    tape = [] if any(p.needs_grad for p in parents) else None
+    v = mlp_values(x.value, [W.value for W in Ws], [b.value for b in bs], act, tape)
+    deriv = _MLP_ACTIVATIONS[act][1]
+
+    def vjp(g):
+        n = len(Ws)
+        dWs, dbs = [None] * n, [None] * n
+        lowest = 0 if x.needs_grad else min(
+            i for i in range(n) if Ws[i].needs_grad or bs[i].needs_grad)
+        d = g                                   # dL/d(pre-activation of layer i)
+        for i in reversed(range(lowest, n)):
+            if Ws[i].needs_grad:
+                dWs[i] = tape[i].T @ d
+            if bs[i].needs_grad:
+                dbs[i] = d.sum(axis=0)
+            if i == lowest:
+                break
+            d = deriv(d @ Ws[i].value.T, tape[i])
+            _check_finite(d, "mlp")
+        return (d @ Ws[0].value.T if x.needs_grad else None, *dWs, *dbs)
+
+    return _node("mlp", v, parents, vjp)
 
 
 def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
@@ -415,7 +478,7 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
     """
     if x.value.ndim != 3 or x.shape[2] != W.shape[0] or h0.shape[-1] != U.shape[0]:
         raise ValueError("gru_sequence input/hidden shape mismatch")
-    tape: list = []
+    tape = [] if any(p.needs_grad for p in (h0, x, W, U, b)) else None
     v = gru_window(h0.value, x.value, W.value, U.value, b.value, mask, tape)
 
     def vjp(g):
@@ -458,10 +521,6 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
         return (dh if h0.needs_grad else None, dx, dW, dU, db)
 
     return _node("gru-sequence", v, (h0, x, W, U, b), vjp)
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    return _node("stop-gradient", a.value, (), None)
 
 
 # ---------------------------------------------------------------------------

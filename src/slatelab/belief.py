@@ -91,21 +91,22 @@ class BeliefEncoder:
             raise ValueError("unknown item id in slate")
         return ids
 
-    def _inputs_array(self, slates: np.ndarray, clicks: np.ndarray) -> np.ndarray:
-        """[..., k] ids and clicks -> [..., k*(e+1)] per-slot [emb ‖ click] rows."""
+    def _inputs(self, slates: np.ndarray, clicks: np.ndarray) -> Tensor:
+        """[..., k] ids and clicks -> [..., k*(e+1)] per-slot [emb ‖ click] rows;
+        one constant node unless a learned table takes a gradient."""
         ids = self._check_ids(slates)
-        emb = self.table_value()[ids]                       # [..., k, e]
         cl = np.asarray(clicks, dtype=np.float64)[..., None]
-        return np.concatenate([emb, cl], axis=-1).reshape(*ids.shape[:-1], self.input_dim)
-
-    def _inputs_graph(self, slates: np.ndarray, clicks: np.ndarray) -> Tensor:
-        ids = self._check_ids(slates)
-        if not self.trainable_table:
-            return ad.constant(self._inputs_array(slates, clicks))
+        shape = (*ids.shape[:-1], self.input_dim)
+        if not (self.trainable_table and ad.grad_enabled()):
+            return ad.constant(np.concatenate([self.table_value()[ids], cl], axis=-1)
+                               .reshape(shape))
         emb = ad.reshape(ad.gather_rows(self.store.tensor(self.prefix + ".items"),
                                         ids.reshape(-1)), (*ids.shape, self.item_dim))
-        cl = ad.constant(np.asarray(clicks, dtype=np.float64)[..., None])
-        return ad.reshape(ad.concat([emb, cl], axis=-1), (*ids.shape[:-1], self.input_dim))
+        return ad.reshape(ad.concat([emb, ad.constant(cl)], axis=-1), shape)
+
+    def _input_values(self, slates: np.ndarray, clicks: np.ndarray) -> np.ndarray:
+        with ad.no_grad():
+            return self._inputs(slates, clicks).value
 
     # -- single-episode API ------------------------------------------------
 
@@ -114,9 +115,9 @@ class BeliefEncoder:
 
     def update_belief(self, belief: BeliefState, slate, clicks) -> BeliefState:
         """One GRU step; pure, returns a new state."""
-        x = self._inputs_array(np.asarray(slate, dtype=np.int64)[None, :],
+        x = self._input_values(np.asarray(slate, dtype=np.int64)[None, :],
                                np.asarray(clicks, dtype=np.float64)[None, :])
-        h = self.cell.forward_array(belief.hidden[None, :], x)
+        h = self.cell.sequence_array(belief.hidden[None, :], x[:, None, :])
         return BeliefState(hidden=h[0], turn=belief.turn + 1)
 
     # -- batched API -------------------------------------------------------
@@ -127,7 +128,8 @@ class BeliefEncoder:
     def step_hidden(self, hidden: np.ndarray, slates: np.ndarray,
                     clicks: np.ndarray) -> np.ndarray:
         """One GRU step for a batch of independent episodes; no graph."""
-        return self.cell.forward_array(hidden, self._inputs_array(slates, clicks))
+        x = self._input_values(slates, clicks)
+        return self.cell.sequence_array(hidden, x[:, None, :])
 
     def _masks(self, window: int, lengths: np.ndarray) -> np.ndarray:
         """[B, W] indicator of real rows; histories are right-aligned."""
@@ -141,12 +143,12 @@ class BeliefEncoder:
         """Belief from scratch over right-aligned [B, W, k] histories."""
         mask = self._masks(slates.shape[1], lengths)
         return self.cell.sequence_array(self.init_hidden(slates.shape[0]),
-                                        self._inputs_array(slates, clicks), mask)
+                                        self._input_values(slates, clicks), mask)
 
     def recompute_graph(self, slates: np.ndarray, clicks: np.ndarray,
                         lengths: np.ndarray) -> Tensor:
-        """Graph twin of recompute_array, one gru-sequence node; gradients
-        reach the GRU (and a learned table) through every unmasked step."""
+        """recompute_array as one gru-sequence node; gradients reach the GRU
+        (and a learned table) through every unmasked step."""
         mask = self._masks(slates.shape[1], lengths)
         return self.cell.sequence(ad.constant(self.init_hidden(slates.shape[0])),
-                                  self._inputs_graph(slates, clicks), mask)
+                                  self._inputs(slates, clicks), mask)

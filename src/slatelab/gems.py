@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rng as rngmod
-from .autodiff import Tensor, backward, _sigmoid, _softplus
+from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .logged import LoggedDataset
 from .nn import Mlp
@@ -85,9 +85,12 @@ class GemsModel:
     def item_table(self) -> np.ndarray:
         return self.store["items.E"].value
 
-    # Graph paths (training) ---------------------------------------------------
-
     def encode_graph(self, slates: np.ndarray, clicks: np.ndarray):
+        """Posterior (mu, log_sigma) graph nodes, each [b, d]; the encoder's
+        one definition, also run by :func:`encode` under ``no_grad``."""
+        slates = np.asarray(slates)
+        if slates.size and (slates.min() < 0 or slates.max() >= self.num_items):
+            raise ValueError("slate contains unknown item ids")
         b, k = slates.shape
         e = self.cfg.item_embed_dim
         d = self.cfg.latent_dim
@@ -116,36 +119,20 @@ class GemsModel:
         targets = np.asarray(slates).reshape(-1)
         return ad.softmax_pick(recon, table, targets), click_logits
 
-    # Array paths (inference) ----------------------------------------------------
-
-    def encode_array(self, slates: np.ndarray, clicks: np.ndarray):
-        slates = np.asarray(slates)
-        b, k = slates.shape
-        e = self.cfg.item_embed_dim
-        d = self.cfg.latent_dim
-        if slates.min() < 0 or slates.max() >= self.num_items:
-            raise ValueError("slate contains unknown item ids")
-        emb = self.item_table()[slates.reshape(-1)].reshape(b, k, e)
-        cl = np.asarray(clicks, dtype=np.float64).reshape(b, k, 1)
-        x = np.concatenate([emb, cl], axis=-1).reshape(b, k * (e + 1))
-        out = self.encoder.forward_array(x)
-        return out[:, :d], out[:, d:]
-
-    def decode_array(self, z: np.ndarray):
+    def decode_array(self, z: np.ndarray) -> np.ndarray:
+        """Inference decoder: every item's logit per slot [b, k, num_items]."""
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        b = z.shape[0]
         k, e = self.slate_size, self.cfg.item_embed_dim
-        out = self.decoder.forward_array(z).reshape(b, k, e + 1)
-        recon = out[:, :, :e]
-        click_logits = out[:, :, e]
-        item_logits = recon @ self.item_table().T          # [b, k, num_items]
-        return item_logits, click_logits
+        out = self.decoder.forward_array(z).reshape(z.shape[0], k, e + 1)
+        return out[:, :, :e] @ self.item_table().T
 
 
 def encode(model: GemsModel, slates, clicks, noise: Optional[np.ndarray] = None) -> LatentSample:
     """Posterior parameters and a reparameterized sample; noise=None means
     the zero-noise point, so z equals mu."""
-    mu, log_sigma = model.encode_array(slates, clicks)
+    with ad.no_grad():
+        mu, log_sigma = model.encode_graph(slates, clicks)
+    mu, log_sigma = mu.value, log_sigma.value
     if noise is None:
         z = mu.copy()
     else:
@@ -153,22 +140,9 @@ def encode(model: GemsModel, slates, clicks, noise: Optional[np.ndarray] = None)
     return LatentSample(mu=mu, log_sigma=log_sigma, z=z)
 
 
-def _np_log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def decode(model: GemsModel, z: np.ndarray):
-    """Per-slot item log-probabilities [b, k, num_items] and click
-    probabilities [b, k] for a batch of latents."""
-    item_logits, click_logits = model.decode_array(z)
-    return _np_log_softmax(item_logits), _sigmoid(click_logits)
-
-
 def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
     """Most likely item per slot; ties resolved to the lowest item id."""
-    item_logits, _ = model.decode_array(z)
-    return np.argmax(item_logits, axis=-1).astype(np.int64)
+    return np.argmax(model.decode_array(z), axis=-1).astype(np.int64)
 
 
 def kl_closed_form(mu: np.ndarray, log_sigma: np.ndarray, form: str = "standard") -> float:

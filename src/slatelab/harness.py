@@ -201,11 +201,12 @@ class Policy:
 
     # -- acting ----------------------------------------------------------------
 
-    def _wknn_critic(self, belief_vec: np.ndarray, rep: np.ndarray) -> float:
-        x = np.concatenate([belief_vec, rep])[None, :]
-        q1 = self.model.q1.forward_array(x)[0, 0]
-        q2 = self.model.q2.forward_array(x)[0, 0]
-        return float(min(q1, q2))
+    def _wknn_critic(self, belief_vec: np.ndarray, trials: np.ndarray) -> np.ndarray:
+        """min(Q1, Q2) of one belief with each row of trials [m, k*e]."""
+        beliefs = np.broadcast_to(belief_vec, (trials.shape[0], belief_vec.size))
+        x = np.concatenate([beliefs, trials], axis=1)
+        return np.minimum(self.model.q1.forward_array(x)[:, 0],
+                          self.model.q2.forward_array(x)[:, 0])
 
     def _rank(self, action, belief_vec, env, rng) -> np.ndarray:
         if self.ranker == "gems":

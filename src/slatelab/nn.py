@@ -1,4 +1,9 @@
-"""Small network building blocks on top of the autodiff graph."""
+"""Small network building blocks on top of the autodiff graph.
+
+Each network's forward pass is one autodiff kernel: training wraps it in
+one graph node, and inference (``forward_array``, ``sequence_array``)
+calls it directly, with the same arithmetic and finite checks.
+"""
 
 from __future__ import annotations
 
@@ -10,73 +15,44 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import ParameterStore
 
-_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu, "logistic": ad.logistic}
-
-
-def init_linear(store: ParameterStore, prefix: str, fan_in: int, fan_out: int,
-                rng: np.random.Generator) -> None:
-    scale = 1.0 / np.sqrt(fan_in)
-    store.add(prefix + ".W", rng.normal(0.0, scale, size=(fan_in, fan_out)))
-    store.add(prefix + ".b", np.zeros(fan_out))
-
-
-def linear(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    return ad.linear(x, store.tensor(prefix + ".W"), store.tensor(prefix + ".b"))
-
 
 class Mlp:
     """Fully connected stack: hidden layers with a fixed activation, linear head."""
 
     def __init__(self, store: ParameterStore, prefix: str, sizes: Sequence[int],
                  rng: np.random.Generator, activation: str = "tanh"):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.store = store
-        self.prefix = prefix
-        self.sizes = list(sizes)
-        self.activation = activation
-        for i in range(len(sizes) - 1):
-            init_linear(store, f"{prefix}.l{i}", sizes[i], sizes[i + 1], rng)
+        self._bind(store, prefix, sizes, activation)
+        for i, (w, b) in enumerate(zip(self._W, self._b)):
+            store.add(w, rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i], sizes[i + 1])))
+            store.add(b, np.zeros(sizes[i + 1]))
 
     @classmethod
     def attach(cls, store: ParameterStore, prefix: str, sizes: Sequence[int],
                activation: str = "tanh") -> "Mlp":
         """Bind to already-initialized parameters (e.g. a target-network copy)."""
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         m = cls.__new__(cls)
-        m.store = store
-        m.prefix = prefix
-        m.sizes = list(sizes)
-        m.activation = activation
+        m._bind(store, prefix, sizes, activation)
         return m
 
+    def _bind(self, store, prefix, sizes, activation) -> None:
+        if activation not in ad.MLP_ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        self.store = store
+        self.activation = activation
+        self._W = [f"{prefix}.l{i}.W" for i in range(len(sizes) - 1)]
+        self._b = [f"{prefix}.l{i}.b" for i in range(len(sizes) - 1)]
+
     def __call__(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
-        h = x
-        last = len(self.sizes) - 2
-        for i in range(len(self.sizes) - 1):
-            h = linear(self.store, f"{self.prefix}.l{i}", h)
-            if i != last:
-                h = act(h)
-        return h
+        """The stack as one ``mlp`` graph node."""
+        s = self.store
+        return ad.mlp(x, [s.tensor(n) for n in self._W], [s.tensor(n) for n in self._b],
+                      self.activation)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Plain-numpy forward for inference; no graph is built."""
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.sizes) - 2
-        for i in range(len(self.sizes) - 1):
-            W = self.store[f"{self.prefix}.l{i}.W"].value
-            b = self.store[f"{self.prefix}.l{i}.b"].value
-            h = h @ W + b
-            if i != last:
-                if self.activation == "tanh":
-                    h = np.tanh(h)
-                elif self.activation == "relu":
-                    h = np.maximum(h, 0.0)
-                else:
-                    h = ad._sigmoid(h)
-        return h
+        """The same kernel for inference; no graph is built."""
+        s = self.store
+        return ad.mlp_values(np.asarray(x, dtype=np.float64), [s[n].value for n in self._W],
+                             [s[n].value for n in self._b], self.activation)
 
 
 class GruCell:
@@ -118,7 +94,7 @@ class GruCell:
                                self.store.tensor(p + ".b"), mask)
 
     def sequence_array(self, h0: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
-        """Value-only twin of :meth:`sequence`; the same kernel, no graph."""
+        """The same kernel as :meth:`sequence` for inference; no graph."""
         s, p = self.store, self.prefix
         return ad.gru_window(h0, x, s[p + ".W"].value, s[p + ".U"].value,
                              s[p + ".b"].value, mask)
@@ -128,7 +104,3 @@ class GruCell:
         if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
             raise ValueError("gru_cell input/hidden shape mismatch")
         return self.sequence(h_prev, ad.reshape(x, (x.shape[0], 1, self.input_dim)))
-
-    def forward_array(self, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Plain-numpy step for rollouts; mirrors __call__ exactly."""
-        return self.sequence_array(h_prev, x[:, None, :])

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, constant, grad_enabled
 
 
 class Param:
@@ -67,8 +67,11 @@ class ParameterStore:
         return list(self._entries.keys())
 
     def tensor(self, name: str) -> Tensor:
-        """Graph leaf bound to this parameter; backward() fills param.grad."""
+        """Graph leaf bound to this parameter; backward() fills param.grad.
+        Inside ``autodiff.no_grad`` it is a constant instead."""
         p = self._entries[name]
+        if not grad_enabled():
+            return constant(p.value)
         return Tensor(p.value, op="param", param=p)
 
     def zero_grad(self) -> None:

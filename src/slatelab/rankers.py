@@ -1,50 +1,17 @@
 """Rankers: turn an agent's action vector into a slate of item ids.
 
 Each ranker fixes its own action geometry, so the agent's action dimension
-must be chosen to match (see action_dim_for). All rankers are deterministic
-given their inputs except the stochastic ones, which take an explicit
-numpy Generator.
+must be chosen to match (see ``harness.Policy.action_dim``).  The softmax
+head's draws live with its agent, in ``reinforce.sample_slate``.  All
+rankers are deterministic given their inputs except the stochastic ones,
+which take an explicit numpy Generator.
 """
 
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gems import GemsModel, decode_to_slate
-
-RANKER_KINDS = ("gems", "topk-mf", "topk-ideal", "wknn", "softmax", "random",
-                "oracle", "slateq")
-
-
-def action_dim_for(kind: str, *, latent_dim: int = 0, embed_dim: int = 0,
-                   slate_size: int = 0, num_items: int = 0) -> int:
-    """Dimension of the action vector the given ranker kind consumes.
-
-    Agents acting through decodes need latent_dim, dot-product rankers need
-    the item embedding width, wknn needs one embedding per slot, and the
-    softmax head needs one logit per catalog item. Rankers that ignore the
-    action (random, oracle) report 0.
-    """
-    if kind == "gems":
-        if latent_dim <= 0:
-            raise ValueError("gems ranker needs a positive latent_dim")
-        return latent_dim
-    if kind in ("topk-mf", "topk-ideal"):
-        if embed_dim <= 0:
-            raise ValueError("topk ranker needs a positive embed_dim")
-        return embed_dim
-    if kind == "wknn":
-        if embed_dim <= 0 or slate_size <= 0:
-            raise ValueError("wknn ranker needs embed_dim and slate_size")
-        return slate_size * embed_dim
-    if kind == "softmax":
-        if num_items <= 0:
-            raise ValueError("softmax ranker needs num_items")
-        return num_items
-    if kind in ("random", "oracle"):
-        return 0
-    raise ValueError(f"unknown ranker kind {kind!r}")
 
 
 def rank_gems(model: GemsModel, z: np.ndarray) -> np.ndarray:
@@ -72,18 +39,20 @@ def rank_topk(action: np.ndarray, item_embeddings: np.ndarray,
 
 
 def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
-              critic: Callable[[np.ndarray, np.ndarray], float],
+              critic: Callable[[np.ndarray, np.ndarray], np.ndarray],
               belief: np.ndarray, slate_size: int, p: int) -> np.ndarray:
     """Fill the slate slot by slot from the p nearest neighbours of each
     slot's target vector, picking the candidate the critic scores highest.
 
     The action is read as slate_size stacked embedding-sized vectors. For
     each slot, the p unplaced items closest in Euclidean distance become
-    candidates; the critic is called as critic(belief, partial) where the
-    partial slate representation holds the chosen items' embeddings in slot
-    order, zero-padded for slots not yet filled. The candidate set shrinks
-    to the remaining count in late slots when p exceeds it; with a single
-    candidate (p == 1 in particular) the critic is never called.
+    candidates, and the critic scores them together, as in Dulac-Arnold et
+    al. (2015): critic(belief, trials) gets one row per candidate [m, k*e],
+    the partial slate with that candidate placed (the chosen items'
+    embeddings in slot order, zero-padded for slots not yet filled), and
+    returns m scores.  The first highest score wins. The candidate set
+    shrinks to the remaining count in late slots when p exceeds it; with a
+    single candidate (p == 1 in particular) the critic is never called.
     """
     emb = np.asarray(item_embeddings, dtype=np.float64)
     n, e = emb.shape
@@ -107,35 +76,13 @@ def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
         if near.size == 1:
             pick = int(near[0])
         else:
-            best = -np.inf
-            pick = int(near[0])
-            for cand in near:
-                trial = partial.copy()
-                trial[s * e:(s + 1) * e] = emb[cand]
-                v = float(critic(belief, trial))
-                if v > best:
-                    best = v
-                    pick = int(cand)
+            trials = np.tile(partial, (near.size, 1))
+            trials[:, s * e:(s + 1) * e] = emb[near]
+            pick = int(near[np.argmax(critic(belief, trials))])
         partial[s * e:(s + 1) * e] = emb[pick]
         chosen.append(pick)
         mask[pick] = False
     return np.asarray(chosen, dtype=np.int64)
-
-
-def rank_softmax(logits: np.ndarray, slate_size: int,
-                 rng: np.random.Generator) -> Tuple[np.ndarray, float]:
-    """k independent softmax draws (with replacement), slate in draw order.
-
-    Also returns the slate's log probability, the sum of the per-draw
-    log softmax values, for score-function gradients.
-    """
-    logits = np.asarray(logits, dtype=np.float64).ravel()
-    log_probs = logits - logsumexp(logits)
-    probs = np.exp(log_probs)
-    probs /= probs.sum()
-    slate = rng.choice(logits.size, size=slate_size, replace=True, p=probs)
-    slate = slate.astype(np.int64)
-    return slate, float(log_probs[slate].sum())
 
 
 def rank_random(num_items: int, slate_size: int,
@@ -155,17 +102,3 @@ def rank_short_term_oracle(env, slate_size: int) -> np.ndarray:
     rel = env.disclosed_relevance()
     order = np.argsort(-rel, kind="stable")
     return order[:slate_size].astype(np.int64)
-
-
-def rank_slateq(*args, **kwargs):
-    """Deliberately unimplemented.
-
-    A SlateQ-style ranker decomposes the slate value into per-item Q-values
-    weighted by a learned user-choice model; none of the agents trained here
-    produce per-item Q-values, so there is nothing sound to rank with. The
-    name is kept so configs that ask for it fail loudly instead of silently
-    falling back to another ranker.
-    """
-    raise NotImplementedError(
-        "slateq ranker is intentionally unimplemented: it needs per-item "
-        "Q-values plus a user-choice model, which no agent here provides")

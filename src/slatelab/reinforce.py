@@ -10,7 +10,7 @@ agent has no critic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -96,9 +96,6 @@ class ReinforcePolicy:
                         rng, "relu")
         self.adam = AdamConfig(cfg.learning_rate)
 
-    def logits_array(self, hidden: np.ndarray) -> np.ndarray:
-        return self.head.forward_array(hidden)
-
 
 def _episode_windows(episode: EpisodeRecord, window: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-aligned belief inputs for every turn: turn t sees turns < t."""
@@ -138,7 +135,7 @@ def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
 def sample_slate(policy: ReinforcePolicy, hidden: np.ndarray, slate_size: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw a slate with replacement from the softmax over item logits."""
-    logits = policy.logits_array(np.atleast_2d(hidden))[0]
+    logits = policy.head.forward_array(np.atleast_2d(hidden))[0]
     shifted = logits - logits.max()
     p = np.exp(shifted)
     p /= p.sum()
@@ -148,13 +145,8 @@ def sample_slate(policy: ReinforcePolicy, hidden: np.ndarray, slate_size: int,
 def save_reinforce(policy: ReinforcePolicy, path, metadata: Optional[dict] = None) -> None:
     meta = {
         "kind": "reinforce",
-        "config": {"gamma": policy.cfg.gamma,
-                   "learning_rate": policy.cfg.learning_rate,
-                   "baseline_decay": policy.cfg.baseline_decay,
-                   "hidden": list(policy.cfg.hidden)},
-        "belief": {"belief_dim": policy.belief_cfg.belief_dim,
-                   "item_source": policy.belief_cfg.item_source,
-                   "truncation": policy.belief_cfg.truncation},
+        "config": asdict(policy.cfg),
+        "belief": asdict(policy.belief_cfg),
         "slate_size": policy.belief.slate_size,
         "num_items": policy.num_items,
         "item_dim": policy.belief.item_dim,

@@ -5,6 +5,13 @@ actor.  The belief GRU lives in the critic's parameter store and is
 trained by the critic loss alone; the actor sees beliefs as constants.
 Updates recompute beliefs from the raw histories in the replay batch,
 so sampled transitions always use the current GRU weights.
+
+The policy has one definition, :func:`actor_stats` and
+:func:`squashed_log_prob` over graph tensors.  ``actor_loss`` builds it as a
+graph; ``td_target`` and sampling in ``select_action`` run it under
+``autodiff.no_grad``, and ``actor_loss`` scores its actions with the
+critics under ``no_grad`` too, so the action gets a gradient and the
+critics get none.
 """
 
 from __future__ import annotations
@@ -79,26 +86,27 @@ class SacModel:
         self.actor_adam = AdamConfig(cfg.actor_lr)
 
 
-def _bound_log_sigma_array(raw: np.ndarray) -> np.ndarray:
+def actor_stats(model: SacModel, hidden: Tensor) -> Tuple[Tensor, Tensor]:
+    """(mu, log_sigma), both [B, d]; log_sigma is tanh-bounded to
+    [LOG_SIGMA_MIN, LOG_SIGMA_MAX]."""
+    d = model.cfg.action_dim
+    out = model.actor(hidden)
     mid = 0.5 * (LOG_SIGMA_MIN + LOG_SIGMA_MAX)
     half = 0.5 * (LOG_SIGMA_MAX - LOG_SIGMA_MIN)
-    return mid + half * np.tanh(raw)
+    log_sigma = ad.add(ad.scale(ad.tanh(out[:, d:]), half), ad.constant(np.full((1, d), mid)))
+    return out[:, :d], log_sigma
 
 
-def actor_stats_array(model: SacModel, hidden: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Actor forward without a graph: (mu, log_sigma), both [B, d]."""
-    d = model.cfg.action_dim
-    out = model.actor.forward_array(hidden)
-    return out[:, :d], _bound_log_sigma_array(out[:, d:])
-
-
-def squashed_log_prob_array(mu: np.ndarray, log_sigma: np.ndarray,
-                            u: np.ndarray) -> np.ndarray:
-    """log pi(tanh(u)) for u drawn from N(mu, diag(exp(log_sigma)^2))."""
-    z = (u - mu) * np.exp(-log_sigma)
-    base = -0.5 * z * z - log_sigma - 0.5 * _LOG_2PI
-    correction = 2.0 * (np.log(2.0) - u - ad._softplus(-2.0 * u))
-    return np.sum(base - correction, axis=-1)
+def squashed_log_prob(mu: Tensor, log_sigma: Tensor, u: Tensor) -> Tensor:
+    """log pi(tanh(u)) [B] for u drawn from N(mu, diag(exp(log_sigma)^2))."""
+    z = ad.mul(ad.add(u, ad.scale(mu, -1.0)), ad.exp(ad.scale(log_sigma, -1.0)))
+    base = ad.add(ad.scale(ad.square(z), -0.5),
+                  ad.add(ad.scale(log_sigma, -1.0), ad.constant(-0.5 * _LOG_2PI)))
+    correction = ad.scale(
+        ad.add(ad.constant(np.log(2.0)),
+               ad.add(ad.scale(u, -1.0),
+                      ad.scale(ad.softplus(ad.scale(u, -2.0)), -1.0))), 2.0)
+    return ad.sum_(ad.add(base, ad.scale(correction, -1.0)), axis=1)
 
 
 def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
@@ -106,49 +114,32 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
     """Sample (or take the mode of) the squashed Gaussian policy."""
     single = np.asarray(hidden).ndim == 1
     h = np.atleast_2d(np.asarray(hidden, dtype=np.float64))
-    mu, log_sigma = actor_stats_array(model, h)
     if mode == "mean":
-        a = np.tanh(mu)
+        a = np.tanh(model.actor.forward_array(h)[:, :model.cfg.action_dim])
     elif mode == "sample":
         if rng is None:
             raise ValueError("sampling requires an rng")
-        a = np.tanh(mu + np.exp(log_sigma) * rng.standard_normal(mu.shape))
+        with ad.no_grad():
+            mu, log_sigma = actor_stats(model, ad.constant(h))
+        a = np.tanh(mu.value + np.exp(log_sigma.value) * rng.standard_normal(mu.shape))
     else:
         raise ValueError(f"unknown action mode {mode!r}")
     return a[0] if single else a
-
-
-def _sample_with_log_prob_array(model: SacModel, hidden: np.ndarray,
-                                rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    mu, log_sigma = actor_stats_array(model, hidden)
-    u = mu + np.exp(log_sigma) * rng.standard_normal(mu.shape)
-    return np.tanh(u), squashed_log_prob_array(mu, log_sigma, u)
-
-
-def _frozen_mlp_graph(store: ParameterStore, prefix: str, n_layers: int,
-                      x: Tensor) -> Tensor:
-    """Critic forward with weights as constants: gradients flow only
-    through the input (the actor's action), never into the critic."""
-    h = x
-    for i in range(n_layers):
-        w = ad.constant(store[f"{prefix}.l{i}.W"].value)
-        b = ad.constant(store[f"{prefix}.l{i}.b"].value)
-        h = ad.linear(h, w, b)
-        if i != n_layers - 1:
-            h = ad.relu(h)
-    return h
 
 
 def td_target(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
               rng: np.random.Generator) -> np.ndarray:
     """y = r + gamma*(1-done)*(min Q' - alpha*log pi') with a' freshly sampled.
 
-    Computed without a graph: the target is a constant of the critic loss.
+    Computed under ``no_grad``: the target is a constant of the critic loss.
     """
     next_hidden = model.belief.recompute_array(batch.next_slates, batch.next_clicks,
                                                batch.next_lengths)
-    next_action, next_log_pi = _sample_with_log_prob_array(model, next_hidden, rng)
-    target_in = np.concatenate([next_hidden, next_action], axis=1)
+    with ad.no_grad():
+        mu, log_sigma = actor_stats(model, ad.constant(next_hidden))
+        u = mu.value + np.exp(log_sigma.value) * rng.standard_normal(mu.shape)
+        next_log_pi = squashed_log_prob(mu, log_sigma, ad.constant(u)).value
+    target_in = np.concatenate([next_hidden, np.tanh(u)], axis=1)
     tq = np.minimum(model.target_q1.forward_array(target_in)[:, 0],
                     model.target_q2.forward_array(target_in)[:, 0])
     return batch.rewards + cfg.gamma * (1.0 - batch.dones) * (tq - cfg.alpha * next_log_pi)
@@ -187,30 +178,15 @@ def actor_loss(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
     hidden = model.belief.recompute_array(batch.prev_slates, batch.prev_clicks,
                                           batch.prev_lengths)
     b, d = hidden.shape[0], cfg.action_dim
-    out = model.actor(ad.constant(hidden))
-    mu = ad.slice_(out, (slice(None), slice(0, d)))
-    raw = ad.slice_(out, (slice(None), slice(d, 2 * d)))
-    mid = 0.5 * (LOG_SIGMA_MIN + LOG_SIGMA_MAX)
-    half = 0.5 * (LOG_SIGMA_MAX - LOG_SIGMA_MIN)
-    log_sigma = ad.add(ad.scale(ad.tanh(raw), half), ad.constant(np.full((1, d), mid)))
+    hidden = ad.constant(hidden)
+    mu, log_sigma = actor_stats(model, hidden)
     eps = rng.standard_normal((b, d))
     u = ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps)))
-    action = ad.tanh(u)
-
-    neg_mu = ad.scale(mu, -1.0)
-    z = ad.mul(ad.add(u, neg_mu), ad.exp(ad.scale(log_sigma, -1.0)))
-    base = ad.add(ad.scale(ad.square(z), -0.5),
-                  ad.add(ad.scale(log_sigma, -1.0), ad.constant(-0.5 * _LOG_2PI)))
-    correction = ad.scale(
-        ad.add(ad.constant(np.log(2.0)),
-               ad.add(ad.scale(u, -1.0),
-                      ad.scale(ad.softplus(ad.scale(u, -2.0)), -1.0))), 2.0)
-    log_pi = ad.sum_(ad.add(base, ad.scale(correction, -1.0)), axis=1)
-
-    q_in = ad.concat([ad.constant(hidden), action], axis=-1)
-    n_layers = len(model.cfg.hidden) + 1
-    q1 = ad.reshape(_frozen_mlp_graph(model.critic_store, "q1", n_layers, q_in), (b,))
-    q2 = ad.reshape(_frozen_mlp_graph(model.critic_store, "q2", n_layers, q_in), (b,))
+    log_pi = squashed_log_prob(mu, log_sigma, u)
+    q_in = ad.concat([hidden, ad.tanh(u)], axis=-1)
+    with ad.no_grad():
+        q1 = ad.reshape(model.q1(q_in), (b,))
+        q2 = ad.reshape(model.q2(q_in), (b,))
     q_min = ad.minimum(q1, q2)
     loss = ad.mean(ad.add(ad.scale(log_pi, cfg.alpha), ad.scale(q_min, -1.0)))
     diag = {"actor_loss": loss.item(), "mean_log_pi": float(np.mean(log_pi.value)),

@@ -149,11 +149,6 @@ def examination_vector(cfg: SimConfig) -> np.ndarray:
     return nu * e**ranks + (1.0 - nu) * e**(k + 1 - ranks)
 
 
-def attractiveness(user: UserState, slate: np.ndarray, position: int,
-                   catalog: ItemCatalog, cfg: SimConfig) -> float:
-    return float(attractiveness_vector(user, slate, catalog, cfg)[position])
-
-
 def attractiveness_vector(user: UserState, slate: np.ndarray,
                           catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
     masked = user.masked_embedding(cfg)

@@ -88,7 +88,7 @@ def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     recon = ad.reshape(out[:, :, :e], (b * k, e))
     click_logits = out[:, :, e]
     table = model.item_table() if frozen_table is None else frozen_table
-    item_logits = ad.matmul(recon, ad.transpose(ad.constant(table)))
+    item_logits = ad.matmul(recon, ad.constant(np.ascontiguousarray(table.T)))
     picked = ad.pick(ad.log_softmax(item_logits), slates.reshape(-1))
     slate_nll = ad.scale(ad.sum_(picked), -1.0 / b)
 

@@ -320,25 +320,26 @@ def _enumerate_pairs(critic):
     best = []
     for i, j in itertools.permutations(range(5), 2):
         rep = np.concatenate([_WKNN_EMB[i], _WKNN_EMB[j]])
-        best.append(((i, j), float(critic(None, rep))))
+        best.append(((i, j), float(critic(None, rep[None, :])[0])))
     return sorted(best, key=lambda t: -t[1])
 
 
 def test_criterion_06_wknn_greedy_vs_exhaustive():
     action = np.zeros(4)  # p = n makes every item a candidate in every slot
 
-    def modular(_, rep):
-        return float(rep @ _WKNN_W)
+    # critics score a slot's candidate rows [m, 4] together
+    def modular(_, trials):
+        return trials @ _WKNN_W
 
     ranking = _enumerate_pairs(modular)
     greedy = tuple(rank_wknn(action, _WKNN_EMB, modular, np.zeros(1),
                              slate_size=2, p=5))
     assert greedy == ranking[0][0]
 
-    def coupled(_, rep):
+    def coupled(_, trials):
         # cross-slot term invisible while slot 1 is still zero padding, so
         # the greedy fill cannot anticipate it
-        return float(rep @ _WKNN_W + 0.5 * rep[1] * rep[2])
+        return trials @ _WKNN_W + 0.5 * trials[:, 1] * trials[:, 2]
 
     ranking = _enumerate_pairs(coupled)
     greedy = tuple(rank_wknn(action, _WKNN_EMB, coupled, np.zeros(1),

@@ -5,15 +5,18 @@ from scipy import stats as sps
 from slatelab import autodiff as ad
 from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
+from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.optim import ParameterStore
 from slatelab.reinforce import (
     BaselineState,
     EpisodeRecord,
     ReinforceConfig,
     ReinforcePolicy,
+    load_reinforce,
     reinforce_update,
     return_to_go,
     sample_slate,
+    save_reinforce,
 )
 from slatelab.replay import HistoryWindow, ReplayBuffer
 from slatelab.rng import substream
@@ -21,14 +24,14 @@ from slatelab.sac import (
     SacConfig,
     SacModel,
     actor_loss,
-    actor_stats_array,
+    actor_stats,
     critic_loss,
     load_sac,
     sac_update,
     save_sac,
     td_target,
     select_action,
-    squashed_log_prob_array,
+    squashed_log_prob,
 )
 
 from oracles import finite_difference_grads, max_relative_error
@@ -370,12 +373,29 @@ def test_sample_mean_approaches_tanh_mu_as_sigma_shrinks():
     assert abs(np.mean(samples) - np.tanh(0.7)) < 1e-3
 
 
+def test_acting_and_decoding_raise_on_an_inf_weight():
+    # the inference forward checks every layer, where it once returned NaN
+    # actions and an all-zero slate
+    cfg, model = tiny_sac(hidden=(8,), action_dim=3, belief_dim=4)
+    model.actor_store["pi.l0.W"].value[0, 0] = np.inf
+    h = np.full(4, 0.5)
+    with pytest.raises(ad.NonFiniteError):
+        select_action(model, h, "mean")
+    with pytest.raises(ad.NonFiniteError):
+        select_action(model, h, "sample", substream(0, "act"))
+    gems = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=2, hidden=(8,)),
+                     num_items=6, slate_size=3, seed=0)
+    gems.store["dec.l1.W"].value[0, 0] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        decode_to_slate(gems, np.ones((2, 3)))
+
+
 def test_squashed_log_prob_matches_numerical_change_of_variables():
     rng = substream(5, "points")
     mu = rng.normal(0.0, 0.5, (40, 1))
     log_sigma = rng.uniform(-1.0, 0.3, (40, 1))
     u = mu + np.exp(log_sigma) * rng.standard_normal((40, 1))
-    ours = squashed_log_prob_array(mu, log_sigma, u)
+    ours = squashed_log_prob(ad.constant(mu), ad.constant(log_sigma), ad.constant(u)).value
 
     a = np.tanh(u)
     delta = 1e-7
@@ -589,8 +609,8 @@ def test_entropy_weight_raises_converged_policy_spread():
     sigmas = []
     for alpha in (0.0, 0.2, 1.0):
         model, _ = train_bandit_sac(alpha=alpha)
-        _, log_sigma = actor_stats_array(model, np.zeros((1, 4)))
-        sigmas.append(float(np.exp(log_sigma[0, 0])))
+        _, log_sigma = actor_stats(model, ad.constant(np.zeros((1, 4))))
+        sigmas.append(float(np.exp(log_sigma.value[0, 0])))
     assert sigmas[0] < sigmas[1] < sigmas[2]
 
 
@@ -761,7 +781,7 @@ def test_reinforce_prefers_the_rewarding_item_on_a_bandit():
                                 clicks=np.array([[reward]]),
                                 rewards=np.array([reward]))
         reinforce_update(pol, episode, base, cfg)
-    logits = pol.logits_array(h0[None, :])[0]
+    logits = pol.head.forward_array(h0[None, :])[0]
     p = np.exp(logits - logits.max())
     p /= p.sum()
     assert p[0] > 0.9
@@ -810,3 +830,21 @@ def test_sample_slate_draws_with_replacement_from_the_softmax():
     # with replacement: some slate must repeat an item
     repeats = [len(set(sample_slate(pol, np.zeros(5), 4, rng))) < 4 for _ in range(50)]
     assert any(repeats)
+
+
+def test_reinforce_checkpoint_roundtrip(tmp_path):
+    cfg, pol = small_reinforce(seed=16)
+    nudge_biases(pol.store, 16)
+    path = tmp_path / "policy.ckpt"
+    save_reinforce(pol, path, {"val_round": 2})
+    loaded, meta = load_reinforce(path)
+    assert meta == {
+        "kind": "reinforce",
+        "config": {"gamma": 0.6, "learning_rate": 0.01, "baseline_decay": 0.9,
+                   "hidden": [12]},
+        "belief": {"belief_dim": 5, "item_source": "learned", "truncation": 3},
+        "slate_size": 2, "num_items": 6, "item_dim": 2, "val_round": 2,
+    }
+    h = substream(16, "h").normal(0.0, 0.5, (4, 5))
+    np.testing.assert_array_equal(loaded.head.forward_array(h).view(np.int64),
+                                  pol.head.forward_array(h).view(np.int64))

@@ -206,17 +206,121 @@ def test_gru_matches_fd():
         assert max_relative_error(got[name], want[name]) < 1e-4
 
 
-def test_linear_fd():
-    check_fd(lambda s: ad.sum_(ad.square(ad.linear(s.tensor("x"), s.tensor("W"),
-                                                   s.tensor("b")))),
-             [("x", (3, 4)), ("W", (4, 2)), ("b", (2,))])
+def _mlp_operands(s, n_layers, width=3):
+    return (s.tensor("x"), [s.tensor(f"W{i}") for i in range(n_layers)],
+            [s.tensor(f"b{i}") for i in range(n_layers)])
 
 
-def test_linear_equals_add_of_matmul_bit_for_bit():
+def _mlp_shapes(n_layers, width=3, batch=4):
+    dims = [width + i for i in range(n_layers + 1)]
+    return ([("x", (batch, dims[0]))]
+            + [(f"W{i}", (dims[i], dims[i + 1])) for i in range(n_layers)]
+            + [(f"b{i}", (dims[i + 1],)) for i in range(n_layers)])
+
+
+@pytest.mark.parametrize("act", ad.MLP_ACTIVATIONS)
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_mlp_fd(n_layers, act):
+    w = np.random.default_rng(n_layers).uniform(-1, 1, size=(4, 3 + n_layers))
+    check_fd(lambda s: ad.sum_(ad.mul(ad.mlp(*_mlp_operands(s, n_layers), act),
+                                      ad.constant(w))),
+             _mlp_shapes(n_layers), seed=10 * n_layers + len(act))
+
+
+def _unfused_mlp(x, Ws, bs, act):
+    op = {"tanh": ad.tanh, "relu": ad.relu, "logistic": ad.logistic}[act]
+    h = x
+    for i, (W, b) in enumerate(zip(Ws, bs)):
+        h = ad.add(ad.matmul(h, W), b)
+        if i != len(Ws) - 1:
+            h = op(h)
+    return h
+
+
+@pytest.mark.parametrize("act", ad.MLP_ACTIVATIONS)
+@pytest.mark.parametrize("frozen", ["none", "x", "params"])
+def test_mlp_equals_unfused_chain_bit_for_bit(act, frozen):
     rng = np.random.default_rng(1)
-    x, W, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    fused = ad.linear(Tensor(x), Tensor(W), Tensor(b)).value
-    np.testing.assert_array_equal(fused, ad.add(ad.matmul(Tensor(x), Tensor(W)), Tensor(b)).value)
+    shapes = _mlp_shapes(3, width=6, batch=9)
+    values = {name: rng.normal(size=shape) for name, shape in shapes}
+    w = ad.constant(rng.normal(size=(9, 9)))
+
+    def run(build):
+        leaf = {n: (ad.constant(v) if frozen == ("x" if n == "x" else "params") else Tensor(v))
+                for n, v in values.items()}
+        out = build(leaf["x"], [leaf[f"W{i}"] for i in range(3)],
+                    [leaf[f"b{i}"] for i in range(3)], act)
+        backward(ad.sum_(ad.mul(out, w)))
+        return out.value, {n: t.grad for n, t in leaf.items()}
+
+    fused, fused_grads = run(ad.mlp)
+    ref, ref_grads = run(_unfused_mlp)
+    np.testing.assert_array_equal(fused.view(np.int64), ref.view(np.int64))
+    for name, g in ref_grads.items():
+        if g is None:
+            assert fused_grads[name] is None, name
+        else:
+            np.testing.assert_array_equal(fused_grads[name].view(np.int64),
+                                          g.view(np.int64), err_msg=name)
+
+
+def test_mlp_nonfinite_preactivation_raises_although_tanh_would_saturate():
+    store = ParameterStore()
+    mlp = Mlp(store, "net", [2, 3, 1], np.random.default_rng(0), activation="tanh")
+    x = np.array([[1e308, 1e308]])
+    store["net.l0.W"].value[...] = 10.0      # x @ W overflows; tanh(inf) is 1
+    with pytest.raises(NonFiniteError, match="mlp"):
+        mlp(ad.constant(x))
+    with pytest.raises(NonFiniteError, match="mlp"):
+        mlp.forward_array(x)
+
+
+def test_mlp_nonfinite_upstream_gradient_raises():
+    store = ParameterStore()
+    mlp = Mlp(store, "net", [3, 4, 2], np.random.default_rng(1), activation="relu")
+    store["net.l0.W"].value[...] = 0.0
+    store["net.l0.b"].value[...] = 1.0       # every hidden unit is 1
+    store["net.l1.W"].value[...] = [[4.0, 4.0], [-4.0, -4.0], [4.0, 4.0], [-4.0, -4.0]]
+    out = mlp(Tensor(np.random.default_rng(2).uniform(0, 1, size=(2, 3))))
+    assert np.all(out.value == 0.0)
+    # the upstream gradient 1e308 is finite, but the hidden layer's
+    # gradient +-1e308 * (4 + 4) overflows inside the mlp node
+    root = ad.sum_(ad.mul(out, ad.constant(np.full((2, 2), 1e308))))
+    with pytest.raises(NonFiniteError, match="mlp"):
+        backward(root)
+
+
+def test_no_grad_gives_parameters_no_gradient_and_nodes_no_parents():
+    rng = np.random.default_rng(3)
+    store = ParameterStore()
+    mlp = Mlp(store, "net", [3, 4, 2], rng, activation="tanh")
+    cell = GruCell(store, "gru", input_dim=2, hidden_dim=3, rng=rng)
+    x = rng.uniform(-1, 1, size=(5, 3))
+    with ad.no_grad():
+        out = mlp(ad.constant(x))
+        h = cell.sequence(ad.constant(np.zeros((5, 3))), ad.constant(np.ones((5, 2, 2))))
+        assert not ad.grad_enabled()
+    assert ad.grad_enabled()
+    for node in (out, h):
+        assert node._parents == () and node._vjp is None and not node.needs_grad
+    np.testing.assert_array_equal(out.value, mlp.forward_array(x))
+
+    # a gradient still reaches an operand that needs one, and only it
+    for _, p in store.items():
+        p.grad[...] = 7.0
+    leaf, free = Tensor(x), Tensor(x)
+    with ad.no_grad():
+        frozen_out = mlp(leaf)
+    backward(ad.sum_(ad.square(frozen_out)))
+    for name, p in store.items():
+        np.testing.assert_array_equal(p.grad, 7.0, err_msg=name)
+    backward(ad.sum_(ad.square(mlp(free))))
+    np.testing.assert_array_equal(leaf.grad, free.grad)
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("left early")
+    assert ad.grad_enabled() and store.tensor("net.l0.W").needs_grad
 
 
 @pytest.mark.parametrize("n", [5, 2 * ad._SOFTMAX_PICK_BLOCK + 37])
@@ -239,7 +343,7 @@ def test_softmax_pick_equals_unfused_graph_bit_for_bit(n):
     w = ad.constant(rng.normal(size=n))
     fused, ref = Tensor(x), Tensor(x)
     a = ad.softmax_pick(fused, table, idx)
-    b = ad.pick(ad.log_softmax(ad.matmul(ref, ad.transpose(ad.constant(table)))), idx)
+    b = ad.pick(ad.log_softmax(ad.matmul(ref, ad.constant(np.ascontiguousarray(table.T)))), idx)
     backward(ad.sum_(ad.mul(a, w)))
     backward(ad.sum_(ad.mul(b, w)))
     np.testing.assert_array_equal(a.value.view(np.int64), b.value.view(np.int64))
@@ -325,22 +429,13 @@ def test_sigmoid_bit_identical_to_two_branch_formula():
     assert np.isnan(ad._sigmoid(np.array([np.nan]))).all()
 
 
-def test_gru_forward_array_matches_graph():
-    rng = np.random.default_rng(4)
-    store = ParameterStore()
-    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=rng)
-    h0 = rng.uniform(-1, 1, size=(2, 4))
-    x = rng.uniform(-1, 1, size=(2, 3))
-    np.testing.assert_array_equal(cell.forward_array(h0, x),
-                                  cell(Tensor(h0), Tensor(x)).value)
-
-
 def test_mlp_forward_array_matches_graph():
     rng = np.random.default_rng(4)
-    store = ParameterStore()
-    mlp = Mlp(store, "net", [4, 8, 3], rng, activation="relu")
-    x = rng.uniform(-1, 1, size=(5, 4))
-    np.testing.assert_array_equal(mlp.forward_array(x), mlp(Tensor(x)).value)
+    for act in ad.MLP_ACTIVATIONS:
+        store = ParameterStore()
+        mlp = Mlp(store, "net", [4, 8, 3], rng, activation=act)
+        x = rng.uniform(-1, 1, size=(5, 4))
+        np.testing.assert_array_equal(mlp.forward_array(x), mlp(Tensor(x)).value)
 
 
 # --- graph mechanics ----------------------------------------------------------
@@ -436,14 +531,6 @@ def test_constant_operands_get_no_gradient_and_change_no_parameter_gradient():
     assert all(t.grad is not None for t in leaves)
     for name in full:
         np.testing.assert_array_equal(pruned[name], full[name])
-
-
-def test_stop_gradient_blocks_backward():
-    store = ParameterStore()
-    store.add("x", np.array([1.0, 2.0]))
-    x = store.tensor("x")
-    backward(ad.sum_(ad.mul(ad.stop_gradient(x), x)))
-    np.testing.assert_allclose(store["x"].grad, np.array([1.0, 2.0]), atol=1e-15)
 
 
 # --- optimizer -----------------------------------------------------------------

@@ -53,8 +53,9 @@ def test_unknown_keys_raise():
 
 
 def test_invalid_choices_raise():
-    with pytest.raises(ValueError, match="unknown ranker"):
-        build_config({"ranker": "greedy"})
+    for ranker in ("greedy", "slateq"):
+        with pytest.raises(ValueError, match="unknown ranker"):
+            build_config({"ranker": ranker})
     with pytest.raises(ValueError, match="unknown agent"):
         build_config({"agent": "dqn"})
     with pytest.raises(ValueError, match="wknn_source"):

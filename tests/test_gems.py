@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 import slatelab.gems
 from slatelab import autodiff as ad
@@ -7,7 +8,6 @@ from slatelab.autodiff import backward
 from slatelab.gems import (
     GemsConfig,
     GemsModel,
-    decode,
     decode_to_slate,
     encode,
     gems_loss,
@@ -75,9 +75,18 @@ def test_encode_rejects_unknown_items():
 
 
 def test_decode_slot_distributions_normalize():
+    # the inference decoder's full logits and the training decoder's picked
+    # log-probabilities describe the same normalised slot distributions
     model = tiny_model()
-    log_probs, click_probs = decode(model, np.random.default_rng(0).standard_normal((4, 3)))
+    z = np.random.default_rng(0).standard_normal((4, 3))
+    slates = np.random.default_rng(1).integers(0, 6, size=(4, 3))
+    log_probs = log_softmax(model.decode_array(z), axis=-1)
     np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-10)
+    picked, click_logits = model.decode_graph(ad.constant(z), slates)
+    np.testing.assert_allclose(picked.value,
+                               np.take_along_axis(log_probs, slates[..., None], -1).ravel(),
+                               atol=1e-12)
+    click_probs = ad._sigmoid(click_logits.value)
     assert ((click_probs > 0) & (click_probs < 1)).all()
 
 

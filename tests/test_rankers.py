@@ -5,20 +5,17 @@ import itertools
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import log_softmax
 
+from slatelab.belief import BeliefConfig
 from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.rankers import (
-    RANKER_KINDS,
-    action_dim_for,
     rank_gems,
     rank_random,
     rank_short_term_oracle,
-    rank_slateq,
-    rank_softmax,
     rank_topk,
     rank_wknn,
 )
+from slatelab.reinforce import ReinforceConfig, ReinforcePolicy, sample_slate
 from slatelab.simulator import (Environment, ItemCatalog, SimConfig, UserState,
                                 generate_item_catalog)
 
@@ -97,7 +94,7 @@ def test_wknn_p1_is_nearest_neighbor_without_critic():
     emb = unit_table(15, 3, seed=7)
     rng = np.random.default_rng(8)
 
-    def critic(belief, rep):
+    def critic(belief, trials):
         pytest.fail("critic must not be called when p=1")
 
     for _ in range(10):
@@ -126,8 +123,8 @@ def test_wknn_linear_critic_matches_exhaustive_pairs():
     emb = np.stack([f, g], axis=1)          # item i -> (f_i, g_i)
     w = np.array([1.0, 0.0, 0.0, 1.0])      # picks f from slot 1, g from slot 2
 
-    def critic(belief, rep):
-        return float(w @ rep)
+    def critic(belief, trials):
+        return trials @ w
 
     action = np.zeros(4)                    # equidistant targets: all 5 candidates
     got = rank_wknn(action, emb, critic, belief=np.zeros(1), slate_size=2, p=5)
@@ -146,8 +143,8 @@ def test_wknn_never_repeats_items():
         rng = np.random.default_rng(100 + seed)
         wq = rng.normal(size=4 * 4)
 
-        def critic(belief, rep, wq=wq):
-            return float(wq @ rep)
+        def critic(belief, trials, wq=wq):
+            return trials @ wq
 
         action = rng.normal(size=4 * 4)
         slate = rank_wknn(action, emb, critic, np.zeros(3), slate_size=4, p=3)
@@ -161,19 +158,20 @@ def test_wknn_candidates_clip_in_late_slots():
     emb = unit_table(5, 2, seed=10)
     calls = []
 
-    def critic(belief, rep):
-        calls.append(rep.copy())
-        return float(rep.sum())
+    def critic(belief, trials):
+        calls.append(trials.copy())
+        return trials.sum(axis=1)
 
     slate = rank_wknn(np.zeros(10), emb, critic, np.zeros(1), slate_size=5, p=5)
     assert sorted(slate.tolist()) == [0, 1, 2, 3, 4]
-    # Final slot has a single remaining candidate, so no critic call there.
-    assert len(calls) == 5 + 4 + 3 + 2
+    # One call per slot scores all its candidates; the final slot has a
+    # single remaining candidate, so no critic call there.
+    assert [len(rows) for rows in calls] == [5, 4, 3, 2]
 
 
 def test_wknn_errors():
     emb = unit_table(5, 2)
-    critic = lambda b, r: 0.0
+    critic = lambda b, trials: np.zeros(len(trials))
     with pytest.raises(ValueError):
         rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=6)
     with pytest.raises(ValueError):
@@ -182,25 +180,36 @@ def test_wknn_errors():
         rank_wknn(np.zeros(3), emb, critic, np.zeros(1), slate_size=2, p=2)
 
 
-# --- softmax head ------------------------------------------------------------
+# --- softmax head (the REINFORCE policy's draws) -----------------------------
+
+
+def softmax_policy(logits):
+    """A REINFORCE policy whose head emits exactly `logits` at a zero belief."""
+    logits = np.asarray(logits, dtype=np.float64)
+    cfg = ReinforceConfig(hidden=(4,))
+    pol = ReinforcePolicy(cfg, BeliefConfig(belief_dim=3, item_source="learned"), 2,
+                          np.zeros((logits.size, 2)), np.random.default_rng(0))
+    pol.store["logits.l1.b"].value[...] = logits
+    return pol
 
 
 def test_softmax_saturation():
     logits = np.zeros(8)
     logits[3] = 50.0
+    pol = softmax_policy(logits)
     rng = np.random.default_rng(11)
     for _ in range(200):
-        slate, lp = rank_softmax(logits, slate_size=4, rng=rng)
+        slate = sample_slate(pol, np.zeros(3), slate_size=4, rng=rng)
         assert slate.tolist() == [3, 3, 3, 3]
-        assert lp >= 4 * np.log1p(-1e-10)
 
 
 def test_softmax_uniform_marginals_chi2():
     n, k, draws = 10, 5, 20_000
+    pol = softmax_policy(np.zeros(n))
     rng = np.random.default_rng(12)
     counts = np.zeros((k, n))
     for _ in range(draws):
-        slate, _ = rank_softmax(np.zeros(n), slate_size=k, rng=rng)
+        slate = sample_slate(pol, np.zeros(3), slate_size=k, rng=rng)
         for slot, item in enumerate(slate):
             counts[slot, item] += 1
     expected = draws / n
@@ -209,21 +218,12 @@ def test_softmax_uniform_marginals_chi2():
         assert chi2 < sps.chi2.ppf(0.99, n - 1)
 
 
-def test_softmax_log_prob_decomposes():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        logits = rng.normal(scale=2.0, size=12)
-        slate, lp = rank_softmax(logits, slate_size=4, rng=rng)
-        want = float(log_softmax(logits)[slate].sum())
-        assert abs(lp - want) < 1e-12
-
-
 def test_softmax_draws_with_replacement():
-    logits = np.array([3.0, 3.0, -5.0, -5.0])
+    pol = softmax_policy([3.0, 3.0, -5.0, -5.0])
     rng = np.random.default_rng(14)
     seen_repeat = False
     for _ in range(200):
-        slate, _ = rank_softmax(logits, slate_size=3, rng=rng)
+        slate = sample_slate(pol, np.zeros(3), slate_size=3, rng=rng)
         if len(set(slate.tolist())) < 3:
             seen_repeat = True
             break
@@ -323,7 +323,7 @@ def test_oracle_deterministic_and_requires_disclosure():
         rank_short_term_oracle(closed, slate_size=3)
 
 
-# --- gems delegation, dims, stub ----------------------------------------------
+# --- gems delegation ---------------------------------------------------------
 
 
 def test_rank_gems_delegates_to_decoder():
@@ -337,37 +337,16 @@ def test_rank_gems_delegates_to_decoder():
         rank_gems(model, np.zeros(5))
 
 
-def test_action_dim_for():
-    assert action_dim_for("gems", latent_dim=16) == 16
-    assert action_dim_for("topk-mf", embed_dim=20) == 20
-    assert action_dim_for("topk-ideal", embed_dim=20) == 20
-    assert action_dim_for("wknn", embed_dim=20, slate_size=10) == 200
-    assert action_dim_for("softmax", num_items=1000) == 1000
-    assert action_dim_for("random") == 0
-    assert action_dim_for("oracle") == 0
-    with pytest.raises(ValueError):
-        action_dim_for("gems")
-    with pytest.raises(ValueError):
-        action_dim_for("slate-q-ish")
-    assert set(RANKER_KINDS) >= {"gems", "topk-mf", "topk-ideal", "wknn",
-                                 "softmax", "random", "oracle"}
-
-
-def test_slateq_stub_raises():
-    with pytest.raises(NotImplementedError, match="slateq"):
-        rank_slateq()
-
-
 def test_structural_validity_across_rankers():
     emb = unit_table(25, 6, seed=24)
     _, env = disclosed_env(seed=25, num_items=20)
-    critic = lambda b, r: float(r.sum())
+    critic = lambda b, trials: trials.sum(axis=1)
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         slates = [
             rank_topk(rng.normal(size=6), emb, slate_size=4),
             rank_wknn(rng.normal(size=24), emb, critic, np.zeros(1), 4, p=3),
-            rank_softmax(rng.normal(size=25), 4, rng)[0],
+            sample_slate(softmax_policy(rng.normal(size=25)), np.zeros(3), 4, rng),
             rank_random(25, 4, rng),
         ]
         for i, slate in enumerate(slates):
