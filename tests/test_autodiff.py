@@ -206,7 +206,7 @@ def test_gru_matches_fd():
         assert max_relative_error(got[name], want[name]) < 1e-4
 
 
-def _mlp_operands(s, n_layers, width=3):
+def _mlp_operands(s, n_layers):
     return (s.tensor("x"), [s.tensor(f"W{i}") for i in range(n_layers)],
             [s.tensor(f"b{i}") for i in range(n_layers)])
 
@@ -245,9 +245,10 @@ def test_mlp_equals_unfused_chain_bit_for_bit(act, frozen):
     values = {name: rng.normal(size=shape) for name, shape in shapes}
     w = ad.constant(rng.normal(size=(9, 9)))
 
+    constants = {"none": set(), "x": {"x"}, "params": set(values) - {"x"}}[frozen]
+
     def run(build):
-        leaf = {n: (ad.constant(v) if frozen == ("x" if n == "x" else "params") else Tensor(v))
-                for n, v in values.items()}
+        leaf = {n: ad.constant(v) if n in constants else Tensor(v) for n, v in values.items()}
         out = build(leaf["x"], [leaf[f"W{i}"] for i in range(3)],
                     [leaf[f"b{i}"] for i in range(3)], act)
         backward(ad.sum_(ad.mul(out, w)))
