@@ -6,11 +6,16 @@ agents consume as their state.  Item embeddings come from a frozen table
 (the slate VAE's, matrix factorization's, or the simulator's disclosed
 one) or, for agents without a pretrained table, from a table learned
 jointly with the rest of the network.
+
+Histories are right-aligned [B, W, k] windows with zeros before the real
+rows; :func:`history_windows` cuts them from per-turn arrays for the
+replay buffer and REINFORCE alike, and the encoder masks the zero rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -35,6 +40,28 @@ class BeliefConfig:
             raise ValueError(f"unknown item source {self.item_source!r}")
         if self.truncation <= 0:
             raise ValueError("truncation window must be positive")
+
+
+def _real_rows(window: int, lengths) -> np.ndarray:
+    """[B, W] True on the real rows of right-aligned histories."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size and (lengths.min() < 0 or lengths.max() > window):
+        raise ValueError("history length outside the stored window")
+    return np.arange(window)[None, :] >= (window - lengths)[:, None]
+
+
+def history_windows(slates: np.ndarray, clicks: np.ndarray, ends, lengths,
+                    window: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Right-aligned [B, window, k] int64 slates and float64 clicks.
+
+    Window b ends at row ends[b] - 1 of the per-turn [N, k] arrays and
+    holds lengths[b] real rows, zeros before them.  Rows are taken modulo
+    N, so a ring of turns can be read in place.
+    """
+    real = _real_rows(window, lengths)[..., None]
+    rows = (np.asarray(ends)[:, None] + np.arange(-window, 0)) % len(slates)
+    return (np.where(real, slates[rows], 0).astype(np.int64),
+            np.where(real, clicks[rows], 0).astype(np.float64))
 
 
 @dataclass
@@ -131,17 +158,10 @@ class BeliefEncoder:
         x = self._input_values(slates, clicks)
         return self.cell.sequence_array(hidden, x[:, None, :])
 
-    def _masks(self, window: int, lengths: np.ndarray) -> np.ndarray:
-        """[B, W] indicator of real rows; histories are right-aligned."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.size and (lengths.min() < 0 or lengths.max() > window):
-            raise ValueError("history length outside the stored window")
-        return (np.arange(window)[None, :] >= (window - lengths)[:, None]).astype(np.float64)
-
     def recompute_array(self, slates: np.ndarray, clicks: np.ndarray,
                         lengths: np.ndarray) -> np.ndarray:
         """Belief from scratch over right-aligned [B, W, k] histories."""
-        mask = self._masks(slates.shape[1], lengths)
+        mask = _real_rows(slates.shape[1], lengths).astype(np.float64)
         return self.cell.sequence_array(self.init_hidden(slates.shape[0]),
                                         self._input_values(slates, clicks), mask)
 
@@ -149,6 +169,6 @@ class BeliefEncoder:
                         lengths: np.ndarray) -> Tensor:
         """recompute_array as one gru-sequence node; gradients reach the GRU
         (and a learned table) through every unmasked step."""
-        mask = self._masks(slates.shape[1], lengths)
+        mask = _real_rows(slates.shape[1], lengths).astype(np.float64)
         return self.cell.sequence(ad.constant(self.init_hidden(slates.shape[0])),
                                   self._inputs(slates, clicks), mask)

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown agent {self.agent!r}")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
+        for name in ("update_every", "validation_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.seeds = tuple(int(s) for s in self.seeds)
 
@@ -116,23 +119,16 @@ def _parse_file(path: Path, depth: int) -> Dict[str, str]:
     return out
 
 
-def _coerce(name: str, typ, raw: str):
-    origin = typing.get_origin(typ)
-    if origin is typing.Union:
+def _coerce(typ, raw: str):
+    if typing.get_origin(typ) is typing.Union:
         if raw.lower() in ("none", ""):
             return None
         inner = [t for t in typing.get_args(typ) if t is not type(None)]
-        return _coerce(name, inner[0], raw)
+        return _coerce(inner[0], raw)
     if typ is int:
         return int(raw)
     if typ is float:
         return float(raw)
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{name}: cannot parse bool from {raw!r}")
     if typ is str:
         return raw
     # Remaining config fields are integer tuples (hidden, seeds).
@@ -155,9 +151,9 @@ def build_config(values: Dict[str, str]) -> ExperimentConfig:
             prefix, name = key.split(".", 1)
             if prefix not in subs or name not in sub_types[prefix]:
                 raise ValueError(f"unknown config key {key!r}")
-            sub_kwargs[prefix][name] = _coerce(key, sub_types[prefix][name], raw)
+            sub_kwargs[prefix][name] = _coerce(sub_types[prefix][name], raw)
         elif key in top_types:
-            top_kwargs[key] = _coerce(key, top_types[key], raw)
+            top_kwargs[key] = _coerce(top_types[key], raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
     built = {n: c(**sub_kwargs[n]) for n, c in subs.items()}

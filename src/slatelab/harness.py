@@ -28,7 +28,7 @@ from .rankers import (rank_gems, rank_random, rank_short_term_oracle,
 from .reinforce import (BaselineState, EpisodeRecord, ReinforceConfig,
                         ReinforcePolicy, load_reinforce, reinforce_update,
                         sample_slate, save_reinforce)
-from .replay import HistoryWindow, ReplayBuffer
+from .replay import ReplayBuffer
 from .rng import (STREAM_ACTION, STREAM_BUFFER, STREAM_ENV_TEST,
                   STREAM_ENV_TRAIN, STREAM_ENV_VAL, STREAM_INIT, substream,
                   substream_seed)
@@ -388,15 +388,13 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
             env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
             env.reset(substream_seed(seed, STREAM_ENV_TRAIN, traj))
             belief = policy.encoder.init_belief()
-            history = HistoryWindow(cfg.belief_truncation, cfg.sim.slate_size)
             ep_slates, ep_clicks, ep_rewards = [], [], []
             for t in range(cfg.sim.episode_length):
                 action, slate = policy.act_single(belief.hidden, env, "sample",
                                                   action_rng)
                 res = env.step(slate)
                 if cfg.agent == "sac":
-                    history.push(slate, res.clicks)
-                    buffer.push(history, action, res.reward, res.done)
+                    buffer.push(slate, res.clicks, action, res.reward, res.done)
                 else:
                     ep_slates.append(slate)
                     ep_clicks.append(res.clicks)

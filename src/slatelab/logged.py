@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import asdict, dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -26,18 +25,6 @@ def sim_config_text(cfg: SimConfig) -> str:
 
 def sim_config_hash(cfg: SimConfig) -> bytes:
     return hashlib.sha256(sim_config_text(cfg).encode()).digest()
-
-
-@dataclass
-class LoggedTurn:
-    slate: np.ndarray    # [k] item ids
-    clicks: np.ndarray   # [k] bits
-
-
-@dataclass
-class LoggedTrajectory:
-    user_seed: int
-    turns: List[LoggedTurn]
 
 
 @dataclass
@@ -65,11 +52,6 @@ class LoggedDataset:
     @property
     def num_turns(self) -> int:
         return self.slates.shape[0] * self.slates.shape[1]
-
-    def trajectory(self, i: int) -> LoggedTrajectory:
-        turns = [LoggedTurn(self.slates[i, t].copy(), self.clicks[i, t].copy())
-                 for t in range(self.episode_length)]
-        return LoggedTrajectory(user_seed=int(self.user_seeds[i]), turns=turns)
 
     def flat_turns(self):
         """All turns as two arrays [N*T, k]: slates and clicks."""

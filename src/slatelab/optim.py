@@ -63,9 +63,6 @@ class ParameterStore:
     def items(self) -> Iterator[Tuple[str, Param]]:
         return iter(self._entries.items())
 
-    def names(self):
-        return list(self._entries.keys())
-
     def tensor(self, name: str) -> Tensor:
         """Graph leaf bound to this parameter; backward() fills param.grad.
         Inside ``autodiff.no_grad`` it is a constant instead."""
@@ -97,13 +94,6 @@ class ParameterStore:
             dst.m[...] = src.m
             dst.v[...] = src.v
         self.step_count = other.step_count
-
-    def clone(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name, p in self.items():
-            out.add(name, p.value.copy())
-        out.step_count = self.step_count
-        return out
 
 
 def adam_step(store: ParameterStore, cfg: AdamConfig) -> None:

@@ -3,9 +3,11 @@
 The policy scores every item from the belief state; slates are sampled
 with replacement from the softmax.  Updates are per episode: each turn's
 slate log-probability is weighted by its discounted return-to-go minus
-a per-turn exponential moving-average baseline.  The belief GRU (and
-its learned item table, if any) trains through the same loss, as this
-agent has no critic.
+a per-turn exponential moving-average baseline.  Turn t's belief is
+recomputed over the (up to ``truncation``) turns before it, cut by
+:func:`belief.history_windows` as the replay buffer cuts SAC's.  The
+belief GRU (and its learned item table, if any) trains through the same
+loss, as this agent has no critic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .belief import BeliefConfig, BeliefEncoder
+from .belief import BeliefConfig, BeliefEncoder, history_windows
 from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
@@ -97,20 +99,6 @@ class ReinforcePolicy:
         self.adam = AdamConfig(cfg.learning_rate)
 
 
-def _episode_windows(episode: EpisodeRecord, window: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-aligned belief inputs for every turn: turn t sees turns < t."""
-    T, k = episode.slates.shape
-    slates = np.zeros((T, window, k), dtype=np.int64)
-    clicks = np.zeros((T, window, k))
-    lengths = np.minimum(np.arange(T), window)
-    for t in range(T):
-        n = lengths[t]
-        if n:
-            slates[t, window - n:] = episode.slates[t - n:t]
-            clicks[t, window - n:] = episode.clicks[t - n:t]
-    return slates, clicks, lengths
-
-
 def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
                      baseline: BaselineState, cfg: ReinforceConfig) -> dict:
     """One Adam step on -sum_t (G_t - b_t) * log pi(slate_t | belief_t)."""
@@ -118,8 +106,11 @@ def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
     returns = return_to_go(episode.rewards, cfg.gamma)
     advantage = returns - baseline.lookup(returns)
 
-    w_slates, w_clicks, w_lengths = _episode_windows(episode, policy.belief.cfg.truncation)
-    hidden = policy.belief.recompute_graph(w_slates, w_clicks, w_lengths)
+    window = policy.belief.cfg.truncation
+    lengths = np.minimum(np.arange(T), window)
+    w_slates, w_clicks = history_windows(episode.slates, episode.clicks,
+                                         np.arange(T), lengths, window)
+    hidden = policy.belief.recompute_graph(w_slates, w_clicks, lengths)
     log_probs = ad.log_softmax(policy.head(hidden))
     slate_lp = ad.pick(log_probs, episode.slates[:, 0])
     for j in range(1, k):

@@ -1,10 +1,11 @@
-"""Ring replay buffer storing raw observation histories.
+"""Ring replay buffer storing each observed turn once.
 
-Transitions carry no precomputed beliefs.  Each entry keeps the last
-(window + 1) observed (slate, clicks) pairs of its episode, right
-aligned and ending at the transition's own turn, so the belief can be
-recomputed with fresh GRU parameters at sampling time: rows [:-1] give
-the pre-action state, rows [1:] the post-action one.
+Transitions carry no precomputed beliefs.  The buffer keeps one row per
+turn (slate, clicks, action, reward, done and the turn's index within its
+episode) and cuts each sampled transition's history at sampling time
+with :func:`belief.history_windows`, so the belief can be recomputed with
+fresh GRU parameters: the pre-action window ends at the turn before the
+transition, the post-action one at the transition's own turn.
 """
 
 from __future__ import annotations
@@ -13,31 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class HistoryWindow:
-    """Right-aligned sliding window of one episode's observations."""
-
-    def __init__(self, window: int, slate_size: int):
-        if window <= 0 or slate_size <= 0:
-            raise ValueError("window and slate size must be positive")
-        self.window = window
-        self.slate_size = slate_size
-        self.slates = np.zeros((window + 1, slate_size), dtype=np.int64)
-        self.clicks = np.zeros((window + 1, slate_size), dtype=np.float64)
-        self.length = 0
-
-    def reset(self) -> None:
-        self.slates[...] = 0
-        self.clicks[...] = 0.0
-        self.length = 0
-
-    def push(self, slate, clicks) -> None:
-        """Append the newest (slate, clicks) pair, dropping the oldest."""
-        self.slates[:-1] = self.slates[1:]
-        self.clicks[:-1] = self.clicks[1:]
-        self.slates[-1] = np.asarray(slate, dtype=np.int64)
-        self.clicks[-1] = np.asarray(clicks, dtype=np.float64)
-        self.length = min(self.length + 1, self.window + 1)
+from .belief import history_windows
 
 
 @dataclass
@@ -54,7 +31,11 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring with uniform sampling."""
+    """Fixed-capacity FIFO ring of transitions with uniform sampling.
+
+    ``window`` rows beyond ``capacity`` keep the history of the oldest
+    transition that can still be sampled.
+    """
 
     def __init__(self, capacity: int, window: int, slate_size: int, action_dim: int):
         if capacity <= 0:
@@ -62,52 +43,55 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.window = int(window)
         self.slate_size = int(slate_size)
-        self.action_dim = int(action_dim)
-        shape = (self.capacity, self.window + 1, self.slate_size)
-        self._slates = np.zeros(shape, dtype=np.int32)
-        self._clicks = np.zeros(shape, dtype=np.uint8)
-        self._lengths = np.zeros(self.capacity, dtype=np.int32)
-        self._actions = np.zeros((self.capacity, self.action_dim))
-        self._rewards = np.zeros(self.capacity)
-        self._dones = np.zeros(self.capacity, dtype=np.uint8)
-        self._size = 0
-        self._pos = 0
+        rows = self.capacity + self.window
+        self._slates = np.zeros((rows, self.slate_size), dtype=np.int32)
+        self._clicks = np.zeros((rows, self.slate_size), dtype=np.uint8)
+        self._actions = np.zeros((rows, int(action_dim)))
+        self._rewards = np.zeros(rows)
+        self._dones = np.zeros(rows, dtype=np.uint8)
+        self._turns = np.zeros(rows, dtype=np.int64)  # index within the episode
+        self._count = 0  # transitions pushed so far
+        self._next_turn = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._count, self.capacity)
 
-    def push(self, history: HistoryWindow, action, reward: float, done: bool) -> None:
-        """Store one transition; the window must already contain its turn."""
-        if history.length < 1:
-            raise ValueError("history window is empty")
-        if history.window != self.window or history.slate_size != self.slate_size:
-            raise ValueError("history window shape mismatch")
-        i = self._pos
-        self._slates[i] = history.slates
-        self._clicks[i] = history.clicks
-        self._lengths[i] = history.length
-        self._actions[i] = np.asarray(action, dtype=np.float64)
-        self._rewards[i] = float(reward)
-        self._dones[i] = 1 if done else 0
-        self._pos = (self._pos + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def push(self, slate, clicks, action, reward: float, done: bool) -> None:
+        """Store one turn; the first push and any push after a done one
+        start a new episode."""
+        if np.size(slate) != self.slate_size or np.size(clicks) != self.slate_size:
+            raise ValueError(f"slate and clicks must each hold {self.slate_size} entries")
+        i = self._count % len(self._turns)
+        self._turns[i] = self._next_turn
+        self._slates[i] = slate
+        self._clicks[i] = clicks
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._dones[i] = done
+        self._count += 1
+        self._next_turn = 0 if done else self._next_turn + 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         """Uniform with replacement over the stored transitions."""
-        if self._size < 1:
+        if self._count < 1:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=batch_size)
-        slates = self._slates[idx].astype(np.int64)
-        clicks = self._clicks[idx].astype(np.float64)
-        lengths = self._lengths[idx].astype(np.int64)
+        idx = rng.integers(0, len(self), size=batch_size)
+        # slot idx of a capacity-sized ring holds the latest transition
+        # numbered idx mod capacity; find its row in the longer one
+        number = idx + self.capacity * ((self._count - 1 - idx) // self.capacity)
+        rows = number % len(self._turns)
+        turns = self._turns[rows]
+        w = self.window
+        slates, clicks = history_windows(self._slates, self._clicks, rows + 1,
+                                         np.minimum(turns + 1, w + 1), w + 1)
         return TransitionBatch(
             prev_slates=slates[:, :-1],
             prev_clicks=clicks[:, :-1],
-            prev_lengths=lengths - 1,
+            prev_lengths=np.minimum(turns, w),
             next_slates=slates[:, 1:],
             next_clicks=clicks[:, 1:],
-            next_lengths=np.minimum(lengths, self.window),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            dones=self._dones[idx].astype(np.float64),
+            next_lengths=np.minimum(turns + 1, w),
+            actions=self._actions[rows],
+            rewards=self._rewards[rows],
+            dones=self._dones[rows].astype(np.float64),
         )

@@ -29,7 +29,7 @@ from slatelab.logged import LoggedDataset, generate_dataset
 from slatelab.nn import Mlp, GruCell
 from slatelab.optim import ParameterStore
 from slatelab.rankers import rank_short_term_oracle, rank_wknn
-from slatelab.replay import HistoryWindow, ReplayBuffer
+from slatelab.replay import ReplayBuffer
 from slatelab.rng import substream
 from slatelab.sac import (
     SacConfig,
@@ -115,13 +115,10 @@ def _sac_fixture(seed):
     _nudge_biases(model.actor_store, seed)
     _nudge_biases(model.critic_store, seed)
     buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
-    hw = HistoryWindow(2, 1)
     roll = substream(seed, "roll")
     for t in range(6):
-        if t % 3 == 0:
-            hw.reset()
-        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-        buf.push(hw, roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
     return cfg, model, buf.sample(4, substream(seed, "s"))
 
 
@@ -398,18 +395,16 @@ def test_criterion_08_beta_pressure_orders_converged_kl():
 
 def _context_bandit_buffer(n, rng):
     """Two contexts told apart only through the click history; the optimal
-    action is +0.5 after a click and -0.5 after none.  The context turn is
-    pushed first so it lands in the pre-action history the policy sees."""
-    buf = ReplayBuffer(capacity=n, window=2, slate_size=1, action_dim=1)
-    hw = HistoryWindow(2, 1)
+    action is +0.5 after a click and -0.5 after none.  Each two-turn episode
+    first pushes the context turn (reward 0, a uniform action) so it lands
+    in the pre-action history of the acted turn that follows and ends it."""
+    buf = ReplayBuffer(capacity=2 * n, window=2, slate_size=1, action_dim=1)
     for _ in range(n):
         ctx = int(rng.integers(0, 2))
-        hw.reset()
-        hw.push([0], [float(ctx)])
-        hw.push([0], [0.0])  # the acted turn itself; unused when done
+        buf.push([0], [float(ctx)], rng.uniform(-1.0, 1.0, 1), 0.0, False)
         a = rng.uniform(-1.0, 1.0, 1)
         target = 0.5 if ctx else -0.5
-        buf.push(hw, a, 1.0 - (a[0] - target) ** 2, True)
+        buf.push([0], [0.0], a, 1.0 - (a[0] - target) ** 2, True)
     return buf
 
 

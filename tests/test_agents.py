@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from slatelab import autodiff as ad
-from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState
+from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState, history_windows
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
 from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.optim import ParameterStore
@@ -18,7 +18,7 @@ from slatelab.reinforce import (
     sample_slate,
     save_reinforce,
 )
-from slatelab.replay import HistoryWindow, ReplayBuffer
+from slatelab.replay import ReplayBuffer
 from slatelab.rng import substream
 from slatelab.sac import (
     SacConfig,
@@ -226,11 +226,10 @@ def _critic_fixture(window):
     bcfg = BeliefConfig(belief_dim=3, item_source="mf", truncation=window)
     model = SacModel(cfg, bcfg, 1, small_table(num_items=4, dim=2), substream(0, "init"))
     buf = ReplayBuffer(capacity=64, window=window, slate_size=1, action_dim=2)
-    hw = HistoryWindow(window, 1)
     roll = substream(0, "roll")
     for t in range(3 * window):
-        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-        buf.push(hw, roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False)
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False)
     return cfg, model, buf.sample(4, substream(0, "s"))
 
 
@@ -252,20 +251,10 @@ def test_graph_size_does_not_grow_with_the_window():
 # replay buffer
 
 
-def fill_window(window, slate_size, pairs):
-    hw = HistoryWindow(window, slate_size)
-    for slate, clicks in pairs:
-        hw.push(slate, clicks)
-    return hw
-
-
 def test_buffer_never_exceeds_capacity_and_evicts_fifo():
     buf = ReplayBuffer(capacity=5, window=1, slate_size=1, action_dim=1)
-    hw = HistoryWindow(1, 1)
     for i in range(8):
-        hw.reset()
-        hw.push([0], [0.0])
-        buf.push(hw, [0.0], float(i), False)
+        buf.push([0], [0.0], [0.0], float(i), False)
     assert len(buf) == 5
     batch = buf.sample(4000, substream(0, "sample"))
     assert set(np.unique(batch.rewards)) == {3.0, 4.0, 5.0, 6.0, 7.0}
@@ -273,29 +262,27 @@ def test_buffer_never_exceeds_capacity_and_evicts_fifo():
 
 def test_buffer_sampling_is_uniform():
     buf = ReplayBuffer(capacity=20, window=1, slate_size=1, action_dim=1)
-    hw = HistoryWindow(1, 1)
     for i in range(20):
-        hw.reset()
-        hw.push([0], [0.0])
-        buf.push(hw, [0.0], float(i), False)
+        buf.push([0], [0.0], [0.0], float(i), False)
     draws = buf.sample(100_000, substream(1, "sample")).rewards.astype(int)
     counts = np.bincount(draws, minlength=20)
     chi2 = np.sum((counts - 5000.0) ** 2 / 5000.0)
     assert chi2 < sps.chi2.ppf(0.99, 19)
 
 
+class TakeAll:
+    """Stand-in generator that samples slots 0, 1, ... in order."""
+
+    def integers(self, lo, hi, size):
+        return np.arange(size) % hi
+
+
 def test_buffer_windows_split_into_prev_and_next_histories():
     # simulate one 3-turn episode with window 3
     buf = ReplayBuffer(capacity=10, window=3, slate_size=2, action_dim=1)
-    hw = HistoryWindow(3, 2)
     turns = [([1, 2], [1.0, 0.0]), ([3, 4], [0.0, 0.0]), ([5, 6], [0.0, 1.0])]
     for t, (slate, clicks) in enumerate(turns):
-        hw.push(slate, clicks)
-        buf.push(hw, [0.5], float(t), t == 2)
-
-    class TakeAll:
-        def integers(self, lo, hi, size):
-            return np.arange(size) % hi
+        buf.push(slate, clicks, [0.5], float(t), t == 2)
 
     batch = buf.sample(3, TakeAll())
     # turn 0: empty previous history, next history holds just turn 0
@@ -310,16 +297,81 @@ def test_buffer_windows_split_into_prev_and_next_histories():
     assert batch.dones[2] == 1.0 and batch.dones[0] == 0.0
 
 
+def test_buffer_windows_match_the_pushed_turns_after_the_ring_wraps():
+    capacity, window = 5, 3
+    buf = ReplayBuffer(capacity=capacity, window=window, slate_size=2, action_dim=1)
+    rng = substream(40, "turns")
+    pushed = []  # (slate, clicks, index within the episode, done)
+    for episode_length in (4, 1, 6, 3):
+        for t in range(episode_length):
+            slate = rng.integers(1, 9, 2)
+            clicks = (rng.random(2) < 0.5).astype(float)
+            done = t == episode_length - 1
+            buf.push(slate, clicks, [0.0], float(len(pushed)), done)
+            pushed.append((slate, clicks, t, done))
+    assert len(pushed) == 14 and len(buf) == capacity
+    batch = buf.sample(capacity, TakeAll())
+    assert sorted(batch.rewards) == list(range(14 - capacity, 14))
+    for b, n in enumerate(batch.rewards.astype(int)):
+        _, _, t, done = pushed[n]
+        episode = pushed[n - t:n + 1]  # this episode's turns up to n
+        for name, rows in (("prev", episode[:-1][-window:]), ("next", episode[-window:])):
+            length = getattr(batch, name + "_lengths")[b]
+            assert length == len(rows)
+            slates = getattr(batch, name + "_slates")[b]
+            clicks = getattr(batch, name + "_clicks")[b]
+            assert not slates[:window - length].any() and not clicks[:window - length].any()
+            assert np.array_equal(slates[window - length:],
+                                  np.reshape([r[0] for r in rows], (-1, 2)))
+            assert np.array_equal(clicks[window - length:],
+                                  np.reshape([r[1] for r in rows], (-1, 2)))
+        assert batch.dones[b] == float(done)
+
+
+def test_push_after_a_done_transition_starts_an_empty_history():
+    buf = ReplayBuffer(capacity=4, window=3, slate_size=1, action_dim=1)
+    buf.push([1], [1.0], [0.0], 0.0, False)
+    buf.push([2], [1.0], [0.0], 1.0, True)
+    buf.push([3], [0.0], [0.0], 2.0, False)
+    batch = buf.sample(3, TakeAll())
+    assert list(batch.prev_lengths) == [0, 1, 0]
+    assert list(batch.next_lengths) == [1, 2, 1]
+    assert not batch.prev_slates[2].any()
+    assert np.array_equal(batch.next_slates[2], [[0], [0], [3]])
+
+
+def test_history_windows_match_hand_built_windows():
+    rng = substream(41, "episode")
+    T, k, window = 7, 2, 3
+    slates = rng.integers(1, 9, (T, k))
+    clicks = (rng.random((T, k)) < 0.5).astype(float)
+    lengths = np.minimum(np.arange(T), window)
+    ws, wc = history_windows(slates, clicks, np.arange(T), lengths, window)
+    assert ws.dtype == np.int64 and wc.dtype == np.float64
+    assert ws.shape == wc.shape == (T, window, k)
+    for t in range(T):
+        n = lengths[t]
+        hand_slates = np.zeros((window, k), dtype=np.int64)
+        hand_clicks = np.zeros((window, k))
+        hand_slates[window - n:] = slates[t - n:t]
+        hand_clicks[window - n:] = clicks[t - n:t]
+        assert np.array_equal(ws[t], hand_slates) and np.array_equal(wc[t], hand_clicks)
+    # rows are read modulo the row count, as from a ring
+    ws, _ = history_windows(slates, clicks, [T + 2], [3], window)
+    assert np.array_equal(ws[0], slates[[T - 1, 0, 1]])
+    with pytest.raises(ValueError):
+        history_windows(slates, clicks, [T], [window + 1], window)
+
+
 def test_buffer_guards():
     buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
     with pytest.raises(ValueError):
-        buf.push(HistoryWindow(2, 1), [0.0], 0.0, False)  # empty window
-    with pytest.raises(ValueError):
         buf.sample(1, substream(0, "s"))  # empty buffer
-    hw = HistoryWindow(3, 1)
-    hw.push([0], [0.0])
-    with pytest.raises(ValueError):
-        buf.push(hw, [0.0], 0.0, False)  # window size mismatch
+    with pytest.raises(ValueError, match="1 entries"):
+        buf.push([0, 1], [0.0], [0.0], 0.0, False)  # slate of the wrong size
+    with pytest.raises(ValueError, match="1 entries"):
+        buf.push([0], [0.0, 1.0], [0.0], 0.0, False)  # clicks of the wrong size
+    assert len(buf) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +390,7 @@ def tiny_sac(alpha=0.2, gamma=0.5, action_dim=1, hidden=(1,), belief_dim=1,
 
 def test_target_networks_equal_main_networks_at_init():
     _, model = tiny_sac(hidden=(8, 8), action_dim=3, belief_dim=4)
-    names = model.target_store.names()
+    names = [name for name, _ in model.target_store.items()]
     assert names  # both critics mirrored
     for name in names:
         assert np.array_equal(model.target_store[name].value,
@@ -431,9 +483,7 @@ def hand_set_critics(model):
 
 def one_transition_batch(action=0.4, reward=2.0, done=False):
     buf = ReplayBuffer(capacity=4, window=1, slate_size=1, action_dim=1)
-    hw = HistoryWindow(1, 1)
-    hw.push([0], [1.0])
-    buf.push(hw, [action], reward, done)
+    buf.push([0], [1.0], [action], reward, done)
 
     class First:
         def integers(self, lo, hi, size):
@@ -490,9 +540,7 @@ def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
     batch = one_transition_batch()
     # widen to the right shapes: rebuild a batch matching k=1, d=2
     buf = ReplayBuffer(capacity=2, window=1, slate_size=1, action_dim=2)
-    hw = HistoryWindow(1, 1)
-    hw.push([0], [1.0])
-    buf.push(hw, [0.1, -0.2], 1.0, False)
+    buf.push([0], [1.0], [0.1, -0.2], 1.0, False)
     batch = buf.sample(2, substream(0, "s"))
     loss, _ = actor_loss(model, batch, cfg, substream(0, "eps"))
     ad.backward(loss)
@@ -519,13 +567,10 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     nudge_biases(model.actor_store, 12)
     nudge_biases(model.critic_store, 12)
     buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
-    hw = HistoryWindow(2, 1)
     roll = substream(12, "roll")
     for t in range(6):
-        if t % 3 == 0:
-            hw.reset()
-        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-        buf.push(hw, roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
     batch = buf.sample(5, substream(12, "s"))
 
     def loss_fn():
@@ -545,13 +590,10 @@ def test_critic_loss_gradient_matches_fd_including_belief():
     nudge_biases(model.actor_store, 13)
     nudge_biases(model.critic_store, 13)
     buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
-    hw = HistoryWindow(2, 1)
     roll = substream(13, "roll")
     for t in range(6):
-        if t % 3 == 0:
-            hw.reset()
-        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-        buf.push(hw, roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
     batch = buf.sample(4, substream(13, "s"))
     # the TD target is a constant of the loss; hold it fixed while
     # differencing, as autodiff does by construction
@@ -572,12 +614,9 @@ def test_critic_loss_gradient_matches_fd_including_belief():
 def quadratic_bandit_buffer(n, rng):
     """One-turn episodes, empty prior history, reward 1 - a^2 (optimum a=0)."""
     buf = ReplayBuffer(capacity=n, window=1, slate_size=1, action_dim=1)
-    hw = HistoryWindow(1, 1)
     for _ in range(n):
-        hw.reset()
-        hw.push([0], [0.0])
         a = rng.uniform(-1.0, 1.0, 1)
-        buf.push(hw, a, 1.0 - a[0] ** 2, True)
+        buf.push([0], [0.0], a, 1.0 - a[0] ** 2, True)
     return buf
 
 
@@ -620,13 +659,10 @@ def test_sac_update_deterministic_given_seed_and_buffer():
         cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2,
                               seed=21, batch_size=4)
         buf = ReplayBuffer(capacity=16, window=2, slate_size=1, action_dim=2)
-        hw = HistoryWindow(2, 1)
         roll = substream(21, "roll")
         for t in range(10):
-            if t % 5 == 0:
-                hw.reset()
-            hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-            buf.push(hw, roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4)
+            buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                     roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4)
         rng = substream(21, "upd")
         diags = [sac_update(model, buf, cfg, rng) for _ in range(3)]
         runs.append((model, diags))
@@ -644,9 +680,7 @@ def test_sac_update_deterministic_given_seed_and_buffer():
 def test_sac_update_requires_a_full_batch():
     cfg, model = tiny_sac(batch_size=8)
     buf = ReplayBuffer(capacity=8, window=1, slate_size=1, action_dim=1)
-    hw = HistoryWindow(1, 1)
-    hw.push([0], [0.0])
-    buf.push(hw, [0.1], 1.0, True)
+    buf.push([0], [0.0], [0.1], 1.0, True)
     with pytest.raises(ValueError):
         sac_update(model, buf, cfg, substream(0, "u"))
 
@@ -655,13 +689,10 @@ def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
     cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2,
                           seed=22, batch_size=4)
     buf = ReplayBuffer(capacity=16, window=2, slate_size=1, action_dim=2)
-    hw = HistoryWindow(2, 1)
     roll = substream(22, "roll")
     for t in range(8):
-        if t % 4 == 0:
-            hw.reset()
-        hw.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float))
-        buf.push(hw, roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 4 == 3)
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 4 == 3)
     rng = substream(22, "upd")
     for _ in range(3):
         sac_update(model, buf, cfg, rng)
@@ -700,13 +731,10 @@ def test_losses_stay_finite_over_many_updates():
     cfg, model = tiny_sac(hidden=(16, 16), action_dim=3, belief_dim=6, window=3,
                           k=2, seed=30, batch_size=16, gamma=0.8)
     buf = ReplayBuffer(capacity=512, window=3, slate_size=2, action_dim=3)
-    hw = HistoryWindow(3, 2)
     roll = substream(30, "roll")
     for t in range(300):
-        if t % 10 == 0:
-            hw.reset()
-        hw.push(roll.integers(0, 4, 2), (roll.random(2) < 0.4).astype(float))
-        buf.push(hw, roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9)
+        buf.push(roll.integers(0, 4, 2), (roll.random(2) < 0.4).astype(float),
+                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9)
     rng = substream(30, "upd")
     for _ in range(300):
         d = sac_update(model, buf, cfg, rng)
@@ -796,10 +824,11 @@ def test_reinforce_update_gradient_matches_fd():
                             rewards=rng.integers(0, 3, 3).astype(float))
     advantage = return_to_go(episode.rewards, cfg.gamma) - 0.25  # fixed baseline
 
-    from slatelab.reinforce import _episode_windows
+    window = pol.belief.cfg.truncation
+    wl = np.minimum(np.arange(3), window)
+    ws, wc = history_windows(episode.slates, episode.clicks, np.arange(3), wl, window)
 
     def build_loss():
-        ws, wc, wl = _episode_windows(episode, pol.belief.cfg.truncation)
         hidden = pol.belief.recompute_graph(ws, wc, wl)
         log_probs = ad.log_softmax(pol.head(hidden))
         lp = ad.pick(log_probs, episode.slates[:, 0])

@@ -104,17 +104,6 @@ def test_dataset_rejects_wrong_magic(tmp_path):
         read_dataset(path)
 
 
-def test_trajectory_view_alignment():
-    cfg = small_cfg(episode_length=4)
-    cat = generate_item_catalog(cfg, seed=4)
-    ds = generate_dataset(cfg, cat, num_trajectories=2, epsilon=0.5, seed=9)
-    traj = ds.trajectory(1)
-    assert traj.user_seed == int(ds.user_seeds[1])
-    assert len(traj.turns) == 4
-    np.testing.assert_array_equal(traj.turns[2].slate, ds.slates[1, 2])
-    np.testing.assert_array_equal(traj.turns[2].clicks, ds.clicks[1, 2])
-
-
 # --- matrix factorization -----------------------------------------------------------
 
 def synthetic_coclick_dataset():
