@@ -437,44 +437,62 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
         z = sigmoid(x Wz + h Uz + bz)
         r = sigmoid(x Wr + h Ur + br)
         n = tanh(x Wn + r * (h Un) + bn)
-        h' = (1 - z) * h + z * n
+        h' = h + z * (n - h)
 
     A [B, T] 0/1 mask keeps a row's state where it is 0:
-    h_t = m * h' + (1 - m) * h_{t-1}.  Every step's pre-activations are
-    checked for finiteness.  With a ``tape`` list, each step appends
-    (h_prev, [z | r], n, h Un) for :func:`gru_sequence`'s backward pass.
+    h_t = h_{t-1} + m * z * (n - h_{t-1}).
+
+    The work runs feature-major, one column per batch row, so that each
+    step's gate blocks are contiguous rows: one stacked product projects
+    the whole window's inputs to gates [T, 3H, B], and the states live in
+    [T+1, H, B].  Each step checks its z/r and then its n pre-activations
+    for finiteness before squashing them in place, the sigmoid as
+    0.5 * (1 + tanh(x / 2)).  With a ``tape`` list, the inputs as
+    [T, in, B], the squashed gates, each step's h Un and the states are
+    appended for :func:`gru_sequence`'s backward pass.
     """
+    B, T = x.shape[:2]
     H = h0.shape[-1]
-    h = h0
-    for t in range(x.shape[1]):
-        pre = x[:, t] @ W
-        gh = h @ U
-        pre[:, :2 * H] += gh[:, :2 * H]
-        pre[:, :2 * H] += b[:2 * H]
-        zr = _sigmoid(pre[:, :2 * H])
-        z, r = zr[:, :H], zr[:, H:]
-        gh_n = gh[:, 2 * H:]
-        pre[:, 2 * H:] += r * gh_n
-        pre[:, 2 * H:] += b[2 * H:]
-        _check_finite(pre, "gru-sequence")
-        n = np.tanh(pre[:, 2 * H:])
-        h_new = (1.0 - z) * h + z * n
+    xt = x.transpose(1, 2, 0)
+    gates = np.matmul(W.T, xt)
+    gates += b[:, None]
+    hs = np.empty((T + 1, H, B))
+    hs[0] = h0.T
+    gh_n = None if tape is None else np.empty((T, H, B))
+    for t in range(T):
+        h = hs[t]
+        gh = U.T @ h
+        zr = gates[t, :2 * H]
+        zr += gh[:2 * H]
+        _check_finite(zr, "gru-sequence")
+        np.tanh(np.multiply(zr, 0.5, out=zr), out=zr)
+        zr += 1.0
+        zr *= 0.5
+        n = gates[t, 2 * H:]
+        n += zr[H:] * gh[2 * H:]
+        _check_finite(n, "gru-sequence")
+        np.tanh(n, out=n)
+        h_new = np.subtract(n, h, out=hs[t + 1])
+        h_new *= zr[:H]
         if mask is not None:
-            m = mask[:, t, None]
-            h_new = m * h_new + (1.0 - m) * h
-        if tape is not None:
-            tape.append((h, zr, n, gh_n))
-        h = h_new
-    return h
+            h_new *= mask[:, t]
+        h_new += h
+        if gh_n is not None:
+            gh_n[t] = gh[2 * H:]
+    if tape is not None:
+        tape.extend((xt, gates, gh_n, hs))
+    return hs[T].T.copy()
 
 
 def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
                  mask: Optional[np.ndarray] = None) -> Tensor:
     """A whole GRU window (see :func:`gru_window`) as one node.
 
-    The VJP is masked backprop through time, accumulating the weight
-    gradients one step at a time; each step's gate and state gradients are
-    checked for finiteness.
+    The VJP is masked backprop through time in the same feature-major
+    layout.  Each step writes its gradients into d [T, 4H, B], rows
+    (pre_n, pre_z, pre_r, h Un), and checks them and the state gradient
+    for finiteness; ``dW``, ``dU`` and ``dx`` are then one stacked product
+    each over the window, and ``db`` one sum.
     """
     if x.value.ndim != 3 or x.shape[2] != W.shape[0] or h0.shape[-1] != U.shape[0]:
         raise ValueError("gru_sequence input/hidden shape mismatch")
@@ -482,43 +500,36 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
     v = gru_window(h0.value, x.value, W.value, U.value, b.value, mask, tape)
 
     def vjp(g):
-        H = U.shape[0]
-        xv, Wv, Uv = x.value, W.value, U.value
-        dx = np.zeros_like(xv) if x.needs_grad else None
-        dW = np.zeros_like(Wv) if W.needs_grad else None
-        dU = np.zeros_like(Uv) if U.needs_grad else None
-        db = np.zeros_like(b.value) if b.needs_grad else None
-        dh = g
-        for t in reversed(range(len(tape))):
-            h_prev, zr, n, gh_n = tape[t]
-            z, r = zr[:, :H], zr[:, H:]
-            if mask is not None:
-                m = mask[:, t, None]
-                dh_keep = (1.0 - m) * dh
-                dh = m * dh
-            d = np.empty((g.shape[0], 3 * H))       # dL/d(pre-activations)
-            d[:, :H] = dh * (n - h_prev) * (z * (1.0 - z))
-            d[:, 2 * H:] = dh * z * (1.0 - n * n)
-            d[:, H:2 * H] = d[:, 2 * H:] * gh_n * (r * (1.0 - r))
-            _check_finite(d, "gru-sequence")
-            if dW is not None:
-                dW += xv[:, t].T @ d
-            if db is not None:
-                db += d.sum(axis=0)
-            if dx is not None:
-                dx[:, t] = d @ Wv.T
-            d[:, 2 * H:] *= r                       # now dL/d(h U)
-            if dU is not None:
-                dU += h_prev.T @ d
+        xt, gates, gh_n, hs = tape
+        T, H = gates.shape[0], U.shape[0]
+        d = np.empty((T, 4 * H, g.shape[0]))
+        dh = g.T
+        for t in reversed(range(T)):
+            z, r, n = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:]
+            dhz = dh * z if mask is None else dh * z * mask[:, t]
+            np.multiply(dhz, 1.0 - n * n, out=d[t, :H])
+            np.multiply(dhz * (n - hs[t]), 1.0 - z, out=d[t, H:2 * H])
+            np.multiply(d[t, :H], r, out=d[t, 3 * H:])
+            np.multiply(d[t, 3 * H:] * (1.0 - r), gh_n[t], out=d[t, 2 * H:3 * H])
+            _check_finite(d[t], "gru-sequence")
             if t == 0 and not h0.needs_grad:
                 break
-            dh_prev = d @ Uv.T
-            dh_prev += dh * (1.0 - z)
-            if mask is not None:
-                dh_prev += dh_keep
+            dh_prev = U.value @ d[t, H:]
+            dh_prev += dh
+            dh_prev -= dhz
             _check_finite(dh_prev, "gru-sequence")
             dh = dh_prev
-        return (dh if h0.needs_grad else None, dx, dW, dU, db)
+        d_pre = d[:, :3 * H]                        # gate order (n, z, r)
+        dx = dW = dU = db = None
+        if x.needs_grad:
+            dx = np.matmul(np.roll(W.value, H, axis=1), d_pre).transpose(2, 0, 1)
+        if W.needs_grad:
+            dW = np.roll(np.matmul(xt, d_pre.transpose(0, 2, 1)).sum(axis=0), -H, axis=1)
+        if U.needs_grad:
+            dU = np.matmul(hs[:T], d[:, H:].transpose(0, 2, 1)).sum(axis=0)
+        if b.needs_grad:
+            db = np.roll(d_pre.sum(axis=(0, 2)), -H)
+        return (dh.T if h0.needs_grad else None, dx, dW, dU, db)
 
     return _node("gru-sequence", v, (h0, x, W, U, b), vjp)
 

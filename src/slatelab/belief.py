@@ -9,7 +9,9 @@ jointly with the rest of the network.
 
 Histories are right-aligned [B, W, k] windows with zeros before the real
 rows; :func:`history_windows` cuts them from per-turn arrays for the
-replay buffer and REINFORCE alike, and the encoder masks the zero rows.
+replay buffer and REINFORCE alike.  The encoder turns a window into GRU
+inputs once (:meth:`BeliefEncoder._inputs`), so callers can recompute
+beliefs over slices of one build, and masks the zero rows.
 """
 
 from __future__ import annotations
@@ -158,17 +160,15 @@ class BeliefEncoder:
         x = self._input_values(slates, clicks)
         return self.cell.sequence_array(hidden, x[:, None, :])
 
-    def recompute_array(self, slates: np.ndarray, clicks: np.ndarray,
-                        lengths: np.ndarray) -> np.ndarray:
-        """Belief from scratch over right-aligned [B, W, k] histories."""
-        mask = _real_rows(slates.shape[1], lengths).astype(np.float64)
-        return self.cell.sequence_array(self.init_hidden(slates.shape[0]),
-                                        self._input_values(slates, clicks), mask)
+    def recompute_array(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Belief from scratch over right-aligned [B, W, in] input windows,
+        the values of :meth:`_inputs` for [B, W, k] histories."""
+        mask = _real_rows(x.shape[1], lengths).astype(np.float64)
+        return self.cell.sequence_array(self.init_hidden(x.shape[0]), x, mask)
 
-    def recompute_graph(self, slates: np.ndarray, clicks: np.ndarray,
-                        lengths: np.ndarray) -> Tensor:
-        """recompute_array as one gru-sequence node; gradients reach the GRU
-        (and a learned table) through every unmasked step."""
-        mask = _real_rows(slates.shape[1], lengths).astype(np.float64)
-        return self.cell.sequence(ad.constant(self.init_hidden(slates.shape[0])),
-                                  self._inputs(slates, clicks), mask)
+    def recompute_graph(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+        """recompute_array over an :meth:`_inputs` node as one gru-sequence
+        node; gradients reach the GRU (and a learned table) through every
+        unmasked step."""
+        mask = _real_rows(x.shape[1], lengths).astype(np.float64)
+        return self.cell.sequence(ad.constant(self.init_hidden(x.shape[0])), x, mask)

@@ -79,6 +79,8 @@ class ExperimentConfig:
         for name in ("update_every", "validation_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.agent == "sac" and self.buffer_capacity < self.batch_size:
+            raise ValueError("buffer_capacity below batch_size: SAC would never update")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.seeds = tuple(int(s) for s in self.seeds)
 

@@ -110,7 +110,8 @@ def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
     lengths = np.minimum(np.arange(T), window)
     w_slates, w_clicks = history_windows(episode.slates, episode.clicks,
                                          np.arange(T), lengths, window)
-    hidden = policy.belief.recompute_graph(w_slates, w_clicks, lengths)
+    hidden = policy.belief.recompute_graph(policy.belief._inputs(w_slates, w_clicks),
+                                           lengths)
     log_probs = ad.log_softmax(policy.head(hidden))
     slate_lp = ad.pick(log_probs, episode.slates[:, 0])
     for j in range(1, k):

@@ -4,8 +4,9 @@ Transitions carry no precomputed beliefs.  The buffer keeps one row per
 turn (slate, clicks, action, reward, done and the turn's index within its
 episode) and cuts each sampled transition's history at sampling time
 with :func:`belief.history_windows`, so the belief can be recomputed with
-fresh GRU parameters: the pre-action window ends at the turn before the
-transition, the post-action one at the transition's own turn.
+fresh GRU parameters.  A sampled transition carries one right-aligned
+window of W+1 turns ending at its own turn: its first W rows are the
+pre-action history, its last W the post-action one.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from .belief import history_windows
 
 @dataclass
 class TransitionBatch:
-    prev_slates: np.ndarray   # [B, W, k] history before the turn
-    prev_clicks: np.ndarray
-    prev_lengths: np.ndarray  # [B] real rows, right aligned
-    next_slates: np.ndarray   # [B, W, k] history including the turn
-    next_clicks: np.ndarray
-    next_lengths: np.ndarray
+    slates: np.ndarray        # [B, W+1, k] history up to and including the turn
+    clicks: np.ndarray
+    prev_lengths: np.ndarray  # [B] real rows of slates[:, :-1], the history before the turn
+    next_lengths: np.ndarray  # [B] real rows of slates[:, 1:], the history including it
     actions: np.ndarray       # [B, d]
     rewards: np.ndarray       # [B]
     dones: np.ndarray         # [B] in {0.0, 1.0}
@@ -85,11 +84,9 @@ class ReplayBuffer:
         slates, clicks = history_windows(self._slates, self._clicks, rows + 1,
                                          np.minimum(turns + 1, w + 1), w + 1)
         return TransitionBatch(
-            prev_slates=slates[:, :-1],
-            prev_clicks=clicks[:, :-1],
+            slates=slates,
+            clicks=clicks,
             prev_lengths=np.minimum(turns, w),
-            next_slates=slates[:, 1:],
-            next_clicks=clicks[:, 1:],
             next_lengths=np.minimum(turns + 1, w),
             actions=self._actions[rows],
             rewards=self._rewards[rows],

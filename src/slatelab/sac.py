@@ -4,7 +4,10 @@ Clipped double-Q with target networks and a tanh-squashed Gaussian
 actor.  The belief GRU lives in the critic's parameter store and is
 trained by the critic loss alone; the actor sees beliefs as constants.
 Updates recompute beliefs from the raw histories in the replay batch,
-so sampled transitions always use the current GRU weights.
+so sampled transitions always use the current GRU weights.  The losses
+take the GRU inputs of the batch's [B, W+1, k] window, built once per
+update by ``BeliefEncoder._inputs``; the pre-action belief runs over its
+first W rows and the post-action one over its last W.
 
 The policy has one definition, :func:`actor_stats` and
 :func:`squashed_log_prob` over graph tensors.  ``actor_loss`` builds it as a
@@ -127,14 +130,14 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
     return a[0] if single else a
 
 
-def td_target(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
-              rng: np.random.Generator) -> np.ndarray:
+def td_target(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
+              cfg: SacConfig, rng: np.random.Generator) -> np.ndarray:
     """y = r + gamma*(1-done)*(min Q' - alpha*log pi') with a' freshly sampled.
 
-    Computed under ``no_grad``: the target is a constant of the critic loss.
+    ``inputs`` holds the values of the batch window's GRU inputs.  Computed
+    under ``no_grad``: the target is a constant of the critic loss.
     """
-    next_hidden = model.belief.recompute_array(batch.next_slates, batch.next_clicks,
-                                               batch.next_lengths)
+    next_hidden = model.belief.recompute_array(inputs[:, 1:], batch.next_lengths)
     with ad.no_grad():
         mu, log_sigma = actor_stats(model, ad.constant(next_hidden))
         u = mu.value + np.exp(log_sigma.value) * rng.standard_normal(mu.shape)
@@ -145,20 +148,20 @@ def td_target(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
     return batch.rewards + cfg.gamma * (1.0 - batch.dones) * (tq - cfg.alpha * next_log_pi)
 
 
-def critic_loss(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
-                rng: np.random.Generator,
+def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
+                cfg: SacConfig, rng: np.random.Generator,
                 target: Optional[np.ndarray] = None) -> Tuple[Tensor, dict]:
     """Mean over the batch and both critics of (Q(s,a) - y)^2.
 
-    The target is recomputed unless given; passing one keeps y fixed while
+    ``inputs`` is the batch window's GRU input node.  The target is
+    recomputed from its values unless given; passing one keeps y fixed while
     parameters are varied (e.g. by a finite-difference oracle), matching
     the no-gradient-through-y semantics exactly.
     """
     b = batch.actions.shape[0]
-    y = td_target(model, batch, cfg, rng) if target is None else target
+    y = td_target(model, batch, inputs.value, cfg, rng) if target is None else target
 
-    hidden = model.belief.recompute_graph(batch.prev_slates, batch.prev_clicks,
-                                          batch.prev_lengths)
+    hidden = model.belief.recompute_graph(inputs[:, :-1], batch.prev_lengths)
     q_in = ad.concat([hidden, ad.constant(batch.actions)], axis=-1)
     q1 = ad.reshape(model.q1(q_in), (b,))
     q2 = ad.reshape(model.q2(q_in), (b,))
@@ -171,12 +174,12 @@ def critic_loss(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
     return loss, diag
 
 
-def actor_loss(model: SacModel, batch: TransitionBatch, cfg: SacConfig,
-               rng: np.random.Generator) -> Tuple[Tensor, dict]:
-    """mean(alpha*log pi - min Q); beliefs and critic weights enter as
-    constants, so only actor parameters receive gradients."""
-    hidden = model.belief.recompute_array(batch.prev_slates, batch.prev_clicks,
-                                          batch.prev_lengths)
+def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
+               cfg: SacConfig, rng: np.random.Generator) -> Tuple[Tensor, dict]:
+    """mean(alpha*log pi - min Q) over the batch window's GRU input values;
+    beliefs and critic weights enter as constants, so only actor parameters
+    receive gradients."""
+    hidden = model.belief.recompute_array(inputs[:, :-1], batch.prev_lengths)
     b, d = hidden.shape[0], cfg.action_dim
     hidden = ad.constant(hidden)
     mu, log_sigma = actor_stats(model, hidden)
@@ -200,10 +203,14 @@ def sac_update(model: SacModel, buffer: ReplayBuffer, cfg: SacConfig,
     if len(buffer) < cfg.batch_size:
         raise ValueError("replay buffer holds fewer transitions than a batch")
     batch = buffer.sample(cfg.batch_size, rng)
-    c_loss, c_diag = critic_loss(model, batch, cfg, rng)
+    inputs = model.belief._inputs(batch.slates, batch.clicks)
+    c_loss, c_diag = critic_loss(model, batch, inputs, cfg, rng)
     ad.backward(c_loss)
     adam_step(model.critic_store, model.critic_adam)
-    a_loss, a_diag = actor_loss(model, batch, cfg, rng)
+    x = inputs.value
+    if model.belief.trainable_table:        # the critic step moved the table
+        x = model.belief._input_values(batch.slates, batch.clicks)
+    a_loss, a_diag = actor_loss(model, batch, x, cfg, rng)
     ad.backward(a_loss)
     adam_step(model.actor_store, model.actor_adam)
     polyak_update(model.target_store, model.critic_store, cfg.tau)

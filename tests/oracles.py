@@ -2,16 +2,22 @@
 
 Everything here is deliberately written without importing the library's own
 numerics (beyond data containers), so a bug in the package cannot hide in
-its own test oracle.  The one exception is :func:`reference_gems_loss`: it
-is the GeMS loss built from the unfused autodiff primitives, the reference
-that the fused slot-reconstruction op must match bit for bit.
+its own test oracle.  Two exceptions lean on autodiff's node and check
+helpers.  :func:`reference_gems_loss` is the GeMS loss built from the
+unfused autodiff primitives, the reference that the fused
+slot-reconstruction op must match bit for bit.  :func:`reference_gru_window`
+and :func:`reference_gru_sequence` are the batch-major, one-step-at-a-time
+GRU window and its BPTT that the feature-major kernel replaced, kept as the
+reference it must match to 1e-12.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from slatelab import autodiff as ad
+from slatelab.autodiff import Tensor, _check_finite, _node, _sigmoid
 from slatelab.gems import GemsLossParts
 
 
@@ -110,3 +116,100 @@ def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     parts = GemsLossParts(total=total.item(), slate_nll=slate_nll.item(),
                           click_nll=click_nll.item(), kl=kl.item())
     return total, parts
+
+
+def reference_gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
+                         b: np.ndarray, mask: Optional[np.ndarray] = None,
+                         tape: Optional[list] = None) -> np.ndarray:
+    """Value-only GRU over a window: h0 [B, H], x [B, T, in] -> h_T [B, H].
+
+    Gates are fused column blocks (z, r, n) of W [in, 3H], U [H, 3H] and
+    b [3H]:
+
+        z = sigmoid(x Wz + h Uz + bz)
+        r = sigmoid(x Wr + h Ur + br)
+        n = tanh(x Wn + r * (h Un) + bn)
+        h' = (1 - z) * h + z * n
+
+    A [B, T] 0/1 mask keeps a row's state where it is 0:
+    h_t = m * h' + (1 - m) * h_{t-1}.  Every step's pre-activations are
+    checked for finiteness.  With a ``tape`` list, each step appends
+    (h_prev, [z | r], n, h Un) for :func:`reference_gru_sequence`'s backward pass.
+    """
+    H = h0.shape[-1]
+    h = h0
+    for t in range(x.shape[1]):
+        pre = x[:, t] @ W
+        gh = h @ U
+        pre[:, :2 * H] += gh[:, :2 * H]
+        pre[:, :2 * H] += b[:2 * H]
+        zr = _sigmoid(pre[:, :2 * H])
+        z, r = zr[:, :H], zr[:, H:]
+        gh_n = gh[:, 2 * H:]
+        pre[:, 2 * H:] += r * gh_n
+        pre[:, 2 * H:] += b[2 * H:]
+        _check_finite(pre, "gru-sequence")
+        n = np.tanh(pre[:, 2 * H:])
+        h_new = (1.0 - z) * h + z * n
+        if mask is not None:
+            m = mask[:, t, None]
+            h_new = m * h_new + (1.0 - m) * h
+        if tape is not None:
+            tape.append((h, zr, n, gh_n))
+        h = h_new
+    return h
+
+
+def reference_gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
+                           mask: Optional[np.ndarray] = None) -> Tensor:
+    """A whole GRU window (see :func:`reference_gru_window`) as one node.
+
+    The VJP is masked backprop through time, accumulating the weight
+    gradients one step at a time; each step's gate and state gradients are
+    checked for finiteness.
+    """
+    if x.value.ndim != 3 or x.shape[2] != W.shape[0] or h0.shape[-1] != U.shape[0]:
+        raise ValueError("gru_sequence input/hidden shape mismatch")
+    tape = [] if any(p.needs_grad for p in (h0, x, W, U, b)) else None
+    v = reference_gru_window(h0.value, x.value, W.value, U.value, b.value, mask, tape)
+
+    def vjp(g):
+        H = U.shape[0]
+        xv, Wv, Uv = x.value, W.value, U.value
+        dx = np.zeros_like(xv) if x.needs_grad else None
+        dW = np.zeros_like(Wv) if W.needs_grad else None
+        dU = np.zeros_like(Uv) if U.needs_grad else None
+        db = np.zeros_like(b.value) if b.needs_grad else None
+        dh = g
+        for t in reversed(range(len(tape))):
+            h_prev, zr, n, gh_n = tape[t]
+            z, r = zr[:, :H], zr[:, H:]
+            if mask is not None:
+                m = mask[:, t, None]
+                dh_keep = (1.0 - m) * dh
+                dh = m * dh
+            d = np.empty((g.shape[0], 3 * H))       # dL/d(pre-activations)
+            d[:, :H] = dh * (n - h_prev) * (z * (1.0 - z))
+            d[:, 2 * H:] = dh * z * (1.0 - n * n)
+            d[:, H:2 * H] = d[:, 2 * H:] * gh_n * (r * (1.0 - r))
+            _check_finite(d, "gru-sequence")
+            if dW is not None:
+                dW += xv[:, t].T @ d
+            if db is not None:
+                db += d.sum(axis=0)
+            if dx is not None:
+                dx[:, t] = d @ Wv.T
+            d[:, 2 * H:] *= r                       # now dL/d(h U)
+            if dU is not None:
+                dU += h_prev.T @ d
+            if t == 0 and not h0.needs_grad:
+                break
+            dh_prev = d @ Uv.T
+            dh_prev += dh * (1.0 - z)
+            if mask is not None:
+                dh_prev += dh_keep
+            _check_finite(dh_prev, "gru-sequence")
+            dh = dh_prev
+        return (dh if h0.needs_grad else None, dx, dW, dU, db)
+
+    return _node("gru-sequence", v, (h0, x, W, U, b), vjp)

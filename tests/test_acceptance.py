@@ -55,6 +55,7 @@ from slatelab.simulator import (
 from slatelab.stats import confidence_interval, welch_t_test
 
 from oracles import finite_difference_grads, max_relative_error, mc_gaussian_kl
+from test_agents import window_inputs
 from test_gems import batch as gems_batch
 
 
@@ -126,7 +127,8 @@ def _fd_sac_actor(seed):
     cfg, model, batch = _sac_fixture(seed)
 
     def graph():
-        return actor_loss(model, batch, cfg, substream(seed, "eps"))[0]
+        return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+                          substream(seed, "eps"))[0]
 
     _assert_grads_match(model.actor_store, lambda: graph().item(), graph)
 
@@ -134,10 +136,11 @@ def _fd_sac_actor(seed):
 def _fd_sac_critic(seed):
     cfg, model, batch = _sac_fixture(seed)
     # the TD target is a constant of the loss; hold it fixed while differencing
-    y = td_target(model, batch, cfg, substream(seed, "eps"))
+    y = td_target(model, batch, window_inputs(model, batch).value, cfg, substream(seed, "eps"))
 
     def graph():
-        return critic_loss(model, batch, cfg, substream(seed, "eps"), target=y)[0]
+        return critic_loss(model, batch, window_inputs(model, batch), cfg,
+                           substream(seed, "eps"), target=y)[0]
 
     _assert_grads_match(model.critic_store, lambda: graph().item(), graph)
 
@@ -419,9 +422,8 @@ def test_criterion_10_sac_reaches_bandit_optimum_on_all_seeds():
         for _ in range(2000):
             sac_update(model, buf, cfg, rng)
         for ctx, target in ((1, 0.5), (0, -0.5)):
-            h = model.belief.recompute_array(np.array([[[0]]]),
-                                             np.array([[[float(ctx)]]]),
-                                             np.array([1]))[0]
+            x = model.belief._input_values(np.array([[[0]]]), np.array([[[float(ctx)]]]))
+            h = model.belief.recompute_array(x, np.array([1]))[0]
             a = select_action(model, h, "mean")[0]
             reward = 1.0 - (a - target) ** 2
             assert reward >= 0.9, (seed, ctx, a)

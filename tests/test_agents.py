@@ -37,6 +37,11 @@ from slatelab.sac import (
 from oracles import finite_difference_grads, max_relative_error
 
 
+def window_inputs(model, batch):
+    """The GRU input node of a replay batch's window, built as sac_update does."""
+    return model.belief._inputs(batch.slates, batch.clicks)
+
+
 def small_table(num_items=12, dim=3, seed=0):
     return substream(seed, "table").normal(0.0, 0.5, (num_items, dim))
 
@@ -141,9 +146,9 @@ def test_recompute_matches_sequential_updates_and_truncates():
 
     window_s = slates[None, 3:6]
     window_c = clicks[None, 3:6]
-    arr = enc.recompute_array(window_s, window_c, np.array([3]))
+    arr = enc.recompute_array(enc._input_values(window_s, window_c), np.array([3]))
     assert np.allclose(arr[0], b.hidden, atol=1e-12)
-    graph = enc.recompute_graph(window_s, window_c, np.array([3]))
+    graph = enc.recompute_graph(enc._inputs(window_s, window_c), np.array([3]))
     assert np.allclose(graph.value[0], b.hidden, atol=1e-12)
 
 
@@ -162,9 +167,9 @@ def test_recompute_handles_short_histories_right_aligned():
     # garbage in the masked rows must not leak into the result
     padded_s[0, 0] = [11, 11]
     padded_c[0, 0] = [1.0, 1.0]
-    out = enc.recompute_array(padded_s, padded_c, np.array([2]))
+    out = enc.recompute_array(enc._input_values(padded_s, padded_c), np.array([2]))
     assert np.allclose(out[0], b.hidden, atol=1e-12)
-    zero = enc.recompute_array(padded_s, padded_c, np.array([0]))
+    zero = enc.recompute_array(enc._input_values(padded_s, padded_c), np.array([0]))
     assert np.all(zero == 0.0)
 
 
@@ -178,10 +183,10 @@ def test_belief_gradient_through_chained_updates_matches_fd():
     lengths = np.array([3])
 
     def loss_fn():
-        h = enc.recompute_graph(slates, clicks, lengths)
+        h = enc.recompute_graph(enc._inputs(slates, clicks), lengths)
         return ad.mean(ad.square(h)).item()
 
-    loss = ad.mean(ad.square(enc.recompute_graph(slates, clicks, lengths)))
+    loss = ad.mean(ad.square(enc.recompute_graph(enc._inputs(slates, clicks), lengths)))
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in store.items()}
     fd = finite_difference_grads(store, loss_fn)
@@ -200,7 +205,7 @@ def test_learned_table_gradient_through_short_windows_matches_fd():
     w = substream(10, "w").normal(0.0, 1.0, (3, 4))
 
     def graph():
-        h = enc.recompute_graph(slates, clicks, lengths)
+        h = enc.recompute_graph(enc._inputs(slates, clicks), lengths)
         return ad.sum_(ad.mul(ad.square(h), ad.constant(w)))
 
     ad.backward(graph())
@@ -237,10 +242,10 @@ def test_graph_size_does_not_grow_with_the_window():
     sizes = {}
     for window in (2, 20):
         cfg, model, batch = _critic_fixture(window)
-        hidden = model.belief.recompute_graph(batch.prev_slates, batch.prev_clicks,
+        hidden = model.belief.recompute_graph(window_inputs(model, batch)[:, :-1],
                                               batch.prev_lengths)
         assert [n.op for n in _graph_nodes(hidden)].count("gru-sequence") == 1
-        loss, _ = critic_loss(model, batch, cfg, substream(0, "eps"))
+        loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
         nodes = _graph_nodes(loss)
         assert [n.op for n in nodes].count("gru-sequence") == 1
         sizes[window] = len(nodes)
@@ -287,13 +292,13 @@ def test_buffer_windows_split_into_prev_and_next_histories():
     batch = buf.sample(3, TakeAll())
     # turn 0: empty previous history, next history holds just turn 0
     assert batch.prev_lengths[0] == 0 and batch.next_lengths[0] == 1
-    assert np.array_equal(batch.next_slates[0, -1], [1, 2])
+    assert np.array_equal(batch.slates[0, -1], [1, 2])
     # turn 2: previous = turns 0..1, next = turns 0..2, right aligned
     assert batch.prev_lengths[2] == 2 and batch.next_lengths[2] == 3
-    assert np.array_equal(batch.prev_slates[2, -1], [3, 4])
-    assert np.array_equal(batch.prev_slates[2, -2], [1, 2])
-    assert np.array_equal(batch.next_slates[2], [[1, 2], [3, 4], [5, 6]])
-    assert np.array_equal(batch.next_clicks[2, 2], [0.0, 1.0])
+    assert np.array_equal(batch.slates[2, -2], [3, 4])
+    assert np.array_equal(batch.slates[2, -3], [1, 2])
+    assert np.array_equal(batch.slates[2, 1:], [[1, 2], [3, 4], [5, 6]])
+    assert np.array_equal(batch.clicks[2, 3], [0.0, 1.0])
     assert batch.dones[2] == 1.0 and batch.dones[0] == 0.0
 
 
@@ -315,11 +320,11 @@ def test_buffer_windows_match_the_pushed_turns_after_the_ring_wraps():
     for b, n in enumerate(batch.rewards.astype(int)):
         _, _, t, done = pushed[n]
         episode = pushed[n - t:n + 1]  # this episode's turns up to n
-        for name, rows in (("prev", episode[:-1][-window:]), ("next", episode[-window:])):
+        for name, rows, cut in (("prev", episode[:-1][-window:], slice(None, -1)),
+                                ("next", episode[-window:], slice(1, None))):
             length = getattr(batch, name + "_lengths")[b]
             assert length == len(rows)
-            slates = getattr(batch, name + "_slates")[b]
-            clicks = getattr(batch, name + "_clicks")[b]
+            slates, clicks = batch.slates[b, cut], batch.clicks[b, cut]
             assert not slates[:window - length].any() and not clicks[:window - length].any()
             assert np.array_equal(slates[window - length:],
                                   np.reshape([r[0] for r in rows], (-1, 2)))
@@ -336,8 +341,8 @@ def test_push_after_a_done_transition_starts_an_empty_history():
     batch = buf.sample(3, TakeAll())
     assert list(batch.prev_lengths) == [0, 1, 0]
     assert list(batch.next_lengths) == [1, 2, 1]
-    assert not batch.prev_slates[2].any()
-    assert np.array_equal(batch.next_slates[2], [[0], [0], [3]])
+    assert not batch.slates[2, :-1].any()
+    assert np.array_equal(batch.slates[2, 1:], [[0], [0], [3]])
 
 
 def test_history_windows_match_hand_built_windows():
@@ -496,7 +501,7 @@ def test_critic_loss_equals_hand_computed_td_error():
     cfg, model = tiny_sac(alpha=0.0, gamma=0.5)
     hand_set_critics(model)
     batch = one_transition_batch()
-    loss, diag = critic_loss(model, batch, cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
     # y = 2 + 0.5 * min(0.6, 0.9) = 2.3
     # q1 = 2*relu(0.7*0.4 + 0.1) - 0.2 = 0.56 ; q2 = 1.5*relu(0.4*0.4 + 0.05) + 0.3 = 0.615
     expected = 0.5 * ((0.56 - 2.3) ** 2 + (0.615 - 2.3) ** 2)
@@ -508,13 +513,13 @@ def test_done_transition_target_ignores_next_state():
     cfg, model = tiny_sac(alpha=0.0, gamma=0.5)
     hand_set_critics(model)
     batch = one_transition_batch(done=True)
-    loss, diag = critic_loss(model, batch, cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
     expected = 0.5 * ((0.56 - 2.0) ** 2 + (0.615 - 2.0) ** 2)
     assert abs(loss.item() - expected) < 1e-12
     # perturbing the target networks must not change the loss when done
     model.target_store["q1.l1.b"].value[...] = [123.0]
     model.target_store["q2.l1.b"].value[...] = [-55.0]
-    again, _ = critic_loss(model, batch, cfg, substream(0, "eps"))
+    again, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
     assert abs(again.item() - loss.item()) < 1e-12
 
 
@@ -527,7 +532,7 @@ def test_gamma_zero_target_reduces_to_reward():
     model.critic_store["q2.l0.b"].value[...] = [0.1]
     model.critic_store["q2.l1.W"].value[...] = [[2.0]]
     model.critic_store["q2.l1.b"].value[...] = [-0.2]
-    loss, diag = critic_loss(model, batch, cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
     assert abs(diag["mean_target"] - 0.56) < 1e-12
     assert loss.item() < 1e-24
 
@@ -542,7 +547,7 @@ def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
     buf = ReplayBuffer(capacity=2, window=1, slate_size=1, action_dim=2)
     buf.push([0], [1.0], [0.1, -0.2], 1.0, False)
     batch = buf.sample(2, substream(0, "s"))
-    loss, _ = actor_loss(model, batch, cfg, substream(0, "eps"))
+    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg, substream(0, "eps"))
     ad.backward(loss)
     for name, p in model.actor_store.items():
         assert np.all(p.grad == 0.0), name
@@ -574,9 +579,11 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     batch = buf.sample(5, substream(12, "s"))
 
     def loss_fn():
-        return actor_loss(model, batch, cfg, substream(12, "eps"))[0].item()
+        return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+                          substream(12, "eps"))[0].item()
 
-    loss, _ = actor_loss(model, batch, cfg, substream(12, "eps"))
+    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+                         substream(12, "eps"))
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in model.actor_store.items()}
     fd = finite_difference_grads(model.actor_store, loss_fn)
@@ -597,12 +604,14 @@ def test_critic_loss_gradient_matches_fd_including_belief():
     batch = buf.sample(4, substream(13, "s"))
     # the TD target is a constant of the loss; hold it fixed while
     # differencing, as autodiff does by construction
-    y = td_target(model, batch, cfg, substream(13, "eps"))
+    y = td_target(model, batch, window_inputs(model, batch).value, cfg, substream(13, "eps"))
 
     def loss_fn():
-        return critic_loss(model, batch, cfg, substream(13, "eps"), target=y)[0].item()
+        return critic_loss(model, batch, window_inputs(model, batch), cfg,
+                           substream(13, "eps"), target=y)[0].item()
 
-    loss, _ = critic_loss(model, batch, cfg, substream(13, "eps"), target=y)
+    loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg,
+                          substream(13, "eps"), target=y)
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in model.critic_store.items()}
     model.critic_store.zero_grad()
@@ -683,6 +692,56 @@ def test_sac_update_requires_a_full_batch():
     buf.push([0], [0.0], [0.1], 1.0, True)
     with pytest.raises(ValueError):
         sac_update(model, buf, cfg, substream(0, "u"))
+
+
+def one_slot_buffer(seed, window=2, turns=10):
+    buf = ReplayBuffer(capacity=16, window=window, slate_size=1, action_dim=2)
+    roll = substream(seed, "roll")
+    for t in range(turns):
+        buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4)
+    return buf
+
+
+def test_sac_update_builds_the_window_inputs_once(monkeypatch):
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=23)
+    builds = []
+    real = BeliefEncoder._inputs
+
+    def counting(self, slates, clicks):
+        builds.append(np.shape(slates))
+        return real(self, slates, clicks)
+
+    monkeypatch.setattr(BeliefEncoder, "_inputs", counting)
+    sac_update(model, one_slot_buffer(23), cfg, substream(23, "upd"))
+    assert builds == [(4, 3, 1)]  # one [B, W+1, k] window for all three recomputes
+
+
+def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
+    cfg = SacConfig(action_dim=2, hidden=(6,), batch_size=4)
+    bcfg = BeliefConfig(belief_dim=3, item_source="learned", truncation=2)
+    table = small_table(num_items=4, dim=2, seed=24)
+    model = SacModel(cfg, bcfg, 1, table, substream(24, "init"))
+    batches, beliefs = [], []
+    sample, recompute = ReplayBuffer.sample, BeliefEncoder.recompute_array
+
+    def recording_sample(self, n, rng):
+        batches.append(sample(self, n, rng))
+        return batches[-1]
+
+    def recording_recompute(self, x, lengths):
+        beliefs.append((x, recompute(self, x, lengths)))
+        return beliefs[-1][1]
+
+    monkeypatch.setattr(ReplayBuffer, "sample", recording_sample)
+    monkeypatch.setattr(BeliefEncoder, "recompute_array", recording_recompute)
+    sac_update(model, one_slot_buffer(24), cfg, substream(24, "upd"))
+    (batch,), (actor_x, actor_h) = batches, beliefs[-1]
+    fresh = model.belief._input_values(batch.slates, batch.clicks)[:, :-1]
+    stale = np.concatenate([table[batch.slates], batch.clicks[..., None]], axis=-1)
+    assert not np.array_equal(actor_x, stale[:, :-1].reshape(actor_x.shape))
+    np.testing.assert_array_equal(actor_x, fresh)
+    np.testing.assert_array_equal(actor_h, recompute(model.belief, fresh, batch.prev_lengths))
 
 
 def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
@@ -829,7 +888,7 @@ def test_reinforce_update_gradient_matches_fd():
     ws, wc = history_windows(episode.slates, episode.clicks, np.arange(3), wl, window)
 
     def build_loss():
-        hidden = pol.belief.recompute_graph(ws, wc, wl)
+        hidden = pol.belief.recompute_graph(pol.belief._inputs(ws, wc), wl)
         log_probs = ad.log_softmax(pol.head(hidden))
         lp = ad.pick(log_probs, episode.slates[:, 0])
         for j in range(1, 2):

@@ -8,7 +8,13 @@ from slatelab.nn import GruCell, Mlp
 from slatelab.optim import AdamConfig, ParameterStore, adam_step, polyak_update
 from slatelab import rng as rngmod
 
-from oracles import finite_difference_grads, max_relative_error, reference_adam_trajectory
+from oracles import (
+    finite_difference_grads,
+    max_relative_error,
+    reference_adam_trajectory,
+    reference_gru_sequence,
+    reference_gru_window,
+)
 
 
 def autodiff_grads(store, build):
@@ -408,6 +414,33 @@ def test_gru_sequence_equals_single_steps():
         np.testing.assert_array_equal(cell.sequence_array(h0, x, mask), h)
 
 
+@pytest.mark.parametrize("B, T, n_in, H, lengths", [
+    (3, 1, 4, 5, None),                     # a one-step window
+    (1, 6, 4, 5, None),                     # a single row
+    (4, 5, 3, 2, [0, 2, 5, 1]),             # empty, short and full histories
+    (256, 20, 90, 64, "mixed"),             # the paper's update shape
+])
+def test_gru_kernel_matches_the_per_step_reference(B, T, n_in, H, lengths):
+    rng = np.random.default_rng(B + T)
+    if lengths == "mixed":
+        lengths = np.concatenate([[0, 1, T], rng.integers(0, T + 1, B - 3)])
+    mask = None if lengths is None else _right_aligned_mask(T, lengths)
+    operands = (rng.uniform(-1, 1, (B, H)), rng.normal(0.0, 1.0, (B, T, n_in)),
+                rng.normal(0.0, n_in ** -0.5, (n_in, 3 * H)),
+                rng.normal(0.0, H ** -0.5, (H, 3 * H)), rng.normal(0.0, 0.3, 3 * H))
+    w = rng.normal(0.0, 1.0, (B, H))
+    np.testing.assert_allclose(ad.gru_window(*operands, mask),
+                               reference_gru_window(*operands, mask), rtol=0, atol=1e-12)
+    results = []
+    for sequence in (ad.gru_sequence, reference_gru_sequence):
+        leaves = [Tensor(a) for a in operands]
+        out = sequence(*leaves, mask)
+        backward(ad.sum_(ad.mul(out, ad.constant(w))))
+        results.append([out.value] + [t.grad for t in leaves])
+    for name, got, want in zip(("h_T", "h0", "x", "W", "U", "b"), *results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
 def _two_branch_sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -490,6 +523,20 @@ def test_gru_sequence_nonfinite_input_raises():
     cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(0))
     x = np.zeros((2, 3, 3))
     x[1, 2, 0] = np.inf  # saturated gates would hide it in the output alone
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence(ad.constant(np.zeros((2, 4))), ad.constant(x))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence_array(np.zeros((2, 4)), x)
+
+
+def test_gru_sequence_overflow_in_the_gate_block_raises():
+    # x Wz + bz overflows to +inf in one z column only; squashed, that gate
+    # would read a finite 1, so only the pre-activation check can see it
+    store = ParameterStore()
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(0))
+    store["gru.W"].value[:, 0] = 1e307
+    store["gru.b"].value[0] = 1.7e308
+    x = np.ones((2, 3, 3))
     with pytest.raises(NonFiniteError, match="gru-sequence"):
         cell.sequence(ad.constant(np.zeros((2, 4))), ad.constant(x))
     with pytest.raises(NonFiniteError, match="gru-sequence"):

@@ -64,6 +64,9 @@ def test_invalid_choices_raise():
         for value in ("0", "-1"):
             with pytest.raises(ValueError, match=f"{key} must be at least 1"):
                 build_config({key: value})
+    with pytest.raises(ValueError, match="never update"):
+        build_config({"buffer_capacity": "10", "batch_size": "16"})
+    build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})
 
 
 def test_method_label_variants():
