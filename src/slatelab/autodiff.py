@@ -1,9 +1,13 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 Graphs are built define-by-run: every primitive allocates a fresh node and
 ``backward`` walks the tape once, accumulating gradients by the chain rule.
-Sized for the small MLP/GRU/VAE workloads in this package: float64 only,
-no views, no GPU.  Three fused ops keep graphs and their arrays small:
+Sized for the small MLP/GRU/VAE workloads in this package: no views, no
+GPU.  A graph computes in the dtype of its operands, which follow the
+parameters: float32 and float64 arrays are kept as they are, anything else
+becomes float64, and Python-float constants stay weak scalars, so nothing
+upcasts a float32 graph.  Array constants are made in the graph's dtype by
+their callers.  Three fused ops keep graphs and their arrays small:
 :func:`mlp` (a fully connected stack as one node) and :func:`gru_sequence`
 (a masked GRU window as one node, with backprop through time), each over a
 value-only kernel that inference calls directly (:func:`mlp_values`,
@@ -57,7 +61,8 @@ def _check_finite(a: np.ndarray, op: str) -> None:
 
 
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
 class Tensor:
@@ -263,8 +268,8 @@ def softmax_pick(x: Tensor, table: np.ndarray, idx: np.ndarray) -> Tensor:
     n = xv.shape[0]
     starts = list(range(0, max(n - _SOFTMAX_PICK_BLOCK, 0) + 1, _SOFTMAX_PICK_BLOCK))
     blocks = list(zip(starts, starts[1:] + [n]))
-    lse = np.empty((n, 1))
-    v = np.empty(n)
+    lse = np.empty((n, 1), xv.dtype)
+    v = np.empty(n, xv.dtype)
     for lo, hi in blocks:
         logits = xv[lo:hi] @ table_t
         _check_finite(logits, "softmax-pick")
@@ -358,7 +363,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
-    return _node("sum", np.asarray(v, dtype=np.float64), (a,), vjp)
+    return _node("sum", v, (a,), vjp)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -456,9 +461,9 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
     xt = x.transpose(1, 2, 0)
     gates = np.matmul(W.T, xt)
     gates += b[:, None]
-    hs = np.empty((T + 1, H, B))
+    hs = np.empty((T + 1, H, B), gates.dtype)
     hs[0] = h0.T
-    gh_n = None if tape is None else np.empty((T, H, B))
+    gh_n = None if tape is None else np.empty((T, H, B), gates.dtype)
     for t in range(T):
         h = hs[t]
         gh = U.T @ h
@@ -502,7 +507,7 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
     def vjp(g):
         xt, gates, gh_n, hs = tape
         T, H = gates.shape[0], U.shape[0]
-        d = np.empty((T, 4 * H, g.shape[0]))
+        d = np.empty((T, 4 * H, g.shape[0]), gates.dtype)
         dh = g.T
         for t in reversed(range(T)):
             z, r, n = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:]
@@ -589,7 +594,7 @@ def backward(root: Tensor) -> None:
                 # parent alone, or node.grad itself or a view of it, which
                 # several parents may share: only those are copied.
                 fresh = type(g) is np.ndarray and g.base is None and g is not node.grad
-                parent.grad = g if fresh else np.array(g, dtype=np.float64)
+                parent.grad = g if fresh else np.array(g, dtype=parent.value.dtype)
             else:
                 parent.grad += g
 
@@ -604,7 +609,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     bit, far cheaper than np.where with a scalar operand or boolean-mask
     indexing.  Working in place saves allocating a temporary per step.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_array(x)
     e = np.abs(x, out=np.empty_like(x))     # out= keeps 0-d inputs arrays
     np.negative(e, out=e)
     np.exp(e, out=e)

@@ -80,13 +80,14 @@ class BeliefEncoder:
     Parameters live in the caller's store (shared with the critics, so
     one backward/optimizer pass trains both).  With item_source
     "learned" the embedding table is a trainable entry of that store;
-    otherwise the given table is kept frozen outside the store.
+    otherwise the given table is kept frozen outside the store.  The
+    table, GRU inputs, masks and hidden states take the store's dtype.
     """
 
     def __init__(self, store: ParameterStore, cfg: BeliefConfig, slate_size: int,
                  item_embeddings: np.ndarray, rng: np.random.Generator,
                  prefix: str = "belief"):
-        table = np.asarray(item_embeddings, dtype=np.float64)
+        table = np.asarray(item_embeddings, dtype=store.dtype)
         if table.ndim != 2:
             raise ValueError("item embedding table must be 2-D")
         self.cfg = cfg
@@ -95,6 +96,7 @@ class BeliefEncoder:
         self.item_dim = table.shape[1]
         self.prefix = prefix
         self.store = store
+        self.dtype = store.dtype
         self.trainable_table = cfg.item_source == "learned"
         if self.trainable_table:
             store.add(prefix + ".items", table.copy())
@@ -124,7 +126,7 @@ class BeliefEncoder:
         """[..., k] ids and clicks -> [..., k*(e+1)] per-slot [emb ‖ click] rows;
         one constant node unless a learned table takes a gradient."""
         ids = self._check_ids(slates)
-        cl = np.asarray(clicks, dtype=np.float64)[..., None]
+        cl = np.asarray(clicks, dtype=self.dtype)[..., None]
         shape = (*ids.shape[:-1], self.input_dim)
         if not (self.trainable_table and ad.grad_enabled()):
             return ad.constant(np.concatenate([self.table_value()[ids], cl], axis=-1)
@@ -140,19 +142,19 @@ class BeliefEncoder:
     # -- single-episode API ------------------------------------------------
 
     def init_belief(self) -> BeliefState:
-        return BeliefState(hidden=np.zeros(self.cfg.belief_dim), turn=0)
+        return BeliefState(hidden=np.zeros(self.cfg.belief_dim, self.dtype), turn=0)
 
     def update_belief(self, belief: BeliefState, slate, clicks) -> BeliefState:
         """One GRU step; pure, returns a new state."""
         x = self._input_values(np.asarray(slate, dtype=np.int64)[None, :],
-                               np.asarray(clicks, dtype=np.float64)[None, :])
+                               np.asarray(clicks)[None, :])
         h = self.cell.sequence_array(belief.hidden[None, :], x[:, None, :])
         return BeliefState(hidden=h[0], turn=belief.turn + 1)
 
     # -- batched API -------------------------------------------------------
 
     def init_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.cfg.belief_dim))
+        return np.zeros((batch, self.cfg.belief_dim), self.dtype)
 
     def step_hidden(self, hidden: np.ndarray, slates: np.ndarray,
                     clicks: np.ndarray) -> np.ndarray:
@@ -163,12 +165,12 @@ class BeliefEncoder:
     def recompute_array(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Belief from scratch over right-aligned [B, W, in] input windows,
         the values of :meth:`_inputs` for [B, W, k] histories."""
-        mask = _real_rows(x.shape[1], lengths).astype(np.float64)
+        mask = _real_rows(x.shape[1], lengths).astype(self.dtype)
         return self.cell.sequence_array(self.init_hidden(x.shape[0]), x, mask)
 
     def recompute_graph(self, x: Tensor, lengths: np.ndarray) -> Tensor:
         """recompute_array over an :meth:`_inputs` node as one gru-sequence
         node; gradients reach the GRU (and a learned table) through every
         unmasked step."""
-        mask = _real_rows(x.shape[1], lengths).astype(np.float64)
+        mask = _real_rows(x.shape[1], lengths).astype(self.dtype)
         return self.cell.sequence(ad.constant(self.init_hidden(x.shape[0])), x, mask)

@@ -16,8 +16,11 @@ Layout (all integers little-endian):
             m     float64[prod(dims)]
             v     float64[prod(dims)]
 
-Round-trips are bit-exact: values, Adam moments, step counts and metadata
-all survive save/load unchanged.
+Values are written as float64 whatever the store's dtype, which follows
+the parameters: a float32 value converts to float64 and back exactly.
+Loaded stores are float64; ``ParameterStore.load_state_from`` casts them
+into a model built in its own dtype.  Round-trips are bit-exact: values,
+Adam moments, step counts and metadata all survive save/load unchanged.
 """
 
 from __future__ import annotations

@@ -49,9 +49,10 @@ class Mlp:
                       self.activation)
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """The same kernel for inference; no graph is built."""
+        """The same kernel for inference, with x cast to the store's dtype;
+        no graph is built."""
         s = self.store
-        return ad.mlp_values(np.asarray(x, dtype=np.float64), [s[n].value for n in self._W],
+        return ad.mlp_values(np.asarray(x, dtype=s.dtype), [s[n].value for n in self._W],
                              [s[n].value for n in self._b], self.activation)
 
 

@@ -1,9 +1,11 @@
 """Named parameter storage and the Adam optimizer.
 
 A :class:`ParameterStore` owns every trainable array of one network
-component together with its gradient buffer and Adam moment estimates.
-Stores are confined to one worker at a time; parallel runs use
-independent stores.
+component together with its gradient buffer and Adam moment estimates, all
+in the store's dtype (float64 unless given; SAC uses float32).  The dtype
+follows the parameters: graphs over a store compute in it, and Adam and
+Polyak updates work in place in it.  Stores are confined to one worker at
+a time; parallel runs use independent stores.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .autodiff import Tensor, constant, grad_enabled
 class Param:
     __slots__ = ("value", "grad", "m", "v")
 
-    def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, value: np.ndarray, dtype=np.float64):
+        self.value = np.asarray(value, dtype=dtype)
         self.grad = np.zeros_like(self.value)
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
@@ -43,14 +45,15 @@ class AdamConfig:
 class ParameterStore:
     """Uniquely named parameters with paired gradient and Adam moment state."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
         self._entries: Dict[str, Param] = {}
         self.step_count = 0
+        self.dtype = np.dtype(dtype)
 
     def add(self, name: str, value: np.ndarray) -> Param:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(value)
+        p = Param(value, self.dtype)
         self._entries[name] = p
         return p
 

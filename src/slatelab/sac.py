@@ -15,6 +15,10 @@ graph; ``td_target`` and sampling in ``select_action`` run it under
 ``autodiff.no_grad``, and ``actor_loss`` scores its actions with the
 critics under ``no_grad`` too, so the action gets a gradient and the
 critics get none.
+
+The agent computes in ``SacConfig.dtype`` (float32 by default): its
+stores, beliefs and graphs take it, and batch actions, TD targets and
+Gaussian noise are cast to it where they enter a graph.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ class SacConfig:
     actor_lr: float = 0.003
     batch_size: int = 256
     hidden: tuple = (256, 256)
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.action_dim <= 0:
@@ -61,6 +66,8 @@ class SacConfig:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 class SacModel:
@@ -70,16 +77,17 @@ class SacModel:
                  item_embeddings: np.ndarray, rng: np.random.Generator):
         self.cfg = cfg
         self.belief_cfg = belief_cfg
-        self.critic_store = ParameterStore()
+        self.dtype = np.dtype(cfg.dtype)
+        self.critic_store = ParameterStore(self.dtype)
         self.belief = BeliefEncoder(self.critic_store, belief_cfg, slate_size,
                                     item_embeddings, rng)
         h, d = belief_cfg.belief_dim, cfg.action_dim
         critic_sizes = [h + d, *cfg.hidden, 1]
         self.q1 = Mlp(self.critic_store, "q1", critic_sizes, rng, "relu")
         self.q2 = Mlp(self.critic_store, "q2", critic_sizes, rng, "relu")
-        self.actor_store = ParameterStore()
+        self.actor_store = ParameterStore(self.dtype)
         self.actor = Mlp(self.actor_store, "pi", [h, *cfg.hidden, 2 * d], rng, "relu")
-        self.target_store = ParameterStore()
+        self.target_store = ParameterStore(self.dtype)
         for name, p in self.critic_store.items():
             if name.startswith(("q1.", "q2.")):
                 self.target_store.add(name, p.value.copy())
@@ -96,17 +104,19 @@ def actor_stats(model: SacModel, hidden: Tensor) -> Tuple[Tensor, Tensor]:
     out = model.actor(hidden)
     mid = 0.5 * (LOG_SIGMA_MIN + LOG_SIGMA_MAX)
     half = 0.5 * (LOG_SIGMA_MAX - LOG_SIGMA_MIN)
-    log_sigma = ad.add(ad.scale(ad.tanh(out[:, d:]), half), ad.constant(np.full((1, d), mid)))
+    log_sigma = ad.add(ad.scale(ad.tanh(out[:, d:]), half),
+                       ad.constant(np.full((1, d), mid, model.dtype)))
     return out[:, :d], log_sigma
 
 
 def squashed_log_prob(mu: Tensor, log_sigma: Tensor, u: Tensor) -> Tensor:
     """log pi(tanh(u)) [B] for u drawn from N(mu, diag(exp(log_sigma)^2))."""
+    dt = mu.value.dtype
     z = ad.mul(ad.add(u, ad.scale(mu, -1.0)), ad.exp(ad.scale(log_sigma, -1.0)))
     base = ad.add(ad.scale(ad.square(z), -0.5),
-                  ad.add(ad.scale(log_sigma, -1.0), ad.constant(-0.5 * _LOG_2PI)))
+                  ad.add(ad.scale(log_sigma, -1.0), ad.constant(dt.type(-0.5 * _LOG_2PI))))
     correction = ad.scale(
-        ad.add(ad.constant(np.log(2.0)),
+        ad.add(ad.constant(dt.type(np.log(2.0))),
                ad.add(ad.scale(u, -1.0),
                       ad.scale(ad.softplus(ad.scale(u, -2.0)), -1.0))), 2.0)
     return ad.sum_(ad.add(base, ad.scale(correction, -1.0)), axis=1)
@@ -116,7 +126,7 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Sample (or take the mode of) the squashed Gaussian policy."""
     single = np.asarray(hidden).ndim == 1
-    h = np.atleast_2d(np.asarray(hidden, dtype=np.float64))
+    h = np.atleast_2d(np.asarray(hidden, dtype=model.dtype))
     if mode == "mean":
         a = np.tanh(model.actor.forward_array(h)[:, :model.cfg.action_dim])
     elif mode == "sample":
@@ -124,7 +134,8 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
             raise ValueError("sampling requires an rng")
         with ad.no_grad():
             mu, log_sigma = actor_stats(model, ad.constant(h))
-        a = np.tanh(mu.value + np.exp(log_sigma.value) * rng.standard_normal(mu.shape))
+        noise = rng.standard_normal(mu.shape).astype(model.dtype)
+        a = np.tanh(mu.value + np.exp(log_sigma.value) * noise)
     else:
         raise ValueError(f"unknown action mode {mode!r}")
     return a[0] if single else a
@@ -140,7 +151,8 @@ def td_target(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
     next_hidden = model.belief.recompute_array(inputs[:, 1:], batch.next_lengths)
     with ad.no_grad():
         mu, log_sigma = actor_stats(model, ad.constant(next_hidden))
-        u = mu.value + np.exp(log_sigma.value) * rng.standard_normal(mu.shape)
+        noise = rng.standard_normal(mu.shape).astype(model.dtype)
+        u = mu.value + np.exp(log_sigma.value) * noise
         next_log_pi = squashed_log_prob(mu, log_sigma, ad.constant(u)).value
     target_in = np.concatenate([next_hidden, np.tanh(u)], axis=1)
     tq = np.minimum(model.target_q1.forward_array(target_in)[:, 0],
@@ -162,10 +174,10 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
     y = td_target(model, batch, inputs.value, cfg, rng) if target is None else target
 
     hidden = model.belief.recompute_graph(inputs[:, :-1], batch.prev_lengths)
-    q_in = ad.concat([hidden, ad.constant(batch.actions)], axis=-1)
+    q_in = ad.concat([hidden, ad.constant(batch.actions.astype(model.dtype))], axis=-1)
     q1 = ad.reshape(model.q1(q_in), (b,))
     q2 = ad.reshape(model.q2(q_in), (b,))
-    neg_y = ad.constant(-y)
+    neg_y = ad.constant((-y).astype(model.dtype))
     err = ad.add(ad.mean(ad.square(ad.add(q1, neg_y))),
                  ad.mean(ad.square(ad.add(q2, neg_y))))
     loss = ad.scale(err, 0.5)
@@ -183,7 +195,7 @@ def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
     b, d = hidden.shape[0], cfg.action_dim
     hidden = ad.constant(hidden)
     mu, log_sigma = actor_stats(model, hidden)
-    eps = rng.standard_normal((b, d))
+    eps = rng.standard_normal((b, d)).astype(model.dtype)
     u = ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps)))
     log_pi = squashed_log_prob(mu, log_sigma, u)
     q_in = ad.concat([hidden, ad.tanh(u)], axis=-1)

@@ -109,7 +109,9 @@ def _fd_gru(seed):
 
 
 def _sac_fixture(seed):
-    cfg = SacConfig(action_dim=2, alpha=0.3, gamma=0.7, hidden=(4,), batch_size=4)
+    # finite differences need float64; the agent trains in float32
+    cfg = SacConfig(action_dim=2, alpha=0.3, gamma=0.7, hidden=(4,), batch_size=4,
+                    dtype="float64")
     bcfg = BeliefConfig(belief_dim=3, item_source="mf", truncation=2)
     table = substream(seed, "table").normal(0.0, 0.5, (4, 2))
     model = SacModel(cfg, bcfg, 1, table, substream(seed, "init"))

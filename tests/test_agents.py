@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import slatelab.sac
 from slatelab import autodiff as ad
 from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState, history_windows
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
@@ -498,7 +499,8 @@ def one_transition_batch(action=0.4, reward=2.0, done=False):
 
 
 def test_critic_loss_equals_hand_computed_td_error():
-    cfg, model = tiny_sac(alpha=0.0, gamma=0.5)
+    # float64: the hand-computed loss is checked to 1e-12
+    cfg, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
     hand_set_critics(model)
     batch = one_transition_batch()
     loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
@@ -510,7 +512,7 @@ def test_critic_loss_equals_hand_computed_td_error():
 
 
 def test_done_transition_target_ignores_next_state():
-    cfg, model = tiny_sac(alpha=0.0, gamma=0.5)
+    cfg, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
     hand_set_critics(model)
     batch = one_transition_batch(done=True)
     loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
@@ -568,7 +570,7 @@ def nudge_biases(store, seed):
 
 def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     cfg, model = tiny_sac(alpha=0.3, hidden=(4,), action_dim=2, belief_dim=3,
-                          window=2, seed=12)
+                          window=2, seed=12, dtype="float64")   # FD needs float64
     nudge_biases(model.actor_store, 12)
     nudge_biases(model.critic_store, 12)
     buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
@@ -593,7 +595,7 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
 
 def test_critic_loss_gradient_matches_fd_including_belief():
     cfg, model = tiny_sac(alpha=0.2, gamma=0.7, hidden=(4,), action_dim=2,
-                          belief_dim=3, window=2, seed=13)
+                          belief_dim=3, window=2, seed=13, dtype="float64")
     nudge_biases(model.actor_store, 13)
     nudge_biases(model.critic_store, 13)
     buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
@@ -798,6 +800,169 @@ def test_losses_stay_finite_over_many_updates():
     for _ in range(300):
         d = sac_update(model, buf, cfg, rng)
         assert np.isfinite(d["critic_loss"]) and np.isfinite(d["actor_loss"])
+
+
+# ---------------------------------------------------------------------------
+# SAC in float32
+
+
+def graph_nodes(root):
+    """Every node of a graph, constants included."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def sac_arrays(model):
+    for store in (model.critic_store, model.actor_store, model.target_store):
+        for name, p in store.items():
+            yield from ((f"{name}.{part}", getattr(p, part))
+                        for part in ("value", "grad", "m", "v"))
+
+
+def test_float32_sac_update_upcasts_nothing(monkeypatch):
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=25)
+    assert cfg.dtype == "float32"
+    roots, backward = [], ad.backward
+
+    def recording_backward(root):
+        roots.append(root)
+        backward(root)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    sac_update(model, one_slot_buffer(25), cfg, substream(25, "upd"))
+    assert len(roots) == 2                      # critic loss, then actor loss
+    nodes = graph_nodes(roots[0]) + graph_nodes(roots[1])
+    assert {"gru-sequence", "mlp", "softplus", "const", "param"} <= {n.op for n in nodes}
+    for node in nodes:
+        assert node.value.dtype == np.float32, node.op
+        assert node.grad is None or node.grad.dtype == np.float32, node.op
+    for name, a in sac_arrays(model):
+        assert a.dtype == np.float32, name
+    enc, rng = model.belief, substream(25, "act")
+    h = enc.step_hidden(enc.init_hidden(2), np.array([[1], [3]]), np.array([[1.0], [0.0]]))
+    assert h.dtype == np.float32
+    assert enc.update_belief(enc.init_belief(), [2], [1.0]).hidden.dtype == np.float32
+    for hidden in (h, h[0]):
+        assert select_action(model, hidden, "mean").dtype == np.float32
+        assert select_action(model, hidden, "sample", rng).dtype == np.float32
+    # the other models keep float64
+    gems = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=2, hidden=(8,)),
+                     num_items=6, slate_size=3, seed=0)
+    policy = ReinforcePolicy(ReinforceConfig(hidden=(8,)),
+                             BeliefConfig(belief_dim=3, item_source="learned"), 2,
+                             small_table(), substream(0, "init"))
+    for store in (gems.store, policy.store):
+        assert store.dtype == np.float64
+        for name, p in store.items():
+            assert p.value.dtype == p.grad.dtype == p.m.dtype == np.float64, name
+
+
+def twin_models(seed, k, window, belief_dim, **kw):
+    """The same agent in float32 and in float64, from identical parameters."""
+    table = small_table(num_items=20, dim=4, seed=seed).astype(np.float32)
+    bcfg = BeliefConfig(belief_dim=belief_dim, item_source="mf", truncation=window)
+    (cfg32, m32), (cfg64, m64) = [
+        (cfg, SacModel(cfg, bcfg, k, table, substream(seed, "init")))
+        for cfg in (SacConfig(dtype=dt, **kw) for dt in ("float32", "float64"))]
+    for name in ("critic_store", "actor_store", "target_store"):
+        getattr(m64, name).load_state_from(getattr(m32, name))
+    return (cfg32, m32), (cfg64, m64)
+
+
+def test_float32_and_float64_updates_agree(monkeypatch):
+    # One update from the same parameters and batch: losses, beliefs and
+    # gradients agree to 1e-4 relative (float32 rounds at 6e-8; measured
+    # gaps are about 2e-7 here).
+    kw = dict(hidden=(32, 32), action_dim=4, belief_dim=16, window=6, k=3,
+              batch_size=64, gamma=0.8)
+    (cfg32, m32), (cfg64, m64) = twin_models(26, **kw)
+    buf = ReplayBuffer(capacity=256, window=6, slate_size=3, action_dim=4)
+    roll = substream(26, "roll")
+    for t in range(200):
+        buf.push(roll.integers(0, 20, 3), (roll.random(3) < 0.4).astype(float),
+                 roll.uniform(-1.0, 1.0, 4), float(roll.integers(0, 3)), t % 10 == 9)
+    grads, beliefs = [], []
+    adam = slatelab.sac.adam_step
+
+    def recording_adam(store, adam_cfg):
+        grads.append({name: p.grad.copy() for name, p in store.items()})
+        adam(store, adam_cfg)
+
+    def recording(recompute):
+        def wrapper(self, x, lengths):
+            beliefs.append(recompute(self, x, lengths))
+            return beliefs[-1]
+        return wrapper
+
+    monkeypatch.setattr(slatelab.sac, "adam_step", recording_adam)
+    for name in ("recompute_array", "recompute_graph"):
+        monkeypatch.setattr(BeliefEncoder, name, recording(getattr(BeliefEncoder, name)))
+    d32 = sac_update(m32, buf, cfg32, substream(26, "upd"))
+    d64 = sac_update(m64, buf, cfg64, substream(26, "upd"))
+    for key in ("critic_loss", "actor_loss"):
+        assert abs(d32[key] - d64[key]) <= 1e-4 * abs(d64[key]), key
+    n = len(beliefs) // 2
+    assert n == 3
+    for b32, b64 in zip(beliefs[:n], beliefs[n:]):
+        b32, b64 = getattr(b32, "value", b32), getattr(b64, "value", b64)
+        assert b32.dtype == np.float32 and b64.dtype == np.float64
+        assert np.max(np.abs(b32 - b64)) <= 1e-4 * np.max(np.abs(b64))
+    for g32, g64 in zip(grads[:2], grads[2:]):
+        for name in g64:
+            err = np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+            assert err < 1e-4, (name, err)
+
+
+def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=27)
+    rng = substream(27, "upd")
+    buf = one_slot_buffer(27)
+    for _ in range(3):
+        sac_update(model, buf, cfg, rng)
+    path = tmp_path / "agent.ckpt"
+    save_sac(model, path)
+    loaded, meta = load_sac(path)
+    assert meta["config"]["dtype"] == "float32" and loaded.dtype == np.float32
+    for (name, a), (_, b) in zip(sac_arrays(model), sac_arrays(loaded)):
+        assert b.dtype == np.float32, name
+        if not name.endswith(".grad"):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    np.testing.assert_array_equal(loaded.belief.table_value(), model.belief.table_value())
+
+
+def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
+    # checkpoints written before SacConfig had a dtype hold a float64 agent
+    # and no "dtype" key; a float64 model computes as that code did
+    cfg, old = tiny_sac(hidden=(16,), action_dim=3, belief_dim=16, window=8, k=4,
+                        seed=28, dtype="float64")
+    rng = substream(28, "upd")
+    buf = ReplayBuffer(capacity=64, window=8, slate_size=4, action_dim=3)
+    roll = substream(28, "roll")
+    for t in range(40):
+        buf.push(roll.integers(0, 4, 4), (roll.random(4) < 0.4).astype(float),
+                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9)
+    for _ in range(5):
+        sac_update(old, buf, cfg, rng)
+    path = tmp_path / "agent.ckpt"
+    save_sac(old, path)
+    stores, meta = load_checkpoint(path)
+    del meta["config"]["dtype"]
+    save_checkpoint(path, stores, meta)
+    model, _ = load_sac(path)
+    assert model.cfg.dtype == "float32" and model.dtype == np.float32
+    batch = buf.sample(32, substream(28, "s"))
+    step = [m.belief.step_hidden(np.full((32, 16), 0.3), batch.slates[:, -1],
+                                 batch.clicks[:, -1]) for m in (old, model)]
+    window = [m.belief.recompute_array(m.belief._input_values(batch.slates, batch.clicks),
+                                       batch.next_lengths) for m in (old, model)]
+    for b64, b32 in (step, window):
+        assert b32.dtype == np.float32
+        assert np.max(np.abs(b32 - b64)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

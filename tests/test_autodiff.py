@@ -556,6 +556,91 @@ def test_gru_sequence_nonfinite_upstream_gradient_raises():
         backward(root)
 
 
+# --- float32 twins of the overflow tests: float32 overflows past 3.4e38 ------
+
+
+def f32(a):
+    return np.asarray(a, dtype=np.float32)
+
+
+def test_mlp_nonfinite_preactivation_raises_in_float32():
+    store = ParameterStore(np.float32)
+    mlp = Mlp(store, "net", [2, 3, 1], np.random.default_rng(0), activation="tanh")
+    x = f32([[1e38, 1e38]])
+    store["net.l0.W"].value[...] = 10.0      # x @ W overflows; tanh(inf) is 1
+    with pytest.raises(NonFiniteError, match="mlp"):
+        mlp(ad.constant(x))
+    with pytest.raises(NonFiniteError, match="mlp"):
+        mlp.forward_array(x)
+
+
+def test_mlp_preactivation_near_1e39_raises_in_float32_only():
+    x = np.array([[1e37, 1e37]])
+    nets = {}
+    for dtype in (np.float64, np.float32):
+        store = ParameterStore(dtype)
+        nets[dtype] = Mlp(store, "net", [2, 3, 1], np.random.default_rng(0), activation="tanh")
+        store["net.l0.W"].value[...] = 50.0      # pre-activations 1e39
+    assert np.isfinite(nets[np.float64].forward_array(x)).all()
+    with pytest.raises(NonFiniteError, match="mlp"):
+        nets[np.float32](ad.constant(f32(x)))
+    with pytest.raises(NonFiniteError, match="mlp"):
+        nets[np.float32].forward_array(x)
+
+
+def test_mlp_nonfinite_upstream_gradient_raises_in_float32():
+    store = ParameterStore(np.float32)
+    mlp = Mlp(store, "net", [3, 4, 2], np.random.default_rng(1), activation="relu")
+    store["net.l0.W"].value[...] = 0.0
+    store["net.l0.b"].value[...] = 1.0       # every hidden unit is 1
+    store["net.l1.W"].value[...] = [[4.0, 4.0], [-4.0, -4.0], [4.0, 4.0], [-4.0, -4.0]]
+    out = mlp(Tensor(f32(np.random.default_rng(2).uniform(0, 1, size=(2, 3)))))
+    assert out.value.dtype == np.float32 and np.all(out.value == 0.0)
+    # the upstream gradient 1e38 is finite in float32, but the hidden
+    # layer's gradient +-1e38 * (4 + 4) is not
+    root = ad.sum_(ad.mul(out, ad.constant(np.full((2, 2), 1e38, np.float32))))
+    with pytest.raises(NonFiniteError, match="mlp"):
+        backward(root)
+
+
+def test_gru_sequence_nonfinite_input_raises_in_float32():
+    store = ParameterStore(np.float32)
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(0))
+    x = np.zeros((2, 3, 3), np.float32)
+    x[1, 2, 0] = np.inf
+    h0 = np.zeros((2, 4), np.float32)
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence(ad.constant(h0), ad.constant(x))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence_array(h0, x)
+
+
+def test_gru_sequence_overflow_in_the_gate_block_raises_in_float32():
+    # 3 * 1e37 + 3.3e38 passes the float32 maximum in one z column only
+    store = ParameterStore(np.float32)
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(0))
+    store["gru.W"].value[:, 0] = 1e37
+    store["gru.b"].value[0] = 3.3e38
+    x = np.ones((2, 3, 3), np.float32)
+    h0 = np.zeros((2, 4), np.float32)
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence(ad.constant(h0), ad.constant(x))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        cell.sequence_array(h0, x)
+
+
+def test_gru_sequence_nonfinite_upstream_gradient_raises_in_float32():
+    store = ParameterStore(np.float32)
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(1))
+    x = f32(np.random.default_rng(2).uniform(-1, 1, size=(2, 3, 3)))
+    h = cell.sequence(ad.constant(np.zeros((2, 4), np.float32)), ad.constant(x))
+    # exp(s*h) peaks at e^88 < 3.4e38, but its gradient times s > 88 is not
+    assert h.value.dtype == np.float32 and 0.0 < h.value.max() < 1.0
+    root = ad.sum_(ad.exp(ad.scale(h, 88.0 / h.value.max())))
+    with pytest.raises(NonFiniteError, match="gru-sequence"):
+        backward(root)
+
+
 def test_constant_operands_get_no_gradient_and_change_no_parameter_gradient():
     rng = np.random.default_rng(5)
     store = ParameterStore()

@@ -8,6 +8,7 @@ from slatelab.config import (
     load_config,
     parse_config_file,
 )
+from slatelab.sac import SacConfig
 
 
 def test_defaults():
@@ -67,6 +68,11 @@ def test_invalid_choices_raise():
     with pytest.raises(ValueError, match="never update"):
         build_config({"buffer_capacity": "10", "batch_size": "16"})
     build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})
+    for dtype in ("float16", "float", "int32", ""):
+        with pytest.raises(ValueError, match="dtype must be float32 or float64"):
+            SacConfig(action_dim=2, dtype=dtype)
+    assert SacConfig(action_dim=2).dtype == "float32"
+    assert SacConfig(action_dim=2, dtype="float64").dtype == "float64"
 
 
 def test_method_label_variants():

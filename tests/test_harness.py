@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -20,7 +21,9 @@ from slatelab.harness import (
 )
 from slatelab.logged import generate_dataset
 from slatelab.mf import train_mf
+from slatelab.sac import SacConfig, load_sac
 from slatelab.simulator import Environment, examination_vector, generate_item_catalog
+from slatelab.stats import welch_t_test
 
 TINY = {
     "sim.num_items": "15", "sim.slate_size": "3", "sim.episode_length": "8",
@@ -147,6 +150,21 @@ def test_train_deterministic_per_seed(artifacts, tmp_path):
     assert a.canonical() == b.canonical()
     c = train(cfg, seed=4, workdir=tmp_path / "c")
     assert a.canonical() != c.canonical()
+
+
+def test_float32_and_float64_sac_gems_returns_do_not_differ(artifacts, tmp_path, monkeypatch):
+    # the agent trains in float32; float64 arithmetic must not score differently
+    cfg = tiny_config(gems_ckpt=artifacts["gems"], training_steps=8, test_trajectories=10,
+                      update_every=1)
+    returns = {}
+    for dtype in ("float32", "float64"):
+        monkeypatch.setattr(slatelab.harness, "SacConfig",
+                            functools.partial(SacConfig, dtype=dtype))
+        returns[dtype] = [r for seed in range(4)
+                          for r in train(cfg, seed, tmp_path / f"{dtype}-{seed}").test_returns]
+        assert load_sac(tmp_path / f"{dtype}-0" / "ckpt-0001.slk")[0].cfg.dtype == dtype
+    _, _, p = welch_t_test(returns["float32"], returns["float64"])
+    assert p > 0.05
 
 
 def test_reinforce_train_deterministic(tmp_path):
