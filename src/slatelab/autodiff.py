@@ -9,11 +9,11 @@ becomes float64, and Python-float constants stay weak scalars, so nothing
 upcasts a float32 graph.  Array constants are made in the graph's dtype by
 their callers.  Three fused ops keep graphs and their arrays small:
 :func:`mlp` (a fully connected stack as one node) and :func:`gru_sequence`
-(a masked GRU window as one node, with backprop through time), each over a
-value-only kernel that inference calls directly (:func:`mlp_values`,
-:func:`gru_window`), and :func:`softmax_pick` (the log-softmax of
-``x @ table.T`` at one index per row, in row blocks so the logits never
-exist whole).
+(a GRU window with resets as one node, valued at every step's state, with
+backprop through time), each over a value-only kernel that inference
+calls directly (:func:`mlp_values`, :func:`gru_window`), and
+:func:`softmax_pick` (the log-softmax of ``x @ table.T`` at one index per
+row, in row blocks so the logits never exist whole).
 
 A node needs a gradient when it is a parameter or ``Tensor(...)`` leaf, or
 when one of its parents does; one that does not, such as a
@@ -432,9 +432,9 @@ def mlp(x: Tensor, Ws: Sequence[Tensor], bs: Sequence[Tensor], act: str) -> Tens
 
 
 def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
-               b: np.ndarray, mask: Optional[np.ndarray] = None,
+               b: np.ndarray, resets: Optional[np.ndarray] = None,
                tape: Optional[list] = None) -> np.ndarray:
-    """Value-only GRU over a window: h0 [B, H], x [B, T, in] -> h_T [B, H].
+    """Value-only GRU over a window: h0 [B, H], x [B, T, in] -> every step's state [B, T, H].
 
     Gates are fused column blocks (z, r, n) of W [in, 3H], U [H, 3H] and
     b [3H]:
@@ -444,8 +444,8 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
         n = tanh(x Wn + r * (h Un) + bn)
         h' = h + z * (n - h)
 
-    A [B, T] 0/1 mask keeps a row's state where it is 0:
-    h_t = h_{t-1} + m * z * (n - h_{t-1}).
+    A [B, T] boolean ``resets`` restarts a row from h = 0 at the steps
+    where it is True, so that one window can hold several sequences.
 
     The work runs feature-major, one column per batch row, so that each
     step's gate blocks are contiguous rows: one stacked product projects
@@ -453,8 +453,8 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
     [T+1, H, B].  Each step checks its z/r and then its n pre-activations
     for finiteness before squashing them in place, the sigmoid as
     0.5 * (1 + tanh(x / 2)).  With a ``tape`` list, the inputs as
-    [T, in, B], the squashed gates, each step's h Un and the states are
-    appended for :func:`gru_sequence`'s backward pass.
+    [T, in, B], the squashed gates, each step's h Un, the states and the
+    keep factors 1 - resets are appended for :func:`gru_sequence`'s VJP.
     """
     B, T = x.shape[:2]
     H = h0.shape[-1]
@@ -463,9 +463,10 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
     gates += b[:, None]
     hs = np.empty((T + 1, H, B), gates.dtype)
     hs[0] = h0.T
+    keep = None if resets is None else np.logical_not(resets).T.astype(gates.dtype)
     gh_n = None if tape is None else np.empty((T, H, B), gates.dtype)
     for t in range(T):
-        h = hs[t]
+        h = hs[t] if keep is None else hs[t] * keep[t]
         gh = U.T @ h
         zr = gates[t, :2 * H]
         zr += gh[:2 * H]
@@ -479,41 +480,42 @@ def gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
         np.tanh(n, out=n)
         h_new = np.subtract(n, h, out=hs[t + 1])
         h_new *= zr[:H]
-        if mask is not None:
-            h_new *= mask[:, t]
         h_new += h
         if gh_n is not None:
             gh_n[t] = gh[2 * H:]
     if tape is not None:
-        tape.extend((xt, gates, gh_n, hs))
-    return hs[T].T.copy()
+        tape.extend((xt, gates, gh_n, hs, keep))
+    return np.ascontiguousarray(hs[1:].transpose(2, 0, 1))
 
 
 def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
-                 mask: Optional[np.ndarray] = None) -> Tensor:
-    """A whole GRU window (see :func:`gru_window`) as one node.
+                 resets: Optional[np.ndarray] = None) -> Tensor:
+    """A whole GRU window (see :func:`gru_window`) as one node, valued at every step's state.
 
-    The VJP is masked backprop through time in the same feature-major
-    layout.  Each step writes its gradients into d [T, 4H, B], rows
-    (pre_n, pre_z, pre_r, h Un), and checks them and the state gradient
-    for finiteness; ``dW``, ``dU`` and ``dx`` are then one stacked product
-    each over the window, and ``db`` one sum.
+    The VJP is backprop through time in the same feature-major layout; each
+    step's upstream gradient joins the state gradient as it passes, and a
+    reset stops it.  Each step writes its gradients into d [T, 4H, B], rows
+    (pre_n, pre_z, pre_r, h Un), and checks them and the state gradient for
+    finiteness; ``dW``, ``dU`` and ``dx`` are then one stacked product each
+    over the window, and ``db`` one sum.
     """
     if x.value.ndim != 3 or x.shape[2] != W.shape[0] or h0.shape[-1] != U.shape[0]:
         raise ValueError("gru_sequence input/hidden shape mismatch")
     tape = [] if any(p.needs_grad for p in (h0, x, W, U, b)) else None
-    v = gru_window(h0.value, x.value, W.value, U.value, b.value, mask, tape)
+    v = gru_window(h0.value, x.value, W.value, U.value, b.value, resets, tape)
 
     def vjp(g):
-        xt, gates, gh_n, hs = tape
+        xt, gates, gh_n, hs, keep = tape
         T, H = gates.shape[0], U.shape[0]
+        up = g.transpose(1, 2, 0)                   # [T, H, B]
+        h_in = hs[:T] if keep is None else hs[:T] * keep[:, None]
         d = np.empty((T, 4 * H, g.shape[0]), gates.dtype)
-        dh = g.T
+        dh = up[T - 1]
         for t in reversed(range(T)):
             z, r, n = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:]
-            dhz = dh * z if mask is None else dh * z * mask[:, t]
+            dhz = dh * z
             np.multiply(dhz, 1.0 - n * n, out=d[t, :H])
-            np.multiply(dhz * (n - hs[t]), 1.0 - z, out=d[t, H:2 * H])
+            np.multiply(dhz * (n - h_in[t]), 1.0 - z, out=d[t, H:2 * H])
             np.multiply(d[t, :H], r, out=d[t, 3 * H:])
             np.multiply(d[t, 3 * H:] * (1.0 - r), gh_n[t], out=d[t, 2 * H:3 * H])
             _check_finite(d[t], "gru-sequence")
@@ -522,6 +524,10 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
             dh_prev = U.value @ d[t, H:]
             dh_prev += dh
             dh_prev -= dhz
+            if keep is not None:
+                dh_prev *= keep[t]
+            if t > 0:
+                dh_prev += up[t - 1]
             _check_finite(dh_prev, "gru-sequence")
             dh = dh_prev
         d_pre = d[:, :3 * H]                        # gate order (n, z, r)
@@ -531,7 +537,7 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
         if W.needs_grad:
             dW = np.roll(np.matmul(xt, d_pre.transpose(0, 2, 1)).sum(axis=0), -H, axis=1)
         if U.needs_grad:
-            dU = np.matmul(hs[:T], d[:, H:].transpose(0, 2, 1)).sum(axis=0)
+            dU = np.matmul(h_in, d[:, H:].transpose(0, 2, 1)).sum(axis=0)
         if b.needs_grad:
             db = np.roll(d_pre.sum(axis=(0, 2)), -H)
         return (dh.T if h0.needs_grad else None, dx, dW, dU, db)

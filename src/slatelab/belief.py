@@ -7,11 +7,12 @@ agents consume as their state.  Item embeddings come from a frozen table
 one) or, for agents without a pretrained table, from a table learned
 jointly with the rest of the network.
 
-Histories are right-aligned [B, W, k] windows with zeros before the real
-rows; :func:`history_windows` cuts them from per-turn arrays for the
-replay buffer and REINFORCE alike.  The encoder turns a window into GRU
-inputs once (:meth:`BeliefEncoder._inputs`), so callers can recompute
-beliefs over slices of one build, and masks the zero rows.
+Histories are runs of consecutive turns: :func:`run_windows` cuts [S, T, k]
+windows and their resets (True on rows that start an episode) from per-turn
+arrays, for the replay buffer and REINFORCE alike.  The GRU recomputes every
+row's state from zero, restarting at each reset; :func:`prev_beliefs` and
+:func:`next_beliefs` read the turns' pre- and post-action beliefs off those
+states.  :meth:`BeliefEncoder._inputs` builds a window's GRU inputs once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ ITEM_SOURCES = ("gems-table", "mf", "ideal", "learned")
 class BeliefConfig:
     belief_dim: int = 64
     item_source: str = "gems-table"
-    truncation: int = 20
+    truncation: int = 20   # W: turns a recompute runs over from zero before its first turn
 
     def __post_init__(self):
         if self.belief_dim <= 0:
@@ -44,26 +45,30 @@ class BeliefConfig:
             raise ValueError("truncation window must be positive")
 
 
-def _real_rows(window: int, lengths) -> np.ndarray:
-    """[B, W] True on the real rows of right-aligned histories."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size and (lengths.min() < 0 or lengths.max() > window):
-        raise ValueError("history length outside the stored window")
-    return np.arange(window)[None, :] >= (window - lengths)[:, None]
+def run_windows(slates: np.ndarray, clicks: np.ndarray, turns: np.ndarray, starts,
+                length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[S, length, k] int64 slates and float64 clicks of rows starts[s] ...
+    starts[s] + length - 1 of per-turn [N, k] arrays (modulo N, so a ring is
+    read in place), and [S, length] resets where ``turns`` (index in the episode) is 0."""
+    rows = (np.asarray(starts)[:, None] + np.arange(length)) % len(slates)
+    return (slates[rows].astype(np.int64), clicks[rows].astype(np.float64),
+            turns[rows] == 0)
 
 
-def history_windows(slates: np.ndarray, clicks: np.ndarray, ends, lengths,
-                    window: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-aligned [B, window, k] int64 slates and float64 clicks.
+def prev_beliefs(states: Tensor, resets: np.ndarray, window: int, count: int) -> Tensor:
+    """Pre-action beliefs [count, H] of the turns after each run's first
+    ``window`` rows, run-major: the state after the row before, or zero where
+    the turn starts an episode.  ``states`` may stop one row short of ``resets``."""
+    runs, run = resets.shape[0], resets.shape[1] - window
+    keep = ad.constant(np.logical_not(resets[:, window:, None]).astype(states.value.dtype))
+    prev = ad.mul(states[:, window - 1:window - 1 + run], keep)
+    prev = ad.reshape(prev, (runs * run, states.shape[-1]))
+    return prev if count == runs * run else prev[:count]
 
-    Window b ends at row ends[b] - 1 of the per-turn [N, k] arrays and
-    holds lengths[b] real rows, zeros before them.  Rows are taken modulo
-    N, so a ring of turns can be read in place.
-    """
-    real = _real_rows(window, lengths)[..., None]
-    rows = (np.asarray(ends)[:, None] + np.arange(-window, 0)) % len(slates)
-    return (np.where(real, slates[rows], 0).astype(np.int64),
-            np.where(real, clicks[rows], 0).astype(np.float64))
+
+def next_beliefs(states: np.ndarray, window: int, count: int) -> np.ndarray:
+    """Post-action beliefs [count, H] of the turns of :func:`prev_beliefs`."""
+    return states[:, window:].reshape(-1, states.shape[-1])[:count]
 
 
 @dataclass
@@ -81,7 +86,7 @@ class BeliefEncoder:
     one backward/optimizer pass trains both).  With item_source
     "learned" the embedding table is a trainable entry of that store;
     otherwise the given table is kept frozen outside the store.  The
-    table, GRU inputs, masks and hidden states take the store's dtype.
+    table, GRU inputs and hidden states take the store's dtype.
     """
 
     def __init__(self, store: ParameterStore, cfg: BeliefConfig, slate_size: int,
@@ -149,7 +154,7 @@ class BeliefEncoder:
         x = self._input_values(np.asarray(slate, dtype=np.int64)[None, :],
                                np.asarray(clicks)[None, :])
         h = self.cell.sequence_array(belief.hidden[None, :], x[:, None, :])
-        return BeliefState(hidden=h[0], turn=belief.turn + 1)
+        return BeliefState(hidden=h[0, 0], turn=belief.turn + 1)
 
     # -- batched API -------------------------------------------------------
 
@@ -160,17 +165,14 @@ class BeliefEncoder:
                     clicks: np.ndarray) -> np.ndarray:
         """One GRU step for a batch of independent episodes; no graph."""
         x = self._input_values(slates, clicks)
-        return self.cell.sequence_array(hidden, x[:, None, :])
+        return self.cell.sequence_array(hidden, x[:, None, :])[:, 0]
 
-    def recompute_array(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Belief from scratch over right-aligned [B, W, in] input windows,
-        the values of :meth:`_inputs` for [B, W, k] histories."""
-        mask = _real_rows(x.shape[1], lengths).astype(self.dtype)
-        return self.cell.sequence_array(self.init_hidden(x.shape[0]), x, mask)
+    def recompute_array(self, x: np.ndarray, resets: np.ndarray) -> np.ndarray:
+        """Every row's belief [B, T, H] over the :meth:`_inputs` values of
+        [B, T, k] runs, from zero at the first row and at each reset."""
+        return self.cell.sequence_array(self.init_hidden(x.shape[0]), x, resets)
 
-    def recompute_graph(self, x: Tensor, lengths: np.ndarray) -> Tensor:
+    def recompute_graph(self, x: Tensor, resets: np.ndarray) -> Tensor:
         """recompute_array over an :meth:`_inputs` node as one gru-sequence
-        node; gradients reach the GRU (and a learned table) through every
-        unmasked step."""
-        mask = _real_rows(x.shape[1], lengths).astype(self.dtype)
-        return self.cell.sequence(ad.constant(self.init_hidden(x.shape[0])), x, mask)
+        node; gradients reach the GRU (and a learned table) back to a reset."""
+        return self.cell.sequence(ad.constant(self.init_hidden(x.shape[0])), x, resets)

@@ -19,6 +19,9 @@ from .mf import MfConfig
 from .simulator import SimConfig
 
 MAX_INCLUDE_DEPTH = 16
+# Keys added after run records first carried a config hash are dumped only
+# off their defaults, so that configs written before them keep their hash.
+LATER_KEYS = ("replay_sequence",)
 
 
 @dataclass
@@ -39,7 +42,7 @@ class ExperimentConfig:
     # belief encoder
     belief_dim: int = 64
     belief_item_source: str = ""     # gems-table|mf|ideal|learned; "" = per-agent default
-    belief_truncation: int = 20
+    belief_truncation: int = 20      # W: history turns replayed from zero before a run (burn-in)
 
     # sac
     gamma: float = 0.8
@@ -51,6 +54,7 @@ class ExperimentConfig:
     hidden: Tuple[int, ...] = (256, 256)
     update_every: int = 1            # env turns between agent update calls
     buffer_capacity: int = 100_000
+    replay_sequence: int = 16        # consecutive transitions per sampled run
 
     # reinforce
     reinforce_lr: float = 0.001
@@ -76,7 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown agent {self.agent!r}")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
-        for name in ("update_every", "validation_every"):
+        for name in ("update_every", "validation_every", "replay_sequence"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.agent == "sac" and self.buffer_capacity < self.batch_size:
@@ -176,9 +180,10 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         for f in dataclasses.fields(sub):
             pairs.append((f"{prefix}.{f.name}", getattr(sub, f.name)))
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name in ("sim", "gems", "mf"):
+        value = getattr(cfg, f.name)
+        if f.name in ("sim", "gems", "mf") or (f.name in LATER_KEYS and value == f.default):
             continue
-        pairs.append((f.name, getattr(cfg, f.name)))
+        pairs.append((f.name, value))
     lines = []
     for key, value in sorted(pairs):
         if isinstance(value, tuple):

@@ -87,21 +87,22 @@ class GruCell:
         store.add(prefix + ".U", np.concatenate([u for _, u in blocks], axis=1))
         store.add(prefix + ".b", np.zeros(len(self.GATES) * hidden_dim))
 
-    def sequence(self, h0: Tensor, x: Tensor, mask=None) -> Tensor:
-        """Graph GRU over x [B, T, in]; see :func:`autodiff.gru_sequence`."""
+    def sequence(self, h0: Tensor, x: Tensor, resets=None) -> Tensor:
+        """Graph GRU over x [B, T, in] -> every step's state; see :func:`autodiff.gru_sequence`."""
         p = self.prefix
         return ad.gru_sequence(h0, x, self.store.tensor(p + ".W"),
                                self.store.tensor(p + ".U"),
-                               self.store.tensor(p + ".b"), mask)
+                               self.store.tensor(p + ".b"), resets)
 
-    def sequence_array(self, h0: np.ndarray, x: np.ndarray, mask=None) -> np.ndarray:
+    def sequence_array(self, h0: np.ndarray, x: np.ndarray, resets=None) -> np.ndarray:
         """The same kernel as :meth:`sequence` for inference; no graph."""
         s, p = self.store, self.prefix
         return ad.gru_window(h0, x, s[p + ".W"].value, s[p + ".U"].value,
-                             s[p + ".b"].value, mask)
+                             s[p + ".b"].value, resets)
 
     def __call__(self, h_prev: Tensor, x: Tensor) -> Tensor:
-        """One step: a 1-step window of :meth:`sequence`."""
+        """One step: the state of a 1-step window of :meth:`sequence`, [B, H]."""
         if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
             raise ValueError("gru_cell input/hidden shape mismatch")
-        return self.sequence(h_prev, ad.reshape(x, (x.shape[0], 1, self.input_dim)))
+        h = self.sequence(h_prev, ad.reshape(x, (x.shape[0], 1, self.input_dim)))
+        return ad.reshape(h, h_prev.shape)

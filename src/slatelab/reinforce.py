@@ -4,10 +4,10 @@ The policy scores every item from the belief state; slates are sampled
 with replacement from the softmax.  Updates are per episode: each turn's
 slate log-probability is weighted by its discounted return-to-go minus
 a per-turn exponential moving-average baseline.  Turn t's belief is
-recomputed over the (up to ``truncation``) turns before it, cut by
-:func:`belief.history_windows` as the replay buffer cuts SAC's.  The
-belief GRU (and its learned item table, if any) trains through the same
-loss, as this agent has no critic.
+recomputed from zero over the (up to ``truncation``) turns before it, a
+one-turn run cut by :func:`belief.run_windows` as the replay buffer cuts
+SAC's.  The belief GRU (and its learned item table, if any) trains
+through the same loss, as this agent has no critic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .belief import BeliefConfig, BeliefEncoder, history_windows
+from .belief import BeliefConfig, BeliefEncoder, prev_beliefs, run_windows
 from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
@@ -99,20 +99,26 @@ class ReinforcePolicy:
         self.adam = AdamConfig(cfg.learning_rate)
 
 
+def episode_beliefs(policy: ReinforcePolicy, episode: EpisodeRecord):
+    """[T, H] graph of each turn's pre-action belief, a one-turn run of
+    :func:`belief.run_windows`; window rows that wrap past turn 0 precede its reset."""
+    turns = np.arange(len(episode.slates))
+    window = policy.belief.cfg.truncation
+    slates, clicks, resets = run_windows(episode.slates, episode.clicks, turns,
+                                         turns - window, window + 1)
+    states = policy.belief.recompute_graph(
+        policy.belief._inputs(slates[:, :-1], clicks[:, :-1]), resets[:, :-1])
+    return prev_beliefs(states, resets, window, len(turns))
+
+
 def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
                      baseline: BaselineState, cfg: ReinforceConfig) -> dict:
     """One Adam step on -sum_t (G_t - b_t) * log pi(slate_t | belief_t)."""
-    T, k = episode.slates.shape
+    k = episode.slates.shape[1]
     returns = return_to_go(episode.rewards, cfg.gamma)
     advantage = returns - baseline.lookup(returns)
 
-    window = policy.belief.cfg.truncation
-    lengths = np.minimum(np.arange(T), window)
-    w_slates, w_clicks = history_windows(episode.slates, episode.clicks,
-                                         np.arange(T), lengths, window)
-    hidden = policy.belief.recompute_graph(policy.belief._inputs(w_slates, w_clicks),
-                                           lengths)
-    log_probs = ad.log_softmax(policy.head(hidden))
+    log_probs = ad.log_softmax(policy.head(episode_beliefs(policy, episode)))
     slate_lp = ad.pick(log_probs, episode.slates[:, 0])
     for j in range(1, k):
         slate_lp = ad.add(slate_lp, ad.pick(log_probs, episode.slates[:, j]))

@@ -2,11 +2,11 @@
 
 Transitions carry no precomputed beliefs.  The buffer keeps one row per
 turn (slate, clicks, action, reward, done and the turn's index within its
-episode) and cuts each sampled transition's history at sampling time
-with :func:`belief.history_windows`, so the belief can be recomputed with
-fresh GRU parameters.  A sampled transition carries one right-aligned
-window of W+1 turns ending at its own turn: its first W rows are the
-pre-action history, its last W the post-action one.
+episode) and samples runs of L consecutive transitions, each cut at
+sampling time by :func:`belief.run_windows` as one window of W + L rows:
+the W turns before the run, then its own.  One GRU pass from zero over the
+window, restarting at every episode start (runs may cross episode ends),
+gives each transition its pre- and post-action beliefs under fresh weights.
 """
 
 from __future__ import annotations
@@ -15,22 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import history_windows
+from .belief import run_windows
 
 
 @dataclass
 class TransitionBatch:
-    slates: np.ndarray        # [B, W+1, k] history up to and including the turn
+    slates: np.ndarray        # [S, W+L, k] run windows: W history rows, then the run's turns
     clicks: np.ndarray
-    prev_lengths: np.ndarray  # [B] real rows of slates[:, :-1], the history before the turn
-    next_lengths: np.ndarray  # [B] real rows of slates[:, 1:], the history including it
-    actions: np.ndarray       # [B, d]
+    resets: np.ndarray        # [S, W+L] True on rows that start an episode
+    window: int               # W
+    actions: np.ndarray       # [B, d] the runs' transitions, run-major, the first B of S*L
     rewards: np.ndarray       # [B]
     dones: np.ndarray         # [B] in {0.0, 1.0}
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions with uniform sampling.
+    """Fixed-capacity FIFO ring of transitions, sampled as uniform runs.
 
     ``window`` rows beyond ``capacity`` keep the history of the oldest
     transition that can still be sampled.
@@ -70,25 +70,24 @@ class ReplayBuffer:
         self._count += 1
         self._next_turn = 0 if done else self._next_turn + 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform with replacement over the stored transitions."""
-        if self._count < 1:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self), size=batch_size)
-        # slot idx of a capacity-sized ring holds the latest transition
-        # numbered idx mod capacity; find its row in the longer one
-        number = idx + self.capacity * ((self._count - 1 - idx) // self.capacity)
-        rows = number % len(self._turns)
-        turns = self._turns[rows]
+    def sample(self, batch_size: int, rng: np.random.Generator,
+               sequence: int = 1) -> TransitionBatch:
+        """B = ``batch_size`` transitions as ceil(B / L) runs of L = min(sequence, B).
+
+        Runs start uniformly, with replacement, at the stored transitions whose
+        run ends at or before the newest.  The batch is the runs' first B
+        transitions in order: only the last run is cut short when L does not
+        divide B.  L = 1 is uniform sampling with replacement.
+        """
+        run = min(int(sequence), batch_size)
+        if run < 1 or len(self) < run:
+            raise ValueError(f"cannot sample runs of {run} from {len(self)} transitions")
+        first = self._count - len(self) + rng.integers(0, len(self) - run + 1,
+                                                       size=-(-batch_size // run))
         w = self.window
-        slates, clicks = history_windows(self._slates, self._clicks, rows + 1,
-                                         np.minimum(turns + 1, w + 1), w + 1)
-        return TransitionBatch(
-            slates=slates,
-            clicks=clicks,
-            prev_lengths=np.minimum(turns, w),
-            next_lengths=np.minimum(turns + 1, w),
-            actions=self._actions[rows],
-            rewards=self._rewards[rows],
-            dones=self._dones[rows].astype(np.float64),
-        )
+        slates, clicks, resets = run_windows(self._slates, self._clicks, self._turns,
+                                             first - w, w + run)
+        rows = (first[:, None] + np.arange(run)).reshape(-1)[:batch_size] % len(self._turns)
+        return TransitionBatch(slates=slates, clicks=clicks, resets=resets, window=w,
+                               actions=self._actions[rows], rewards=self._rewards[rows],
+                               dones=self._dones[rows].astype(np.float64))

@@ -3,11 +3,13 @@
 Clipped double-Q with target networks and a tanh-squashed Gaussian
 actor.  The belief GRU lives in the critic's parameter store and is
 trained by the critic loss alone; the actor sees beliefs as constants.
-Updates recompute beliefs from the raw histories in the replay batch,
-so sampled transitions always use the current GRU weights.  The losses
-take the GRU inputs of the batch's [B, W+1, k] window, built once per
-update by ``BeliefEncoder._inputs``; the pre-action belief runs over its
-first W rows and the post-action one over its last W.
+Updates recompute beliefs from the raw histories in the replay batch, runs
+of ``SacConfig.replay_sequence`` consecutive transitions whose window's GRU
+inputs ``BeliefEncoder._inputs`` builds once per update.  ``critic_loss``
+runs one GRU pass over the window as a graph: its states before and after
+each transition's row are the pre- and post-action beliefs, and
+``td_target`` takes the latter.  ``actor_loss`` runs one array pass under
+the GRU weights of the critic step.
 
 The policy has one definition, :func:`actor_stats` and
 :func:`squashed_log_prob` over graph tensors.  ``actor_loss`` builds it as a
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .belief import BeliefConfig, BeliefEncoder
+from .belief import BeliefConfig, BeliefEncoder, next_beliefs, prev_beliefs
 from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step, polyak_update
@@ -53,6 +55,7 @@ class SacConfig:
     batch_size: int = 256
     hidden: tuple = (256, 256)
     dtype: str = "float32"
+    replay_sequence: int = 16
 
     def __post_init__(self):
         if self.action_dim <= 0:
@@ -65,6 +68,8 @@ class SacConfig:
             raise ValueError("alpha must be nonnegative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.replay_sequence < 1:
+            raise ValueError("replay_sequence must be at least 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
@@ -141,14 +146,13 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
     return a[0] if single else a
 
 
-def td_target(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
+def td_target(model: SacModel, batch: TransitionBatch, next_hidden: np.ndarray,
               cfg: SacConfig, rng: np.random.Generator) -> np.ndarray:
     """y = r + gamma*(1-done)*(min Q' - alpha*log pi') with a' freshly sampled.
 
-    ``inputs`` holds the values of the batch window's GRU inputs.  Computed
+    ``next_hidden`` [B, H] holds the batch's post-action beliefs.  Computed
     under ``no_grad``: the target is a constant of the critic loss.
     """
-    next_hidden = model.belief.recompute_array(inputs[:, 1:], batch.next_lengths)
     with ad.no_grad():
         mu, log_sigma = actor_stats(model, ad.constant(next_hidden))
         noise = rng.standard_normal(mu.shape).astype(model.dtype)
@@ -166,14 +170,18 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
     """Mean over the batch and both critics of (Q(s,a) - y)^2.
 
     ``inputs`` is the batch window's GRU input node.  The target is
-    recomputed from its values unless given; passing one keeps y fixed while
-    parameters are varied (e.g. by a finite-difference oracle), matching
-    the no-gradient-through-y semantics exactly.
+    computed from the post-action beliefs of the same GRU pass unless
+    given; passing one keeps y fixed while parameters are varied (e.g. by a
+    finite-difference oracle), matching the no-gradient-through-y semantics
+    exactly.
     """
     b = batch.actions.shape[0]
-    y = td_target(model, batch, inputs.value, cfg, rng) if target is None else target
+    states = model.belief.recompute_graph(inputs, batch.resets)
+    y = target
+    if y is None:
+        y = td_target(model, batch, next_beliefs(states.value, batch.window, b), cfg, rng)
 
-    hidden = model.belief.recompute_graph(inputs[:, :-1], batch.prev_lengths)
+    hidden = prev_beliefs(states, batch.resets, batch.window, b)
     q_in = ad.concat([hidden, ad.constant(batch.actions.astype(model.dtype))], axis=-1)
     q1 = ad.reshape(model.q1(q_in), (b,))
     q2 = ad.reshape(model.q2(q_in), (b,))
@@ -188,12 +196,12 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
 
 def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
                cfg: SacConfig, rng: np.random.Generator) -> Tuple[Tensor, dict]:
-    """mean(alpha*log pi - min Q) over the batch window's GRU input values;
-    beliefs and critic weights enter as constants, so only actor parameters
-    receive gradients."""
-    hidden = model.belief.recompute_array(inputs[:, :-1], batch.prev_lengths)
-    b, d = hidden.shape[0], cfg.action_dim
-    hidden = ad.constant(hidden)
+    """mean(alpha*log pi - min Q) over the batch window's GRU input values
+    but its last row; beliefs and critic weights enter as constants, so
+    only actor parameters receive gradients."""
+    b, d = batch.actions.shape[0], cfg.action_dim
+    states = model.belief.recompute_array(inputs[:, :-1], batch.resets[:, :-1])
+    hidden = prev_beliefs(ad.constant(states), batch.resets, batch.window, b)
     mu, log_sigma = actor_stats(model, hidden)
     eps = rng.standard_normal((b, d)).astype(model.dtype)
     u = ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps)))
@@ -214,7 +222,7 @@ def sac_update(model: SacModel, buffer: ReplayBuffer, cfg: SacConfig,
     """One critic step, one actor step, one polyak step."""
     if len(buffer) < cfg.batch_size:
         raise ValueError("replay buffer holds fewer transitions than a batch")
-    batch = buffer.sample(cfg.batch_size, rng)
+    batch = buffer.sample(cfg.batch_size, rng, cfg.replay_sequence)
     inputs = model.belief._inputs(batch.slates, batch.clicks)
     c_loss, c_diag = critic_loss(model, batch, inputs, cfg, rng)
     ad.backward(c_loss)

@@ -8,7 +8,10 @@ unfused autodiff primitives, the reference that the fused
 slot-reconstruction op must match bit for bit.  :func:`reference_gru_window`
 and :func:`reference_gru_sequence` are the batch-major, one-step-at-a-time
 GRU window and its BPTT that the feature-major kernel replaced, kept as the
-reference it must match to 1e-12.
+reference it must match to 1e-12.  :func:`freeze_mask_gru_window` is the
+feature-major window kernel as it was before per-step resets replaced its
+freeze mask: a right-aligned history restarted at its first real row must
+reproduce its h_T bit for bit.
 """
 
 import math
@@ -213,3 +216,34 @@ def reference_gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tenso
         return (dh if h0.needs_grad else None, dx, dW, dU, db)
 
     return _node("gru-sequence", v, (h0, x, W, U, b), vjp)
+
+
+def freeze_mask_gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,
+                           b: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """h_T [B, H] of the feature-major window kernel with a [B, T] 0/1 mask
+    that keeps a row's state where it is 0: h_t = h_{t-1} + m * z * (n - h_{t-1})."""
+    B, T = x.shape[:2]
+    H = h0.shape[-1]
+    gates = np.matmul(W.T, x.transpose(1, 2, 0))
+    gates += b[:, None]
+    hs = np.empty((T + 1, H, B), gates.dtype)
+    hs[0] = h0.T
+    for t in range(T):
+        h = hs[t]
+        gh = U.T @ h
+        zr = gates[t, :2 * H]
+        zr += gh[:2 * H]
+        _check_finite(zr, "gru-sequence")
+        np.tanh(np.multiply(zr, 0.5, out=zr), out=zr)
+        zr += 1.0
+        zr *= 0.5
+        n = gates[t, 2 * H:]
+        n += zr[H:] * gh[2 * H:]
+        _check_finite(n, "gru-sequence")
+        np.tanh(n, out=n)
+        h_new = np.subtract(n, h, out=hs[t + 1])
+        h_new *= zr[:H]
+        if mask is not None:
+            h_new *= mask[:, t]
+        h_new += h
+    return hs[T].T.copy()

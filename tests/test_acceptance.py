@@ -14,7 +14,7 @@ import pytest
 from scipy import stats as sps
 
 from slatelab import autodiff as ad
-from slatelab.belief import BeliefConfig
+from slatelab.belief import BeliefConfig, next_beliefs
 from slatelab.config import build_config
 from slatelab.gems import (
     GemsConfig,
@@ -138,7 +138,9 @@ def _fd_sac_actor(seed):
 def _fd_sac_critic(seed):
     cfg, model, batch = _sac_fixture(seed)
     # the TD target is a constant of the loss; hold it fixed while differencing
-    y = td_target(model, batch, window_inputs(model, batch).value, cfg, substream(seed, "eps"))
+    states = model.belief.recompute_array(window_inputs(model, batch).value, batch.resets)
+    y = td_target(model, batch, next_beliefs(states, batch.window, 4), cfg,
+                  substream(seed, "eps"))
 
     def graph():
         return critic_loss(model, batch, window_inputs(model, batch), cfg,
@@ -425,7 +427,7 @@ def test_criterion_10_sac_reaches_bandit_optimum_on_all_seeds():
             sac_update(model, buf, cfg, rng)
         for ctx, target in ((1, 0.5), (0, -0.5)):
             x = model.belief._input_values(np.array([[[0]]]), np.array([[[float(ctx)]]]))
-            h = model.belief.recompute_array(x, np.array([1]))[0]
+            h = model.belief.recompute_array(x, np.zeros((1, 1), bool))[0, -1]
             a = select_action(model, h, "mean")[0]
             reward = 1.0 - (a - target) ** 2
             assert reward >= 0.9, (seed, ctx, a)

@@ -4,7 +4,14 @@ from scipy import stats as sps
 
 import slatelab.sac
 from slatelab import autodiff as ad
-from slatelab.belief import BeliefConfig, BeliefEncoder, BeliefState, history_windows
+from slatelab.belief import (
+    BeliefConfig,
+    BeliefEncoder,
+    BeliefState,
+    next_beliefs,
+    prev_beliefs,
+    run_windows,
+)
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
 from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.optim import ParameterStore
@@ -13,6 +20,7 @@ from slatelab.reinforce import (
     EpisodeRecord,
     ReinforceConfig,
     ReinforcePolicy,
+    episode_beliefs,
     load_reinforce,
     reinforce_update,
     return_to_go,
@@ -35,12 +43,24 @@ from slatelab.sac import (
     squashed_log_prob,
 )
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import finite_difference_grads, freeze_mask_gru_window, max_relative_error
 
 
 def window_inputs(model, batch):
     """The GRU input node of a replay batch's window, built as sac_update does."""
     return model.belief._inputs(batch.slates, batch.clicks)
+
+
+def batch_beliefs(model, batch):
+    """(pre-action, post-action) beliefs [B, H] of a replay batch's transitions."""
+    states = model.belief.recompute_array(window_inputs(model, batch).value, batch.resets)
+    b = len(batch.rewards)
+    return (prev_beliefs(ad.constant(states), batch.resets, batch.window, b).value,
+            next_beliefs(states, batch.window, b))
+
+
+def post_action_beliefs(model, batch):
+    return batch_beliefs(model, batch)[1]
 
 
 def small_table(num_items=12, dim=3, seed=0):
@@ -147,13 +167,17 @@ def test_recompute_matches_sequential_updates_and_truncates():
 
     window_s = slates[None, 3:6]
     window_c = clicks[None, 3:6]
-    arr = enc.recompute_array(enc._input_values(window_s, window_c), np.array([3]))
-    assert np.allclose(arr[0], b.hidden, atol=1e-12)
-    graph = enc.recompute_graph(enc._inputs(window_s, window_c), np.array([3]))
-    assert np.allclose(graph.value[0], b.hidden, atol=1e-12)
+    no_reset = np.zeros((1, 3), bool)
+    arr = enc.recompute_array(enc._input_values(window_s, window_c), no_reset)
+    assert np.allclose(arr[0, -1], b.hidden, atol=1e-12)
+    graph = enc.recompute_graph(enc._inputs(window_s, window_c), no_reset)
+    assert np.allclose(graph.value[0, -1], b.hidden, atol=1e-12)
 
 
 def test_recompute_handles_short_histories_right_aligned():
+    # a history shorter than the window restarts at its first real row, so
+    # garbage before it does not leak into the pre-action belief of the
+    # turn in the last row; a turn that starts an episode gets zero
     _, enc = small_encoder(window=4, seed=7)
     slates = np.array([[5, 1], [2, 8]])
     clicks = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -161,17 +185,21 @@ def test_recompute_handles_short_histories_right_aligned():
     for t in range(2):
         b = enc.update_belief(b, slates[t], clicks[t])
 
-    padded_s = np.zeros((1, 4, 2), dtype=np.int64)
-    padded_c = np.zeros((1, 4, 2))
-    padded_s[0, 2:] = slates
-    padded_c[0, 2:] = clicks
-    # garbage in the masked rows must not leak into the result
+    padded_s = np.zeros((1, 5, 2), dtype=np.int64)
+    padded_c = np.zeros((1, 5, 2))
+    padded_s[0, 2:4] = slates
+    padded_c[0, 2:4] = clicks
     padded_s[0, 0] = [11, 11]
     padded_c[0, 0] = [1.0, 1.0]
-    out = enc.recompute_array(enc._input_values(padded_s, padded_c), np.array([2]))
-    assert np.allclose(out[0], b.hidden, atol=1e-12)
-    zero = enc.recompute_array(enc._input_values(padded_s, padded_c), np.array([0]))
-    assert np.all(zero == 0.0)
+    padded_s[0, 4] = [3, 3]
+    x = enc._input_values(padded_s, padded_c)
+    resets = np.zeros((1, 5), bool)
+    resets[0, 2] = True
+    out = prev_beliefs(ad.constant(enc.recompute_array(x, resets)), resets, 4, 1)
+    assert np.allclose(out.value[0], b.hidden, atol=1e-12)
+    resets[0, 4] = True
+    zero = prev_beliefs(ad.constant(enc.recompute_array(x, resets)), resets, 4, 1)
+    assert np.all(zero.value == 0.0)
 
 
 def test_belief_gradient_through_chained_updates_matches_fd():
@@ -181,13 +209,13 @@ def test_belief_gradient_through_chained_updates_matches_fd():
     rng = substream(9, "episode")
     slates = rng.integers(0, 12, (1, 3, 2))
     clicks = (rng.random((1, 3, 2)) < 0.5).astype(float)
-    lengths = np.array([3])
+    resets = np.zeros((1, 3), bool)
 
     def loss_fn():
-        h = enc.recompute_graph(enc._inputs(slates, clicks), lengths)
+        h = enc.recompute_graph(enc._inputs(slates, clicks), resets)
         return ad.mean(ad.square(h)).item()
 
-    loss = ad.mean(ad.square(enc.recompute_graph(enc._inputs(slates, clicks), lengths)))
+    loss = ad.mean(ad.square(enc.recompute_graph(enc._inputs(slates, clicks), resets)))
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in store.items()}
     fd = finite_difference_grads(store, loss_fn)
@@ -196,17 +224,18 @@ def test_belief_gradient_through_chained_updates_matches_fd():
 
 
 def test_learned_table_gradient_through_short_windows_matches_fd():
-    # a batch of right-aligned histories of lengths 3, 1 and 0: the table's
-    # gradient reaches it through the fused GRU's input gradient
+    # windows restarting at their first row, their last row, and at both
+    # of their last two rows: the table's gradient reaches it through the
+    # fused GRU's input gradient from every step's state
     store, enc = small_encoder(belief_dim=4, window=3, source="learned", seed=10)
     rng = substream(10, "episode")
     slates = rng.integers(0, 12, (3, 3, 2))
     clicks = (rng.random((3, 3, 2)) < 0.5).astype(float)
-    lengths = np.array([3, 1, 0])
-    w = substream(10, "w").normal(0.0, 1.0, (3, 4))
+    resets = np.array([[True, False, False], [False, False, True], [False, True, True]])
+    w = substream(10, "w").normal(0.0, 1.0, (3, 3, 4))
 
     def graph():
-        h = enc.recompute_graph(enc._inputs(slates, clicks), lengths)
+        h = enc.recompute_graph(enc._inputs(slates, clicks), resets)
         return ad.sum_(ad.mul(ad.square(h), ad.constant(w)))
 
     ad.backward(graph())
@@ -243,8 +272,7 @@ def test_graph_size_does_not_grow_with_the_window():
     sizes = {}
     for window in (2, 20):
         cfg, model, batch = _critic_fixture(window)
-        hidden = model.belief.recompute_graph(window_inputs(model, batch)[:, :-1],
-                                              batch.prev_lengths)
+        hidden = model.belief.recompute_graph(window_inputs(model, batch), batch.resets)
         assert [n.op for n in _graph_nodes(hidden)].count("gru-sequence") == 1
         loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
         nodes = _graph_nodes(loss)
@@ -284,23 +312,30 @@ class TakeAll:
 
 
 def test_buffer_windows_split_into_prev_and_next_histories():
-    # simulate one 3-turn episode with window 3
+    # one 3-turn episode with window 3; each run's window holds W history
+    # rows and then its own turns, and resets mark every turn-0 row (the
+    # ring's unwritten rows included)
     buf = ReplayBuffer(capacity=10, window=3, slate_size=2, action_dim=1)
     turns = [([1, 2], [1.0, 0.0]), ([3, 4], [0.0, 0.0]), ([5, 6], [0.0, 1.0])]
     for t, (slate, clicks) in enumerate(turns):
         buf.push(slate, clicks, [0.5], float(t), t == 2)
 
     batch = buf.sample(3, TakeAll())
-    # turn 0: empty previous history, next history holds just turn 0
-    assert batch.prev_lengths[0] == 0 and batch.next_lengths[0] == 1
+    assert batch.slates.shape == (3, 4, 2) and batch.window == 3
+    # turn 0: its row restarts the state, so its pre-action history is empty
     assert np.array_equal(batch.slates[0, -1], [1, 2])
-    # turn 2: previous = turns 0..1, next = turns 0..2, right aligned
-    assert batch.prev_lengths[2] == 2 and batch.next_lengths[2] == 3
-    assert np.array_equal(batch.slates[2, -2], [3, 4])
-    assert np.array_equal(batch.slates[2, -3], [1, 2])
+    assert list(batch.resets[0]) == [True] * 4
+    # turn 2: pre-action rows hold turns 0..1 after the restart, the last row is turn 2
     assert np.array_equal(batch.slates[2, 1:], [[1, 2], [3, 4], [5, 6]])
+    assert list(batch.resets[2]) == [True, True, False, False]
     assert np.array_equal(batch.clicks[2, 3], [0.0, 1.0])
     assert batch.dones[2] == 1.0 and batch.dones[0] == 0.0
+
+    run = buf.sample(3, TakeAll(), sequence=3)
+    assert run.slates.shape == (1, 6, 2)
+    assert np.array_equal(run.slates[0, 3:], [[1, 2], [3, 4], [5, 6]])
+    assert list(run.resets[0]) == [True, True, True, True, False, False]
+    assert list(run.rewards) == [0.0, 1.0, 2.0] and list(run.dones) == [0.0, 0.0, 1.0]
 
 
 def test_buffer_windows_match_the_pushed_turns_after_the_ring_wraps():
@@ -316,22 +351,16 @@ def test_buffer_windows_match_the_pushed_turns_after_the_ring_wraps():
             buf.push(slate, clicks, [0.0], float(len(pushed)), done)
             pushed.append((slate, clicks, t, done))
     assert len(pushed) == 14 and len(buf) == capacity
-    batch = buf.sample(capacity, TakeAll())
-    assert sorted(batch.rewards) == list(range(14 - capacity, 14))
-    for b, n in enumerate(batch.rewards.astype(int)):
-        _, _, t, done = pushed[n]
-        episode = pushed[n - t:n + 1]  # this episode's turns up to n
-        for name, rows, cut in (("prev", episode[:-1][-window:], slice(None, -1)),
-                                ("next", episode[-window:], slice(1, None))):
-            length = getattr(batch, name + "_lengths")[b]
-            assert length == len(rows)
-            slates, clicks = batch.slates[b, cut], batch.clicks[b, cut]
-            assert not slates[:window - length].any() and not clicks[:window - length].any()
-            assert np.array_equal(slates[window - length:],
-                                  np.reshape([r[0] for r in rows], (-1, 2)))
-            assert np.array_equal(clicks[window - length:],
-                                  np.reshape([r[1] for r in rows], (-1, 2)))
-        assert batch.dones[b] == float(done)
+    for run in (1, 2, capacity):
+        batch = buf.sample(capacity, TakeAll(), sequence=run)
+        starts = 14 - capacity + np.arange(batch.slates.shape[0])
+        assert list(batch.rewards) == list((starts[:, None] + np.arange(run)).ravel()[:capacity])
+        for s, first in enumerate(starts):
+            rows = pushed[first - window:first + run]   # the W history turns, then the run
+            assert np.array_equal(batch.slates[s], np.reshape([r[0] for r in rows], (-1, 2)))
+            assert np.array_equal(batch.clicks[s], np.reshape([r[1] for r in rows], (-1, 2)))
+            assert list(batch.resets[s]) == [r[2] == 0 for r in rows]
+        assert list(batch.dones) == [float(pushed[n][3]) for n in batch.rewards.astype(int)]
 
 
 def test_push_after_a_done_transition_starts_an_empty_history():
@@ -340,39 +369,67 @@ def test_push_after_a_done_transition_starts_an_empty_history():
     buf.push([2], [1.0], [0.0], 1.0, True)
     buf.push([3], [0.0], [0.0], 2.0, False)
     batch = buf.sample(3, TakeAll())
-    assert list(batch.prev_lengths) == [0, 1, 0]
-    assert list(batch.next_lengths) == [1, 2, 1]
-    assert not batch.slates[2, :-1].any()
-    assert np.array_equal(batch.slates[2, 1:], [[0], [0], [3]])
+    assert list(batch.resets[:, -1]) == [True, False, True]
+    assert np.array_equal(batch.slates[2], [[0], [1], [2], [3]])
+    assert list(batch.resets[2]) == [True, True, False, True]
 
 
-def test_history_windows_match_hand_built_windows():
+def test_run_windows_match_hand_built_windows():
     rng = substream(41, "episode")
-    T, k, window = 7, 2, 3
+    T, k, length = 7, 2, 4
     slates = rng.integers(1, 9, (T, k))
     clicks = (rng.random((T, k)) < 0.5).astype(float)
-    lengths = np.minimum(np.arange(T), window)
-    ws, wc = history_windows(slates, clicks, np.arange(T), lengths, window)
-    assert ws.dtype == np.int64 and wc.dtype == np.float64
-    assert ws.shape == wc.shape == (T, window, k)
-    for t in range(T):
-        n = lengths[t]
-        hand_slates = np.zeros((window, k), dtype=np.int64)
-        hand_clicks = np.zeros((window, k))
-        hand_slates[window - n:] = slates[t - n:t]
-        hand_clicks[window - n:] = clicks[t - n:t]
-        assert np.array_equal(ws[t], hand_slates) and np.array_equal(wc[t], hand_clicks)
-    # rows are read modulo the row count, as from a ring
-    ws, _ = history_windows(slates, clicks, [T + 2], [3], window)
-    assert np.array_equal(ws[0], slates[[T - 1, 0, 1]])
-    with pytest.raises(ValueError):
-        history_windows(slates, clicks, [T], [window + 1], window)
+    turns = np.array([3, 4, 0, 1, 2, 0, 1])
+    starts = np.arange(-2, T - 2)
+    ws, wc, resets = run_windows(slates, clicks, turns, starts, length)
+    assert ws.dtype == np.int64 and wc.dtype == np.float64 and resets.dtype == bool
+    assert ws.shape == wc.shape == (T, length, k) and resets.shape == (T, length)
+    for s, start in enumerate(starts):
+        rows = [(start + j) % T for j in range(length)]   # read as from a ring
+        assert np.array_equal(ws[s], slates[rows]) and np.array_equal(wc[s], clicks[rows])
+        assert list(resets[s]) == [turns[r] == 0 for r in rows]
+
+
+def test_runs_shrink_to_short_batches_and_the_last_run_is_cut_short():
+    buf = ReplayBuffer(capacity=50, window=2, slate_size=1, action_dim=1)
+    for i in range(60):
+        buf.push([i % 7], [0.0], [0.0], float(i), i % 10 == 9)
+    # B < L: one run of B turns
+    batch = buf.sample(5, substream(0, "s"), sequence=16)
+    assert batch.slates.shape == (1, 7, 1) and batch.resets.shape == (1, 7)
+    assert np.array_equal(np.diff(batch.rewards), np.ones(4))
+    # B = 10, L = 4: three runs, the last one cut to its first 2 turns
+    batch = buf.sample(10, substream(1, "s"), sequence=4)
+    assert batch.slates.shape == (3, 6, 1) and len(batch.rewards) == 10
+    for run, rewards in enumerate(np.split(batch.rewards.astype(int), [4, 8])):
+        first = rewards[0]
+        assert 10 <= first <= 59 - 3 and np.array_equal(rewards, first + np.arange(len(rewards)))
+        assert np.array_equal(batch.slates[run, :, 0], np.arange(first - 2, first + 4) % 7)
+
+
+def test_run_starts_are_uniform_over_the_runs_that_fit():
+    # capacity 20 after 30 pushes holds transitions 10..29; runs of 4 can
+    # start at 10..26
+    buf = ReplayBuffer(capacity=20, window=1, slate_size=1, action_dim=1)
+    for i in range(30):
+        buf.push([0], [0.0], [0.0], float(i), False)
+    starts = buf.sample(4 * 17_000, substream(2, "sample"), sequence=4).rewards[::4]
+    counts = np.bincount(starts.astype(int) - 10, minlength=17)
+    assert len(counts) == 17
+    chi2 = np.sum((counts - 1000.0) ** 2 / 1000.0)
+    assert chi2 < sps.chi2.ppf(0.99, 16)
 
 
 def test_buffer_guards():
     buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
     with pytest.raises(ValueError):
         buf.sample(1, substream(0, "s"))  # empty buffer
+    buf.push([0], [0.0], [0.0], 0.0, False)
+    with pytest.raises(ValueError, match="runs of 2 from 1"):
+        buf.sample(4, substream(0, "s"), sequence=2)  # a run longer than the buffer
+    with pytest.raises(ValueError, match="runs of 0"):
+        buf.sample(1, substream(0, "s"), sequence=0)
+    buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
     with pytest.raises(ValueError, match="1 entries"):
         buf.push([0, 1], [0.0], [0.0], 0.0, False)  # slate of the wrong size
     with pytest.raises(ValueError, match="1 entries"):
@@ -578,7 +635,7 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     for t in range(6):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
                  roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
-    batch = buf.sample(5, substream(12, "s"))
+    batch = buf.sample(5, substream(12, "s"), sequence=3)  # runs cross episode ends
 
     def loss_fn():
         return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
@@ -603,10 +660,10 @@ def test_critic_loss_gradient_matches_fd_including_belief():
     for t in range(6):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
                  roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
-    batch = buf.sample(4, substream(13, "s"))
+    batch = buf.sample(4, substream(13, "s"), sequence=3)  # runs cross episode ends
     # the TD target is a constant of the loss; hold it fixed while
     # differencing, as autodiff does by construction
-    y = td_target(model, batch, window_inputs(model, batch).value, cfg, substream(13, "eps"))
+    y = td_target(model, batch, post_action_beliefs(model, batch), cfg, substream(13, "eps"))
 
     def loss_fn():
         return critic_loss(model, batch, window_inputs(model, batch), cfg,
@@ -716,7 +773,8 @@ def test_sac_update_builds_the_window_inputs_once(monkeypatch):
 
     monkeypatch.setattr(BeliefEncoder, "_inputs", counting)
     sac_update(model, one_slot_buffer(23), cfg, substream(23, "upd"))
-    assert builds == [(4, 3, 1)]  # one [B, W+1, k] window for all three recomputes
+    # B = 4 < L = 16: one run of 4 turns, [S, W+L, k] for both recomputes
+    assert builds == [(1, 6, 1)]
 
 
 def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
@@ -727,12 +785,12 @@ def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
     batches, beliefs = [], []
     sample, recompute = ReplayBuffer.sample, BeliefEncoder.recompute_array
 
-    def recording_sample(self, n, rng):
-        batches.append(sample(self, n, rng))
+    def recording_sample(self, *args):
+        batches.append(sample(self, *args))
         return batches[-1]
 
-    def recording_recompute(self, x, lengths):
-        beliefs.append((x, recompute(self, x, lengths)))
+    def recording_recompute(self, x, resets):
+        beliefs.append((x, recompute(self, x, resets)))
         return beliefs[-1][1]
 
     monkeypatch.setattr(ReplayBuffer, "sample", recording_sample)
@@ -743,7 +801,71 @@ def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
     stale = np.concatenate([table[batch.slates], batch.clicks[..., None]], axis=-1)
     assert not np.array_equal(actor_x, stale[:, :-1].reshape(actor_x.shape))
     np.testing.assert_array_equal(actor_x, fresh)
-    np.testing.assert_array_equal(actor_h, recompute(model.belief, fresh, batch.prev_lengths))
+    np.testing.assert_array_equal(actor_h, recompute(model.belief, fresh, batch.resets[:, :-1]))
+
+
+def mixed_episode_buffer(seed, window, lengths=(3, 1, 5, 2, 4, 1, 6), action_dim=2):
+    """Episodes of the given lengths; returns the buffer and each pushed
+    transition's index within its episode."""
+    buf = ReplayBuffer(capacity=64, window=window, slate_size=1, action_dim=action_dim)
+    roll, turns = substream(seed, "roll"), []
+    for length in lengths:
+        for t in range(length):
+            buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
+                     roll.uniform(-0.9, 0.9, action_dim), float(len(turns)), t == length - 1)
+            turns.append(t)
+    return buf, np.array(turns)
+
+
+def test_turn_zero_transitions_get_the_zero_belief_and_done_ones_no_bootstrap():
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=30,
+                          gamma=0.9, dtype="float64")
+    nudge_biases(model.critic_store, 30)
+    buf, turns = mixed_episode_buffer(30, window=2)
+    batch = buf.sample(12, substream(30, "s"), sequence=6)   # runs cross episode ends
+    n = batch.rewards.astype(int)
+    assert np.all(batch.resets[:, 2:].ravel()[:12] == (turns[n] == 0))
+    prev, post = batch_beliefs(model, batch)
+    assert np.all(prev[turns[n] == 0] == 0.0)
+    assert np.all(np.any(prev[turns[n] > 0] != 0.0, axis=1))
+    # inside a run, a transition's post-action belief is the next one's
+    # pre-action belief unless that one starts an episode
+    nested = (np.diff(n) == 1) & (turns[n[1:]] > 0)
+    assert nested.any() and np.array_equal(post[:-1][nested], prev[1:][nested])
+    done = batch.dones == 1.0
+    assert done.any() and not done.all()
+    y = td_target(model, batch, post, cfg, substream(30, "eps"))
+    moved = td_target(model, batch, post + 5.0, cfg, substream(30, "eps"))
+    np.testing.assert_array_equal(y[done], batch.rewards[done])
+    np.testing.assert_array_equal(moved[done], y[done])
+    assert np.all(moved[~done] != y[~done])
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_per_transition_runs_match_the_right_aligned_recompute_bit_for_bit(dtype):
+    # at L = 1 a run is one transition with W history rows: its pre-action
+    # belief is the h_T that a zero state frozen over a right-aligned
+    # history's padding gave, and so is its post-action one before turn W
+    window = 3
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=4, window=window, seed=31,
+                          dtype=dtype)
+    buf, turns = mixed_episode_buffer(31, window=window)
+    batch = buf.sample(40, substream(31, "s"))
+    t = turns[batch.rewards.astype(int)]
+    x = window_inputs(model, batch).value
+    s = model.critic_store
+    gru = (s["belief.gru.W"].value, s["belief.gru.U"].value, s["belief.gru.b"].value)
+    h0 = model.belief.init_hidden(len(t))
+
+    def right_aligned(lengths):
+        return (np.arange(window) >= window - lengths[:, None]).astype(x.dtype)
+
+    prev_ref = freeze_mask_gru_window(h0, x[:, :-1], *gru, right_aligned(np.minimum(t, window)))
+    next_ref = freeze_mask_gru_window(h0, x[:, 1:], *gru, right_aligned(np.minimum(t + 1, window)))
+    prev, post = batch_beliefs(model, batch)
+    assert prev.dtype == np.dtype(dtype) and (t >= window).any() and (t == 0).any()
+    np.testing.assert_array_equal(prev, prev_ref)
+    np.testing.assert_array_equal(post[t < window], next_ref[t < window])
 
 
 def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
@@ -894,8 +1016,8 @@ def test_float32_and_float64_updates_agree(monkeypatch):
         adam(store, adam_cfg)
 
     def recording(recompute):
-        def wrapper(self, x, lengths):
-            beliefs.append(recompute(self, x, lengths))
+        def wrapper(self, x, resets):
+            beliefs.append(recompute(self, x, resets))
             return beliefs[-1]
         return wrapper
 
@@ -907,7 +1029,7 @@ def test_float32_and_float64_updates_agree(monkeypatch):
     for key in ("critic_loss", "actor_loss"):
         assert abs(d32[key] - d64[key]) <= 1e-4 * abs(d64[key]), key
     n = len(beliefs) // 2
-    assert n == 3
+    assert n == 2
     for b32, b64 in zip(beliefs[:n], beliefs[n:]):
         b32, b64 = getattr(b32, "value", b32), getattr(b64, "value", b64)
         assert b32.dtype == np.float32 and b64.dtype == np.float64
@@ -959,10 +1081,25 @@ def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     step = [m.belief.step_hidden(np.full((32, 16), 0.3), batch.slates[:, -1],
                                  batch.clicks[:, -1]) for m in (old, model)]
     window = [m.belief.recompute_array(m.belief._input_values(batch.slates, batch.clicks),
-                                       batch.next_lengths) for m in (old, model)]
+                                       batch.resets) for m in (old, model)]
     for b64, b32 in (step, window):
         assert b32.dtype == np.float32
         assert np.max(np.abs(b32 - b64)) < 1e-6
+
+
+def test_checkpoint_without_a_replay_sequence_loads_with_the_default(tmp_path):
+    # replay_sequence is saved through asdict; checkpoints written before it
+    # existed load with the default run length
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=32,
+                          replay_sequence=3)
+    path = tmp_path / "agent.ckpt"
+    save_sac(model, path)
+    stores, meta = load_checkpoint(path)
+    assert meta["config"]["replay_sequence"] == 3
+    assert load_sac(path)[0].cfg.replay_sequence == 3
+    del meta["config"]["replay_sequence"]
+    save_checkpoint(path, stores, meta)
+    assert load_sac(path)[0].cfg.replay_sequence == SacConfig(action_dim=2).replay_sequence == 16
 
 
 # ---------------------------------------------------------------------------
@@ -1048,13 +1185,8 @@ def test_reinforce_update_gradient_matches_fd():
                             rewards=rng.integers(0, 3, 3).astype(float))
     advantage = return_to_go(episode.rewards, cfg.gamma) - 0.25  # fixed baseline
 
-    window = pol.belief.cfg.truncation
-    wl = np.minimum(np.arange(3), window)
-    ws, wc = history_windows(episode.slates, episode.clicks, np.arange(3), wl, window)
-
     def build_loss():
-        hidden = pol.belief.recompute_graph(pol.belief._inputs(ws, wc), wl)
-        log_probs = ad.log_softmax(pol.head(hidden))
+        log_probs = ad.log_softmax(pol.head(episode_beliefs(pol, episode)))
         lp = ad.pick(log_probs, episode.slates[:, 0])
         for j in range(1, 2):
             lp = ad.add(lp, ad.pick(log_probs, episode.slates[:, j]))

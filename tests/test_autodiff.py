@@ -10,6 +10,7 @@ from slatelab import rng as rngmod
 
 from oracles import (
     finite_difference_grads,
+    freeze_mask_gru_window,
     max_relative_error,
     reference_adam_trajectory,
     reference_gru_sequence,
@@ -382,15 +383,24 @@ def _right_aligned_mask(window, lengths):
     return (np.arange(window)[None, :] >= (window - lengths)[:, None]).astype(np.float64)
 
 
+def _first_real_row_resets(window, lengths):
+    """Resets that restart right-aligned histories at their first real row."""
+    return np.arange(window)[None, :] == (window - np.asarray(lengths))[:, None]
+
+
 def test_gru_sequence_fd_short_windows_and_nonzero_h0():
-    # rows: full window, a short right-aligned history, and an empty one
-    # whose output is h0 itself; h0 and x are parameters, so both get checked
-    mask = _right_aligned_mask(5, [5, 2, 0])
-    w = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    # every step's state is an output: rows restart at their first, a middle
+    # and their last step, or run from h0 throughout, and the upstream
+    # gradient reaches steps 0, 2 and 4 only; h0 and x are parameters, so
+    # both get checked
+    resets = np.zeros((4, 5), bool)
+    resets[0, 0] = resets[1, 2] = resets[2, 4] = True
+    w = np.linspace(-1.0, 1.0, 80).reshape(4, 5, 4)
+    w[:, [1, 3]] = 0.0
     build = lambda s: ad.sum_(ad.mul(ad.gru_sequence(
-        s.tensor("h0"), s.tensor("x"), s.tensor("W"), s.tensor("U"), s.tensor("b"), mask),
+        s.tensor("h0"), s.tensor("x"), s.tensor("W"), s.tensor("U"), s.tensor("b"), resets),
         ad.constant(w)))
-    check_fd(build, [("h0", (3, 4)), ("x", (3, 5, 2)), ("W", (2, 12)), ("U", (4, 12)),
+    check_fd(build, [("h0", (4, 4)), ("x", (4, 5, 2)), ("W", (2, 12)), ("U", (4, 12)),
                      ("b", (12,))], seed=3)
 
 
@@ -401,17 +411,37 @@ def test_gru_sequence_equals_single_steps():
     store["gru.b"].value[...] = rng.normal(0.0, 0.3, 12)
     h0 = rng.uniform(-1, 1, size=(4, 4))
     x = rng.uniform(-1, 1, size=(4, 6, 3))
-    for mask in (None, _right_aligned_mask(6, [6, 3, 1, 0])):
-        h = h0
+    resets = np.zeros((4, 6), bool)
+    resets[0, 0] = resets[1, [2, 3]] = resets[2, 5] = True
+    for r in (None, resets):
+        h, steps = h0, []
         for t in range(6):
-            step = cell(Tensor(h), Tensor(x[:, t])).value
-            if mask is None:
-                h = step
-            else:
-                m = mask[:, t, None]
-                h = m * step + (1.0 - m) * h
-        np.testing.assert_array_equal(cell.sequence(Tensor(h0), Tensor(x), mask).value, h)
-        np.testing.assert_array_equal(cell.sequence_array(h0, x, mask), h)
+            if r is not None:
+                h = h * ~r[:, t, None]
+            h = cell(Tensor(h), Tensor(x[:, t])).value
+            steps.append(h)
+        steps = np.stack(steps, axis=1)
+        for states in (cell.sequence(Tensor(h0), Tensor(x), r).value,
+                       cell.sequence_array(h0, x, r)):
+            np.testing.assert_array_equal(states, steps)
+            np.testing.assert_array_equal(states[:, -1], h)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_reset_at_the_first_real_row_matches_the_freeze_mask_bit_for_bit(dtype):
+    # a right-aligned history recomputed from zero: restarting at its first
+    # real row gives the h_T that freezing the zero state over the padding did
+    rng = np.random.default_rng(31)
+    B, T, n_in, H = 64, 20, 90, 64
+    lengths = np.concatenate([[1, T], rng.integers(1, T + 1, B - 2)])
+    x, W, U, b = (rng.normal(0.0, s, shape).astype(dtype) for s, shape in (
+        (1.0, (B, T, n_in)), (n_in ** -0.5, (n_in, 3 * H)), (H ** -0.5, (H, 3 * H)),
+        (0.3, (3 * H,))))
+    h0 = np.zeros((B, H), dtype)
+    frozen = freeze_mask_gru_window(h0, x, W, U, b, _right_aligned_mask(T, lengths).astype(dtype))
+    states = ad.gru_window(h0, x, W, U, b, _first_real_row_resets(T, lengths))
+    assert states.dtype == dtype
+    np.testing.assert_array_equal(states[:, -1], frozen)
 
 
 @pytest.mark.parametrize("B, T, n_in, H, lengths", [
@@ -421,22 +451,33 @@ def test_gru_sequence_equals_single_steps():
     (256, 20, 90, 64, "mixed"),             # the paper's update shape
 ])
 def test_gru_kernel_matches_the_per_step_reference(B, T, n_in, H, lengths):
+    # the reference freezes h0 over a history's padding; the kernel restarts
+    # from zero at its first real row, which agrees when h0 is zero there.
+    # Full windows keep a nonzero h0 and no reset.
+    # An empty history has no row to restart at (its pre-action belief is
+    # set to zero by belief.prev_beliefs), so its output and its upstream
+    # gradient are left out.
     rng = np.random.default_rng(B + T)
     if lengths == "mixed":
         lengths = np.concatenate([[0, 1, T], rng.integers(0, T + 1, B - 3)])
-    mask = None if lengths is None else _right_aligned_mask(T, lengths)
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
     operands = (rng.uniform(-1, 1, (B, H)), rng.normal(0.0, 1.0, (B, T, n_in)),
                 rng.normal(0.0, n_in ** -0.5, (n_in, 3 * H)),
                 rng.normal(0.0, H ** -0.5, (H, 3 * H)), rng.normal(0.0, 0.3, 3 * H))
-    w = rng.normal(0.0, 1.0, (B, H))
-    np.testing.assert_allclose(ad.gru_window(*operands, mask),
-                               reference_gru_window(*operands, mask), rtol=0, atol=1e-12)
+    operands[0][lengths < T] = 0.0
+    real, full = lengths > 0, lengths == T
+    mask = _right_aligned_mask(T, lengths)
+    resets = _first_real_row_resets(T, lengths) & ~full[:, None]
+    w = rng.normal(0.0, 1.0, (B, H)) * real[:, None]
+    np.testing.assert_allclose(ad.gru_window(*operands, resets)[real, -1],
+                               reference_gru_window(*operands, mask)[real], rtol=0, atol=1e-12)
     results = []
-    for sequence in (ad.gru_sequence, reference_gru_sequence):
+    for sequence, m in ((ad.gru_sequence, resets), (reference_gru_sequence, mask)):
         leaves = [Tensor(a) for a in operands]
-        out = sequence(*leaves, mask)
-        backward(ad.sum_(ad.mul(out, ad.constant(w))))
-        results.append([out.value] + [t.grad for t in leaves])
+        out = sequence(*leaves, m)
+        h_T = out[:, -1] if sequence is ad.gru_sequence else out
+        backward(ad.sum_(ad.mul(h_T, ad.constant(w))))
+        results.append([h_T.value[real], leaves[0].grad[full]] + [t.grad for t in leaves[1:]])
     for name, got, want in zip(("h_T", "h0", "x", "W", "U", "b"), *results):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
@@ -556,6 +597,29 @@ def test_gru_sequence_nonfinite_upstream_gradient_raises():
         backward(root)
 
 
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e308), (np.float32, 3e38)])
+def test_gru_sequence_overflowing_upstream_gradient_at_a_middle_step_raises(dtype, big):
+    # U = 0 and bz = -5 make z about 0.007: the state gradient leaving the
+    # last step is about big * (1 - z), finite, and only adding the middle
+    # step's own upstream gradient big overflows it
+    store = ParameterStore(dtype)
+    cell = GruCell(store, "gru", input_dim=3, hidden_dim=4, rng=np.random.default_rng(4))
+    store["gru.U"].value[...] = 0.0
+    store["gru.b"].value[:4] = -5.0
+    x = np.random.default_rng(5).uniform(-1, 1, size=(2, 3, 3)).astype(dtype)
+    for steps, raises in (([2], False), ([1, 2], True)):
+        w = np.zeros((2, 3, 4), dtype)
+        w[0, steps, 0] = big
+        h = cell.sequence(ad.constant(np.zeros((2, 4), dtype)), ad.constant(x))
+        root = ad.sum_(ad.mul(h, ad.constant(w)))
+        if raises:
+            with pytest.raises(NonFiniteError, match="gru-sequence"):
+                backward(root)
+        else:
+            backward(root)
+            assert all(np.isfinite(p.grad).all() for _, p in store.items())
+
+
 # --- float32 twins of the overflow tests: float32 overflows past 3.4e38 ------
 
 
@@ -649,11 +713,11 @@ def test_constant_operands_get_no_gradient_and_change_no_parameter_gradient():
     x = rng.uniform(-1, 1, size=(4, 3))
     seq = rng.uniform(-1, 1, size=(4, 2, 2))
     c = rng.uniform(-1, 1, size=(4, 2))
-    mask = _right_aligned_mask(2, [2, 1, 2, 0])
+    resets = np.array([[False, False], [False, True], [True, False], [True, True]])
 
     def grads(leaf):
         operands = [leaf(v) for v in (x, seq, c)]
-        h = cell.sequence(leaf(np.zeros((4, 3))), operands[1], mask)
+        h = cell.sequence(leaf(np.zeros((4, 3))), operands[1], resets)
         y = ad.mul(mlp(operands[0]), operands[2])
         backward(ad.add(ad.sum_(ad.square(y)), ad.sum_(h)))
         return operands, {name: p.grad.copy() for name, p in store.items()}
