@@ -19,9 +19,6 @@ from .mf import MfConfig
 from .simulator import SimConfig
 
 MAX_INCLUDE_DEPTH = 16
-# Keys added after run records first carried a config hash are dumped only
-# off their defaults, so that configs written before them keep their hash.
-LATER_KEYS = ("replay_sequence",)
 
 
 @dataclass
@@ -54,7 +51,6 @@ class ExperimentConfig:
     hidden: Tuple[int, ...] = (256, 256)
     update_every: int = 1            # env turns between agent update calls
     buffer_capacity: int = 100_000
-    replay_sequence: int = 16        # consecutive transitions per sampled run
 
     # reinforce
     reinforce_lr: float = 0.001
@@ -80,7 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown agent {self.agent!r}")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
-        for name in ("update_every", "validation_every", "replay_sequence"):
+        for name in ("update_every", "validation_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.agent == "sac" and self.buffer_capacity < self.batch_size:
@@ -180,10 +176,9 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         for f in dataclasses.fields(sub):
             pairs.append((f"{prefix}.{f.name}", getattr(sub, f.name)))
     for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if f.name in ("sim", "gems", "mf") or (f.name in LATER_KEYS and value == f.default):
+        if f.name in ("sim", "gems", "mf"):
             continue
-        pairs.append((f.name, value))
+        pairs.append((f.name, getattr(cfg, f.name)))
     lines = []
     for key, value in sorted(pairs):
         if isinstance(value, tuple):

@@ -193,8 +193,7 @@ class Policy:
             sac_cfg = SacConfig(action_dim=self.action_dim(), gamma=cfg.gamma,
                                 tau=cfg.tau, alpha=cfg.alpha,
                                 critic_lr=cfg.critic_lr, actor_lr=cfg.actor_lr,
-                                batch_size=cfg.batch_size, hidden=cfg.hidden,
-                                replay_sequence=cfg.replay_sequence)
+                                batch_size=cfg.batch_size, hidden=cfg.hidden)
             return SacModel(sac_cfg, belief_cfg, self.slate_size, table, init_rng)
         rcfg = ReinforceConfig(gamma=cfg.gamma, learning_rate=cfg.reinforce_lr,
                                baseline_decay=cfg.baseline_decay, hidden=cfg.hidden)

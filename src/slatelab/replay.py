@@ -71,7 +71,7 @@ class ReplayBuffer:
         self._next_turn = 0 if done else self._next_turn + 1
 
     def sample(self, batch_size: int, rng: np.random.Generator,
-               sequence: int = 1) -> TransitionBatch:
+               sequence: int) -> TransitionBatch:
         """B = ``batch_size`` transitions as ceil(B / L) runs of L = min(sequence, B).
 
         Runs start uniformly, with replacement, at the stored transitions whose

@@ -4,7 +4,7 @@ Clipped double-Q with target networks and a tanh-squashed Gaussian
 actor.  The belief GRU lives in the critic's parameter store and is
 trained by the critic loss alone; the actor sees beliefs as constants.
 Updates recompute beliefs from the raw histories in the replay batch, runs
-of ``SacConfig.replay_sequence`` consecutive transitions whose window's GRU
+of ``REPLAY_SEQUENCE`` consecutive transitions whose window's GRU
 inputs ``BeliefEncoder._inputs`` builds once per update.  ``critic_loss``
 runs one GRU pass over the window as a graph: its states before and after
 each transition's row are the pre- and post-action beliefs, and
@@ -39,6 +39,7 @@ from .optim import AdamConfig, ParameterStore, adam_step, polyak_update
 from .replay import ReplayBuffer, TransitionBatch
 from .rng import substream
 
+REPLAY_SEQUENCE = 16     # consecutive transitions per sampled run
 LOG_SIGMA_MIN = -5.0
 LOG_SIGMA_MAX = 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -55,7 +56,6 @@ class SacConfig:
     batch_size: int = 256
     hidden: tuple = (256, 256)
     dtype: str = "float32"
-    replay_sequence: int = 16
 
     def __post_init__(self):
         if self.action_dim <= 0:
@@ -68,8 +68,6 @@ class SacConfig:
             raise ValueError("alpha must be nonnegative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.replay_sequence < 1:
-            raise ValueError("replay_sequence must be at least 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
@@ -222,7 +220,7 @@ def sac_update(model: SacModel, buffer: ReplayBuffer, cfg: SacConfig,
     """One critic step, one actor step, one polyak step."""
     if len(buffer) < cfg.batch_size:
         raise ValueError("replay buffer holds fewer transitions than a batch")
-    batch = buffer.sample(cfg.batch_size, rng, cfg.replay_sequence)
+    batch = buffer.sample(cfg.batch_size, rng, REPLAY_SEQUENCE)
     inputs = model.belief._inputs(batch.slates, batch.clicks)
     c_loss, c_diag = critic_loss(model, batch, inputs, cfg, rng)
     ad.backward(c_loss)

@@ -122,7 +122,7 @@ def _sac_fixture(seed):
     for t in range(6):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
                  roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
-    return cfg, model, buf.sample(4, substream(seed, "s"))
+    return cfg, model, buf.sample(4, substream(seed, "s"), sequence=1)
 
 
 def _fd_sac_actor(seed):

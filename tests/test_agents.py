@@ -265,7 +265,7 @@ def _critic_fixture(window):
     for t in range(3 * window):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
                  roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False)
-    return cfg, model, buf.sample(4, substream(0, "s"))
+    return cfg, model, buf.sample(4, substream(0, "s"), sequence=1)
 
 
 def test_graph_size_does_not_grow_with_the_window():
@@ -290,7 +290,7 @@ def test_buffer_never_exceeds_capacity_and_evicts_fifo():
     for i in range(8):
         buf.push([0], [0.0], [0.0], float(i), False)
     assert len(buf) == 5
-    batch = buf.sample(4000, substream(0, "sample"))
+    batch = buf.sample(4000, substream(0, "sample"), sequence=1)
     assert set(np.unique(batch.rewards)) == {3.0, 4.0, 5.0, 6.0, 7.0}
 
 
@@ -298,7 +298,7 @@ def test_buffer_sampling_is_uniform():
     buf = ReplayBuffer(capacity=20, window=1, slate_size=1, action_dim=1)
     for i in range(20):
         buf.push([0], [0.0], [0.0], float(i), False)
-    draws = buf.sample(100_000, substream(1, "sample")).rewards.astype(int)
+    draws = buf.sample(100_000, substream(1, "sample"), sequence=1).rewards.astype(int)
     counts = np.bincount(draws, minlength=20)
     chi2 = np.sum((counts - 5000.0) ** 2 / 5000.0)
     assert chi2 < sps.chi2.ppf(0.99, 19)
@@ -320,7 +320,7 @@ def test_buffer_windows_split_into_prev_and_next_histories():
     for t, (slate, clicks) in enumerate(turns):
         buf.push(slate, clicks, [0.5], float(t), t == 2)
 
-    batch = buf.sample(3, TakeAll())
+    batch = buf.sample(3, TakeAll(), sequence=1)
     assert batch.slates.shape == (3, 4, 2) and batch.window == 3
     # turn 0: its row restarts the state, so its pre-action history is empty
     assert np.array_equal(batch.slates[0, -1], [1, 2])
@@ -368,7 +368,7 @@ def test_push_after_a_done_transition_starts_an_empty_history():
     buf.push([1], [1.0], [0.0], 0.0, False)
     buf.push([2], [1.0], [0.0], 1.0, True)
     buf.push([3], [0.0], [0.0], 2.0, False)
-    batch = buf.sample(3, TakeAll())
+    batch = buf.sample(3, TakeAll(), sequence=1)
     assert list(batch.resets[:, -1]) == [True, False, True]
     assert np.array_equal(batch.slates[2], [[0], [1], [2], [3]])
     assert list(batch.resets[2]) == [True, True, False, True]
@@ -423,7 +423,7 @@ def test_run_starts_are_uniform_over_the_runs_that_fit():
 def test_buffer_guards():
     buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
     with pytest.raises(ValueError):
-        buf.sample(1, substream(0, "s"))  # empty buffer
+        buf.sample(1, substream(0, "s"), sequence=1)  # empty buffer
     buf.push([0], [0.0], [0.0], 0.0, False)
     with pytest.raises(ValueError, match="runs of 2 from 1"):
         buf.sample(4, substream(0, "s"), sequence=2)  # a run longer than the buffer
@@ -552,7 +552,7 @@ def one_transition_batch(action=0.4, reward=2.0, done=False):
         def integers(self, lo, hi, size):
             return np.zeros(size, dtype=np.int64)
 
-    return buf.sample(1, First())
+    return buf.sample(1, First(), sequence=1)
 
 
 def test_critic_loss_equals_hand_computed_td_error():
@@ -605,7 +605,7 @@ def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
     # widen to the right shapes: rebuild a batch matching k=1, d=2
     buf = ReplayBuffer(capacity=2, window=1, slate_size=1, action_dim=2)
     buf.push([0], [1.0], [0.1, -0.2], 1.0, False)
-    batch = buf.sample(2, substream(0, "s"))
+    batch = buf.sample(2, substream(0, "s"), sequence=1)
     loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg, substream(0, "eps"))
     ad.backward(loss)
     for name, p in model.actor_store.items():
@@ -850,7 +850,7 @@ def test_per_transition_runs_match_the_right_aligned_recompute_bit_for_bit(dtype
     cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=4, window=window, seed=31,
                           dtype=dtype)
     buf, turns = mixed_episode_buffer(31, window=window)
-    batch = buf.sample(40, substream(31, "s"))
+    batch = buf.sample(40, substream(31, "s"), sequence=1)
     t = turns[batch.rewards.astype(int)]
     x = window_inputs(model, batch).value
     s = model.critic_store
@@ -1077,7 +1077,7 @@ def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     save_checkpoint(path, stores, meta)
     model, _ = load_sac(path)
     assert model.cfg.dtype == "float32" and model.dtype == np.float32
-    batch = buf.sample(32, substream(28, "s"))
+    batch = buf.sample(32, substream(28, "s"), sequence=1)
     step = [m.belief.step_hidden(np.full((32, 16), 0.3), batch.slates[:, -1],
                                  batch.clicks[:, -1]) for m in (old, model)]
     window = [m.belief.recompute_array(m.belief._input_values(batch.slates, batch.clicks),
@@ -1085,21 +1085,6 @@ def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     for b64, b32 in (step, window):
         assert b32.dtype == np.float32
         assert np.max(np.abs(b32 - b64)) < 1e-6
-
-
-def test_checkpoint_without_a_replay_sequence_loads_with_the_default(tmp_path):
-    # replay_sequence is saved through asdict; checkpoints written before it
-    # existed load with the default run length
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=32,
-                          replay_sequence=3)
-    path = tmp_path / "agent.ckpt"
-    save_sac(model, path)
-    stores, meta = load_checkpoint(path)
-    assert meta["config"]["replay_sequence"] == 3
-    assert load_sac(path)[0].cfg.replay_sequence == 3
-    del meta["config"]["replay_sequence"]
-    save_checkpoint(path, stores, meta)
-    assert load_sac(path)[0].cfg.replay_sequence == SacConfig(action_dim=2).replay_sequence == 16
 
 
 # ---------------------------------------------------------------------------

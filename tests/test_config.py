@@ -61,7 +61,7 @@ def test_invalid_choices_raise():
         build_config({"agent": "dqn"})
     with pytest.raises(ValueError, match="wknn_source"):
         build_config({"wknn_source": "catalog"})
-    for key in ("update_every", "validation_every", "replay_sequence"):
+    for key in ("update_every", "validation_every"):
         for value in ("0", "-1"):
             with pytest.raises(ValueError, match=f"{key} must be at least 1"):
                 build_config({key: value})
@@ -71,9 +71,6 @@ def test_invalid_choices_raise():
     for dtype in ("float16", "float", "int32", ""):
         with pytest.raises(ValueError, match="dtype must be float32 or float64"):
             SacConfig(action_dim=2, dtype=dtype)
-    for value in (0, -1):
-        with pytest.raises(ValueError, match="replay_sequence must be at least 1"):
-            SacConfig(action_dim=2, replay_sequence=value)
     assert SacConfig(action_dim=2).dtype == "float32"
     assert SacConfig(action_dim=2, dtype="float64").dtype == "float64"
 
@@ -149,16 +146,3 @@ def test_hash_sensitivity_and_stability():
     d = build_config({"gamma": "0.8", "tau": "0.01"})
     assert config_hash(c) == config_hash(d)
     assert len(config_hash(a)) == 12
-
-
-def test_replay_sequence_enters_the_hash_only_off_its_default(tmp_path):
-    # configs written before the key existed keep their hash; a run length
-    # other than the default is a different config and round-trips
-    default, short = build_config({}), build_config({"replay_sequence": "4"})
-    assert default.replay_sequence == 16 and short.replay_sequence == 4
-    assert "replay_sequence" not in canonical_text(default)
-    assert "replay_sequence=4\n" in canonical_text(short)
-    assert config_hash(short) != config_hash(default)
-    f = tmp_path / "dump.cfg"
-    f.write_text(canonical_text(short))
-    assert load_config(f) == short

@@ -140,13 +140,6 @@ def test_action_dims(artifacts):
         assert build_policy(cfg, catalog, 0).action_dim() == expected
 
 
-def test_replay_sequence_reaches_the_sac_config(artifacts):
-    for over, expected in ((dict(), 16), (dict(replay_sequence=3), 3)):
-        cfg = tiny_config(gems_ckpt=artifacts["gems"], **over)
-        catalog = generate_item_catalog(cfg.sim, 0)
-        assert build_policy(cfg, catalog, 0).model.cfg.replay_sequence == expected
-
-
 # -- training protocol ---------------------------------------------------------
 
 
