@@ -10,9 +10,11 @@ jointly with the rest of the network.
 Histories are runs of consecutive turns: :func:`run_windows` cuts [S, T, k]
 windows and their resets (True on rows that start an episode) from per-turn
 arrays, for the replay buffer and REINFORCE alike.  The GRU recomputes every
-row's state from zero, restarting at each reset; :func:`prev_beliefs` and
-:func:`next_beliefs` read the turns' pre- and post-action beliefs off those
-states.  :meth:`BeliefEncoder._inputs` builds a window's GRU inputs once.
+row's state from a given start state (zero for REINFORCE, the stored acting
+belief for SAC's replay), restarting from zero at each reset;
+:func:`prev_beliefs` and :func:`next_beliefs` read a run's pre- and
+post-action beliefs off those states.  :meth:`BeliefEncoder._inputs` builds a
+window's GRU inputs once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ ITEM_SOURCES = ("gems-table", "mf", "ideal", "learned")
 class BeliefConfig:
     belief_dim: int = 64
     item_source: str = "gems-table"
-    truncation: int = 20   # W: turns a recompute runs over from zero before its first turn
+    truncation: int = 20   # W: turns REINFORCE recomputes a turn's belief over, from zero
 
     def __post_init__(self):
         if self.belief_dim <= 0:
@@ -55,20 +57,23 @@ def run_windows(slates: np.ndarray, clicks: np.ndarray, turns: np.ndarray, start
             turns[rows] == 0)
 
 
-def prev_beliefs(states: Tensor, resets: np.ndarray, window: int, count: int) -> Tensor:
-    """Pre-action beliefs [count, H] of the turns after each run's first
-    ``window`` rows, run-major: the state after the row before, or zero where
-    the turn starts an episode.  ``states`` may stop one row short of ``resets``."""
-    runs, run = resets.shape[0], resets.shape[1] - window
-    keep = ad.constant(np.logical_not(resets[:, window:, None]).astype(states.value.dtype))
-    prev = ad.mul(states[:, window - 1:window - 1 + run], keep)
+def prev_beliefs(h0: np.ndarray, states: Tensor, resets: np.ndarray, count: int) -> Tensor:
+    """Pre-action beliefs [count, H] of [S, L] runs' turns, run-major: a run's
+    start state h0 [S, H] (a constant) for its first turn and the state after
+    the row before for the rest, or zero where the turn starts an episode.
+    ``states`` [S, L, H] may stop one row short of ``resets``."""
+    runs, run = resets.shape
+    dtype = states.value.dtype
+    start = ad.constant(np.asarray(h0, dtype)[:, None, :])
+    keep = ad.constant(np.logical_not(resets[..., None]).astype(dtype))
+    prev = ad.mul(ad.concat([start, states[:, :run - 1]], axis=1), keep)
     prev = ad.reshape(prev, (runs * run, states.shape[-1]))
     return prev if count == runs * run else prev[:count]
 
 
-def next_beliefs(states: np.ndarray, window: int, count: int) -> np.ndarray:
+def next_beliefs(states: np.ndarray, count: int) -> np.ndarray:
     """Post-action beliefs [count, H] of the turns of :func:`prev_beliefs`."""
-    return states[:, window:].reshape(-1, states.shape[-1])[:count]
+    return states.reshape(-1, states.shape[-1])[:count]
 
 
 @dataclass
@@ -167,12 +172,15 @@ class BeliefEncoder:
         x = self._input_values(slates, clicks)
         return self.cell.sequence_array(hidden, x[:, None, :])[:, 0]
 
-    def recompute_array(self, x: np.ndarray, resets: np.ndarray) -> np.ndarray:
+    def recompute_array(self, h0: np.ndarray, x: np.ndarray,
+                        resets: np.ndarray) -> np.ndarray:
         """Every row's belief [B, T, H] over the :meth:`_inputs` values of
-        [B, T, k] runs, from zero at the first row and at each reset."""
-        return self.cell.sequence_array(self.init_hidden(x.shape[0]), x, resets)
+        [B, T, k] runs, from h0 [B, H] at the first row and from zero at
+        each reset."""
+        return self.cell.sequence_array(np.asarray(h0, self.dtype), x, resets)
 
-    def recompute_graph(self, x: Tensor, resets: np.ndarray) -> Tensor:
+    def recompute_graph(self, h0: np.ndarray, x: Tensor, resets: np.ndarray) -> Tensor:
         """recompute_array over an :meth:`_inputs` node as one gru-sequence
-        node; gradients reach the GRU (and a learned table) back to a reset."""
-        return self.cell.sequence(ad.constant(self.init_hidden(x.shape[0])), x, resets)
+        node; gradients reach the GRU (and a learned table) back to a reset
+        or the first row, and none reaches the constant h0."""
+        return self.cell.sequence(ad.constant(np.asarray(h0, self.dtype)), x, resets)

@@ -39,7 +39,7 @@ class ExperimentConfig:
     # belief encoder
     belief_dim: int = 64
     belief_item_source: str = ""     # gems-table|mf|ideal|learned; "" = per-agent default
-    belief_truncation: int = 20      # W: history turns replayed from zero before a run (burn-in)
+    belief_truncation: int = 20      # W: REINFORCE's history window; SAC replay ignores it
 
     # sac
     gamma: float = 0.8

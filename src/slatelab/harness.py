@@ -360,8 +360,8 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
     sac_cfg = None
     if cfg.agent == "sac":
         sac_cfg = policy.model.cfg
-        buffer = ReplayBuffer(cfg.buffer_capacity, cfg.belief_truncation,
-                              cfg.sim.slate_size, sac_cfg.action_dim)
+        buffer = ReplayBuffer(cfg.buffer_capacity, cfg.sim.slate_size, sac_cfg.action_dim,
+                              cfg.belief_dim, policy.model.dtype)
     elif cfg.agent == "reinforce":
         baseline = BaselineState(decay=cfg.baseline_decay)
 
@@ -394,7 +394,8 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
                                                   action_rng)
                 res = env.step(slate)
                 if cfg.agent == "sac":
-                    buffer.push(slate, res.clicks, action, res.reward, res.done)
+                    buffer.push(slate, res.clicks, action, res.reward, res.done,
+                                belief.hidden)
                 else:
                     ep_slates.append(slate)
                     ep_clicks.append(res.clicks)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .belief import BeliefConfig, BeliefEncoder, prev_beliefs, run_windows
+from .belief import BeliefConfig, BeliefEncoder, run_windows
 from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
@@ -100,15 +100,19 @@ class ReinforcePolicy:
 
 
 def episode_beliefs(policy: ReinforcePolicy, episode: EpisodeRecord):
-    """[T, H] graph of each turn's pre-action belief, a one-turn run of
-    :func:`belief.run_windows`; window rows that wrap past turn 0 precede its reset."""
+    """[T, H] graph of each turn's pre-action belief: the state after the W
+    rows before it, a one-turn run of :func:`belief.run_windows` recomputed
+    from zero, or zero at turn 0; window rows that wrap past turn 0 precede
+    its reset."""
     turns = np.arange(len(episode.slates))
     window = policy.belief.cfg.truncation
     slates, clicks, resets = run_windows(episode.slates, episode.clicks, turns,
                                          turns - window, window + 1)
     states = policy.belief.recompute_graph(
+        policy.belief.init_hidden(len(turns)),
         policy.belief._inputs(slates[:, :-1], clicks[:, :-1]), resets[:, :-1])
-    return prev_beliefs(states, resets, window, len(turns))
+    keep = np.logical_not(resets[:, -1:]).astype(states.value.dtype)
+    return ad.mul(states[:, -1], ad.constant(keep))
 
 
 def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,

@@ -4,12 +4,15 @@ Clipped double-Q with target networks and a tanh-squashed Gaussian
 actor.  The belief GRU lives in the critic's parameter store and is
 trained by the critic loss alone; the actor sees beliefs as constants.
 Updates recompute beliefs from the raw histories in the replay batch, runs
-of ``REPLAY_SEQUENCE`` consecutive transitions whose window's GRU
-inputs ``BeliefEncoder._inputs`` builds once per update.  ``critic_loss``
-runs one GRU pass over the window as a graph: its states before and after
-each transition's row are the pre- and post-action beliefs, and
-``td_target`` takes the latter.  ``actor_loss`` runs one array pass under
-the GRU weights of the critic step.
+of ``REPLAY_SEQUENCE`` consecutive transitions whose GRU inputs
+``BeliefEncoder._inputs`` builds once per update.  Each run starts from
+the acting belief stored with its first turn (R2D2's stored-state replay:
+no burn-in, and no gradient into the stored state) and restarts from zero
+at episode starts.  ``critic_loss`` runs one GRU pass over the runs as a
+graph: the states before and after each transition's row are its pre- and
+post-action beliefs, and ``td_target`` takes the latter.  ``actor_loss``
+runs one array pass from the same start states under the GRU weights of
+the critic step.
 
 The policy has one definition, :func:`actor_stats` and
 :func:`squashed_log_prob` over graph tensors.  ``actor_loss`` builds it as a
@@ -167,20 +170,21 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
                 target: Optional[np.ndarray] = None) -> Tuple[Tensor, dict]:
     """Mean over the batch and both critics of (Q(s,a) - y)^2.
 
-    ``inputs`` is the batch window's GRU input node.  The target is
+    ``inputs`` is the batch runs' GRU input node.  The target is
     computed from the post-action beliefs of the same GRU pass unless
     given; passing one keeps y fixed while parameters are varied (e.g. by a
     finite-difference oracle), matching the no-gradient-through-y semantics
     exactly.
     """
     b = batch.actions.shape[0]
-    states = model.belief.recompute_graph(inputs, batch.resets)
+    states = model.belief.recompute_graph(batch.hidden, inputs, batch.resets)
     y = target
     if y is None:
-        y = td_target(model, batch, next_beliefs(states.value, batch.window, b), cfg, rng)
+        y = td_target(model, batch, next_beliefs(states.value, b), cfg, rng)
 
-    hidden = prev_beliefs(states, batch.resets, batch.window, b)
-    q_in = ad.concat([hidden, ad.constant(batch.actions.astype(model.dtype))], axis=-1)
+    hidden = prev_beliefs(batch.hidden, states, batch.resets, b)
+    q_in = ad.concat([hidden, ad.constant(batch.actions.astype(model.dtype, copy=False))],
+                     axis=-1)
     q1 = ad.reshape(model.q1(q_in), (b,))
     q2 = ad.reshape(model.q2(q_in), (b,))
     neg_y = ad.constant((-y).astype(model.dtype))
@@ -194,12 +198,12 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
 
 def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
                cfg: SacConfig, rng: np.random.Generator) -> Tuple[Tensor, dict]:
-    """mean(alpha*log pi - min Q) over the batch window's GRU input values
-    but its last row; beliefs and critic weights enter as constants, so
+    """mean(alpha*log pi - min Q) over the batch runs' GRU input values
+    but their last rows; beliefs and critic weights enter as constants, so
     only actor parameters receive gradients."""
     b, d = batch.actions.shape[0], cfg.action_dim
-    states = model.belief.recompute_array(inputs[:, :-1], batch.resets[:, :-1])
-    hidden = prev_beliefs(ad.constant(states), batch.resets, batch.window, b)
+    states = model.belief.recompute_array(batch.hidden, inputs[:, :-1], batch.resets[:, :-1])
+    hidden = prev_beliefs(batch.hidden, ad.constant(states), batch.resets, b)
     mu, log_sigma = actor_stats(model, hidden)
     eps = rng.standard_normal((b, d)).astype(model.dtype)
     u = ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps)))

@@ -112,17 +112,20 @@ def _sac_fixture(seed):
     # finite differences need float64; the agent trains in float32
     cfg = SacConfig(action_dim=2, alpha=0.3, gamma=0.7, hidden=(4,), batch_size=4,
                     dtype="float64")
-    bcfg = BeliefConfig(belief_dim=3, item_source="mf", truncation=2)
+    bcfg = BeliefConfig(belief_dim=3, item_source="mf")
     table = substream(seed, "table").normal(0.0, 0.5, (4, 2))
     model = SacModel(cfg, bcfg, 1, table, substream(seed, "init"))
     _nudge_biases(model.actor_store, seed)
     _nudge_biases(model.critic_store, seed)
-    buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
+    buf = ReplayBuffer(capacity=8, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
     roll = substream(seed, "roll")
     for t in range(6):
+        # stored beliefs are random: the gradients must not depend on them being zero
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
-    return cfg, model, buf.sample(4, substream(seed, "s"), sequence=1)
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2,
+                 roll.uniform(-0.5, 0.5, 3))
+    return cfg, model, buf.sample(4, substream(seed, "s"), sequence=2)
 
 
 def _fd_sac_actor(seed):
@@ -138,9 +141,9 @@ def _fd_sac_actor(seed):
 def _fd_sac_critic(seed):
     cfg, model, batch = _sac_fixture(seed)
     # the TD target is a constant of the loss; hold it fixed while differencing
-    states = model.belief.recompute_array(window_inputs(model, batch).value, batch.resets)
-    y = td_target(model, batch, next_beliefs(states, batch.window, 4), cfg,
-                  substream(seed, "eps"))
+    states = model.belief.recompute_array(batch.hidden, window_inputs(model, batch).value,
+                                          batch.resets)
+    y = td_target(model, batch, next_beliefs(states, 4), cfg, substream(seed, "eps"))
 
     def graph():
         return critic_loss(model, batch, window_inputs(model, batch), cfg,
@@ -400,18 +403,24 @@ def test_criterion_08_beta_pressure_orders_converged_kl():
 # criterion 10: SAC solves a known one-step bandit from raw histories
 
 
-def _context_bandit_buffer(n, rng):
+def _context_bandit_buffer(model, n, rng):
     """Two contexts told apart only through the click history; the optimal
     action is +0.5 after a click and -0.5 after none.  Each two-turn episode
     first pushes the context turn (reward 0, a uniform action) so it lands
-    in the pre-action history of the acted turn that follows and ends it."""
-    buf = ReplayBuffer(capacity=2 * n, window=2, slate_size=1, action_dim=1)
+    in the pre-action history of the acted turn that follows and ends it.
+    Each turn is stored with the belief acted on before it under the
+    model's weights, as ``harness.train`` stores it."""
+    enc = model.belief
+    buf = ReplayBuffer(capacity=2 * n, slate_size=1, action_dim=1,
+                       belief_dim=enc.belief_dim, dtype=model.dtype)
     for _ in range(n):
         ctx = int(rng.integers(0, 2))
-        buf.push([0], [float(ctx)], rng.uniform(-1.0, 1.0, 1), 0.0, False)
+        start = enc.init_belief()
+        buf.push([0], [float(ctx)], rng.uniform(-1.0, 1.0, 1), 0.0, False, start.hidden)
         a = rng.uniform(-1.0, 1.0, 1)
         target = 0.5 if ctx else -0.5
-        buf.push([0], [0.0], a, 1.0 - (a[0] - target) ** 2, True)
+        buf.push([0], [0.0], a, 1.0 - (a[0] - target) ** 2, True,
+                 enc.update_belief(start, [0], [float(ctx)]).hidden)
     return buf
 
 
@@ -419,15 +428,16 @@ def test_criterion_10_sac_reaches_bandit_optimum_on_all_seeds():
     for seed in range(5):
         cfg = SacConfig(action_dim=1, alpha=0.1, hidden=(32, 32),
                         batch_size=64, critic_lr=0.003, actor_lr=0.003)
-        bcfg = BeliefConfig(belief_dim=4, item_source="mf", truncation=2)
+        bcfg = BeliefConfig(belief_dim=4, item_source="mf")
         model = SacModel(cfg, bcfg, 1, np.array([[0.5]]), substream(seed, "init"))
-        buf = _context_bandit_buffer(3000, substream(seed, "data"))
+        buf = _context_bandit_buffer(model, 3000, substream(seed, "data"))
         rng = substream(seed, "upd")
         for _ in range(2000):
             sac_update(model, buf, cfg, rng)
         for ctx, target in ((1, 0.5), (0, -0.5)):
             x = model.belief._input_values(np.array([[[0]]]), np.array([[[float(ctx)]]]))
-            h = model.belief.recompute_array(x, np.zeros((1, 1), bool))[0, -1]
+            h = model.belief.recompute_array(model.belief.init_hidden(1), x,
+                                             np.zeros((1, 1), bool))[0, -1]
             a = select_action(model, h, "mean")[0]
             reward = 1.0 - (a - target) ** 2
             assert reward >= 0.9, (seed, ctx, a)

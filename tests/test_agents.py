@@ -47,16 +47,17 @@ from oracles import finite_difference_grads, freeze_mask_gru_window, max_relativ
 
 
 def window_inputs(model, batch):
-    """The GRU input node of a replay batch's window, built as sac_update does."""
+    """The GRU input node of a replay batch's runs, built as sac_update does."""
     return model.belief._inputs(batch.slates, batch.clicks)
 
 
 def batch_beliefs(model, batch):
     """(pre-action, post-action) beliefs [B, H] of a replay batch's transitions."""
-    states = model.belief.recompute_array(window_inputs(model, batch).value, batch.resets)
+    states = model.belief.recompute_array(batch.hidden, window_inputs(model, batch).value,
+                                          batch.resets)
     b = len(batch.rewards)
-    return (prev_beliefs(ad.constant(states), batch.resets, batch.window, b).value,
-            next_beliefs(states, batch.window, b))
+    return (prev_beliefs(batch.hidden, ad.constant(states), batch.resets, b).value,
+            next_beliefs(states, b))
 
 
 def post_action_beliefs(model, batch):
@@ -168,16 +169,18 @@ def test_recompute_matches_sequential_updates_and_truncates():
     window_s = slates[None, 3:6]
     window_c = clicks[None, 3:6]
     no_reset = np.zeros((1, 3), bool)
-    arr = enc.recompute_array(enc._input_values(window_s, window_c), no_reset)
+    arr = enc.recompute_array(enc.init_hidden(1), enc._input_values(window_s, window_c),
+                              no_reset)
     assert np.allclose(arr[0, -1], b.hidden, atol=1e-12)
-    graph = enc.recompute_graph(enc._inputs(window_s, window_c), no_reset)
+    graph = enc.recompute_graph(enc.init_hidden(1), enc._inputs(window_s, window_c), no_reset)
     assert np.allclose(graph.value[0, -1], b.hidden, atol=1e-12)
 
 
 def test_recompute_handles_short_histories_right_aligned():
-    # a history shorter than the window restarts at its first real row, so
-    # garbage before it does not leak into the pre-action belief of the
-    # turn in the last row; a turn that starts an episode gets zero
+    # a history shorter than the run restarts at its first real row, so
+    # garbage before it, the run's start state included, does not leak into
+    # the pre-action belief of the turn in the last row; the first turn's
+    # belief is the start state, and a turn that starts an episode gets zero
     _, enc = small_encoder(window=4, seed=7)
     slates = np.array([[5, 1], [2, 8]])
     clicks = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -193,13 +196,15 @@ def test_recompute_handles_short_histories_right_aligned():
     padded_c[0, 0] = [1.0, 1.0]
     padded_s[0, 4] = [3, 3]
     x = enc._input_values(padded_s, padded_c)
+    h0 = np.full((1, 5), 0.7)
     resets = np.zeros((1, 5), bool)
     resets[0, 2] = True
-    out = prev_beliefs(ad.constant(enc.recompute_array(x, resets)), resets, 4, 1)
-    assert np.allclose(out.value[0], b.hidden, atol=1e-12)
+    out = prev_beliefs(h0, ad.constant(enc.recompute_array(h0, x, resets)), resets, 5)
+    assert np.allclose(out.value[4], b.hidden, atol=1e-12)
+    assert np.array_equal(out.value[0], h0[0]) and np.all(out.value[2] == 0.0)
     resets[0, 4] = True
-    zero = prev_beliefs(ad.constant(enc.recompute_array(x, resets)), resets, 4, 1)
-    assert np.all(zero.value == 0.0)
+    zero = prev_beliefs(h0, ad.constant(enc.recompute_array(h0, x, resets)), resets, 5)
+    assert np.all(zero.value[4] == 0.0)
 
 
 def test_belief_gradient_through_chained_updates_matches_fd():
@@ -210,12 +215,13 @@ def test_belief_gradient_through_chained_updates_matches_fd():
     slates = rng.integers(0, 12, (1, 3, 2))
     clicks = (rng.random((1, 3, 2)) < 0.5).astype(float)
     resets = np.zeros((1, 3), bool)
+    h0 = np.full((1, 4), 0.3)   # a constant: no gradient reaches it
 
     def loss_fn():
-        h = enc.recompute_graph(enc._inputs(slates, clicks), resets)
+        h = enc.recompute_graph(h0, enc._inputs(slates, clicks), resets)
         return ad.mean(ad.square(h)).item()
 
-    loss = ad.mean(ad.square(enc.recompute_graph(enc._inputs(slates, clicks), resets)))
+    loss = ad.mean(ad.square(enc.recompute_graph(h0, enc._inputs(slates, clicks), resets)))
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in store.items()}
     fd = finite_difference_grads(store, loss_fn)
@@ -233,9 +239,10 @@ def test_learned_table_gradient_through_short_windows_matches_fd():
     clicks = (rng.random((3, 3, 2)) < 0.5).astype(float)
     resets = np.array([[True, False, False], [False, False, True], [False, True, True]])
     w = substream(10, "w").normal(0.0, 1.0, (3, 3, 4))
+    h0 = substream(10, "h0").uniform(-0.5, 0.5, (3, 4))
 
     def graph():
-        h = enc.recompute_graph(enc._inputs(slates, clicks), resets)
+        h = enc.recompute_graph(h0, enc._inputs(slates, clicks), resets)
         return ad.sum_(ad.mul(ad.square(h), ad.constant(w)))
 
     ad.backward(graph())
@@ -256,28 +263,33 @@ def _graph_nodes(root):
     return list(seen.values())
 
 
-def _critic_fixture(window):
-    cfg = SacConfig(action_dim=2, hidden=(4,), batch_size=4)
-    bcfg = BeliefConfig(belief_dim=3, item_source="mf", truncation=window)
+def _critic_fixture(run):
+    cfg = SacConfig(action_dim=2, hidden=(4,), batch_size=20)
+    bcfg = BeliefConfig(belief_dim=3, item_source="mf")
     model = SacModel(cfg, bcfg, 1, small_table(num_items=4, dim=2), substream(0, "init"))
-    buf = ReplayBuffer(capacity=64, window=window, slate_size=1, action_dim=2)
+    buf = ReplayBuffer(capacity=64, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
     roll = substream(0, "roll")
-    for t in range(3 * window):
+    for t in range(60):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False)
-    return cfg, model, buf.sample(4, substream(0, "s"), sequence=1)
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), False,
+                 roll.uniform(-0.5, 0.5, 3))
+    return cfg, model, buf.sample(20, substream(0, "s"), sequence=run)
 
 
 def test_graph_size_does_not_grow_with_the_window():
+    # one gru-sequence node covers a batch's runs, however long they are
     sizes = {}
-    for window in (2, 20):
-        cfg, model, batch = _critic_fixture(window)
-        hidden = model.belief.recompute_graph(window_inputs(model, batch), batch.resets)
+    for run in (2, 20):
+        cfg, model, batch = _critic_fixture(run)
+        assert batch.slates.shape[1] == run
+        hidden = model.belief.recompute_graph(batch.hidden, window_inputs(model, batch),
+                                              batch.resets)
         assert [n.op for n in _graph_nodes(hidden)].count("gru-sequence") == 1
         loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
         nodes = _graph_nodes(loss)
         assert [n.op for n in nodes].count("gru-sequence") == 1
-        sizes[window] = len(nodes)
+        sizes[run] = len(nodes)
     assert sizes[2] == sizes[20]
 
 
@@ -285,19 +297,25 @@ def test_graph_size_does_not_grow_with_the_window():
 # replay buffer
 
 
+def scalar_buffer(capacity):
+    """A buffer of one-item slates, one-dim actions and one-dim beliefs."""
+    return ReplayBuffer(capacity=capacity, slate_size=1, action_dim=1, belief_dim=1,
+                        dtype=np.float64)
+
+
 def test_buffer_never_exceeds_capacity_and_evicts_fifo():
-    buf = ReplayBuffer(capacity=5, window=1, slate_size=1, action_dim=1)
+    buf = scalar_buffer(5)
     for i in range(8):
-        buf.push([0], [0.0], [0.0], float(i), False)
+        buf.push([0], [0.0], [0.0], float(i), False, [0.0])
     assert len(buf) == 5
     batch = buf.sample(4000, substream(0, "sample"), sequence=1)
     assert set(np.unique(batch.rewards)) == {3.0, 4.0, 5.0, 6.0, 7.0}
 
 
 def test_buffer_sampling_is_uniform():
-    buf = ReplayBuffer(capacity=20, window=1, slate_size=1, action_dim=1)
+    buf = scalar_buffer(20)
     for i in range(20):
-        buf.push([0], [0.0], [0.0], float(i), False)
+        buf.push([0], [0.0], [0.0], float(i), False, [0.0])
     draws = buf.sample(100_000, substream(1, "sample"), sequence=1).rewards.astype(int)
     counts = np.bincount(draws, minlength=20)
     chi2 = np.sum((counts - 5000.0) ** 2 / 5000.0)
@@ -312,66 +330,92 @@ class TakeAll:
 
 
 def test_buffer_windows_split_into_prev_and_next_histories():
-    # one 3-turn episode with window 3; each run's window holds W history
-    # rows and then its own turns, and resets mark every turn-0 row (the
-    # ring's unwritten rows included)
-    buf = ReplayBuffer(capacity=10, window=3, slate_size=2, action_dim=1)
+    # one 3-turn episode; each run holds its own turns, the belief stored
+    # with its first turn (the pre-action history folded in), and resets on
+    # every turn-0 row
+    buf = ReplayBuffer(capacity=10, slate_size=2, action_dim=1, belief_dim=2,
+                       dtype=np.float32)
     turns = [([1, 2], [1.0, 0.0]), ([3, 4], [0.0, 0.0]), ([5, 6], [0.0, 1.0])]
     for t, (slate, clicks) in enumerate(turns):
-        buf.push(slate, clicks, [0.5], float(t), t == 2)
+        buf.push(slate, clicks, [0.5], float(t), t == 2, [0.25 * t, -t])
 
     batch = buf.sample(3, TakeAll(), sequence=1)
-    assert batch.slates.shape == (3, 4, 2) and batch.window == 3
-    # turn 0: its row restarts the state, so its pre-action history is empty
-    assert np.array_equal(batch.slates[0, -1], [1, 2])
-    assert list(batch.resets[0]) == [True] * 4
-    # turn 2: pre-action rows hold turns 0..1 after the restart, the last row is turn 2
-    assert np.array_equal(batch.slates[2, 1:], [[1, 2], [3, 4], [5, 6]])
-    assert list(batch.resets[2]) == [True, True, False, False]
-    assert np.array_equal(batch.clicks[2, 3], [0.0, 1.0])
+    assert batch.slates.shape == (3, 1, 2) and batch.hidden.shape == (3, 2)
+    assert batch.hidden.dtype == batch.actions.dtype == np.float32
+    assert np.array_equal(batch.slates[:, 0], [[1, 2], [3, 4], [5, 6]])
+    assert np.array_equal(batch.clicks[2, 0], [0.0, 1.0])
+    # turn 0 restarts the state; turns 1 and 2 start from their stored beliefs
+    assert list(batch.resets[:, 0]) == [True, False, False]
+    assert np.array_equal(batch.hidden, [[0.0, 0.0], [0.25, -1.0], [0.5, -2.0]])
     assert batch.dones[2] == 1.0 and batch.dones[0] == 0.0
 
     run = buf.sample(3, TakeAll(), sequence=3)
-    assert run.slates.shape == (1, 6, 2)
-    assert np.array_equal(run.slates[0, 3:], [[1, 2], [3, 4], [5, 6]])
-    assert list(run.resets[0]) == [True, True, True, True, False, False]
+    assert run.slates.shape == (1, 3, 2)
+    assert np.array_equal(run.slates[0], [[1, 2], [3, 4], [5, 6]])
+    assert list(run.resets[0]) == [True, False, False]
+    assert np.array_equal(run.hidden, [[0.0, 0.0]])
     assert list(run.rewards) == [0.0, 1.0, 2.0] and list(run.dones) == [0.0, 0.0, 1.0]
 
 
 def test_buffer_windows_match_the_pushed_turns_after_the_ring_wraps():
-    capacity, window = 5, 3
-    buf = ReplayBuffer(capacity=capacity, window=window, slate_size=2, action_dim=1)
+    capacity = 5
+    buf = ReplayBuffer(capacity=capacity, slate_size=2, action_dim=1, belief_dim=3,
+                       dtype=np.float64)
     rng = substream(40, "turns")
-    pushed = []  # (slate, clicks, index within the episode, done)
+    pushed = []  # (slate, clicks, index within the episode, done, stored belief)
     for episode_length in (4, 1, 6, 3):
         for t in range(episode_length):
             slate = rng.integers(1, 9, 2)
             clicks = (rng.random(2) < 0.5).astype(float)
             done = t == episode_length - 1
-            buf.push(slate, clicks, [0.0], float(len(pushed)), done)
-            pushed.append((slate, clicks, t, done))
+            hidden = rng.uniform(-1.0, 1.0, 3)
+            buf.push(slate, clicks, [0.0], float(len(pushed)), done, hidden)
+            pushed.append((slate, clicks, t, done, hidden))
     assert len(pushed) == 14 and len(buf) == capacity
     for run in (1, 2, capacity):
         batch = buf.sample(capacity, TakeAll(), sequence=run)
         starts = 14 - capacity + np.arange(batch.slates.shape[0])
         assert list(batch.rewards) == list((starts[:, None] + np.arange(run)).ravel()[:capacity])
         for s, first in enumerate(starts):
-            rows = pushed[first - window:first + run]   # the W history turns, then the run
+            rows = pushed[first:first + run]
             assert np.array_equal(batch.slates[s], np.reshape([r[0] for r in rows], (-1, 2)))
             assert np.array_equal(batch.clicks[s], np.reshape([r[1] for r in rows], (-1, 2)))
             assert list(batch.resets[s]) == [r[2] == 0 for r in rows]
+            assert np.array_equal(batch.hidden[s], pushed[first][4])
         assert list(batch.dones) == [float(pushed[n][3]) for n in batch.rewards.astype(int)]
 
 
+def test_buffer_columns_grow_to_the_capacity_and_keep_every_row():
+    # the columns double from 1024 rows until they hold the capacity, and
+    # rows written before each growth read back unchanged after the ring wraps
+    buf = scalar_buffer(2500)
+    rows = []
+    for i in range(3000):
+        buf.push([i % 7], [i % 2], [i / 3000], float(i), i % 10 == 9, [-i])
+        rows.append(len(buf._hidden))
+    assert sorted(set(rows)) == [1024, 2048, 2500]
+    assert rows.index(2048) == 1024 and rows.index(2500) == 2048
+    batch = buf.sample(2500, TakeAll(), sequence=1)
+    kept = np.arange(500, 3000)
+    np.testing.assert_array_equal(batch.rewards, kept)
+    np.testing.assert_array_equal(batch.slates[:, 0, 0], kept % 7)
+    np.testing.assert_array_equal(batch.clicks[:, 0, 0], kept % 2)
+    np.testing.assert_array_equal(batch.actions[:, 0], kept / 3000)
+    np.testing.assert_array_equal(batch.hidden[:, 0], -kept)
+    np.testing.assert_array_equal(batch.dones, kept % 10 == 9)
+    np.testing.assert_array_equal(batch.resets[:, 0], kept % 10 == 0)
+
+
 def test_push_after_a_done_transition_starts_an_empty_history():
-    buf = ReplayBuffer(capacity=4, window=3, slate_size=1, action_dim=1)
-    buf.push([1], [1.0], [0.0], 0.0, False)
-    buf.push([2], [1.0], [0.0], 1.0, True)
-    buf.push([3], [0.0], [0.0], 2.0, False)
+    buf = scalar_buffer(4)
+    buf.push([1], [1.0], [0.0], 0.0, False, [0.0])
+    buf.push([2], [1.0], [0.0], 1.0, True, [0.5])
+    buf.push([3], [0.0], [0.0], 2.0, False, [0.0])
     batch = buf.sample(3, TakeAll(), sequence=1)
-    assert list(batch.resets[:, -1]) == [True, False, True]
-    assert np.array_equal(batch.slates[2], [[0], [1], [2], [3]])
-    assert list(batch.resets[2]) == [True, True, False, True]
+    assert list(batch.resets[:, 0]) == [True, False, True]
+    run = buf.sample(3, TakeAll(), sequence=3)
+    assert np.array_equal(run.slates[0], [[1], [2], [3]])
+    assert list(run.resets[0]) == [True, False, True]
 
 
 def test_run_windows_match_hand_built_windows():
@@ -391,28 +435,30 @@ def test_run_windows_match_hand_built_windows():
 
 
 def test_runs_shrink_to_short_batches_and_the_last_run_is_cut_short():
-    buf = ReplayBuffer(capacity=50, window=2, slate_size=1, action_dim=1)
+    buf = scalar_buffer(50)
     for i in range(60):
-        buf.push([i % 7], [0.0], [0.0], float(i), i % 10 == 9)
+        buf.push([i % 7], [0.0], [0.0], float(i), i % 10 == 9, [i])
     # B < L: one run of B turns
     batch = buf.sample(5, substream(0, "s"), sequence=16)
-    assert batch.slates.shape == (1, 7, 1) and batch.resets.shape == (1, 7)
+    assert batch.slates.shape == (1, 5, 1) and batch.resets.shape == (1, 5)
     assert np.array_equal(np.diff(batch.rewards), np.ones(4))
+    assert batch.hidden.shape == (1, 1) and batch.hidden[0, 0] == batch.rewards[0]
     # B = 10, L = 4: three runs, the last one cut to its first 2 turns
     batch = buf.sample(10, substream(1, "s"), sequence=4)
-    assert batch.slates.shape == (3, 6, 1) and len(batch.rewards) == 10
+    assert batch.slates.shape == (3, 4, 1) and len(batch.rewards) == 10
     for run, rewards in enumerate(np.split(batch.rewards.astype(int), [4, 8])):
         first = rewards[0]
         assert 10 <= first <= 59 - 3 and np.array_equal(rewards, first + np.arange(len(rewards)))
-        assert np.array_equal(batch.slates[run, :, 0], np.arange(first - 2, first + 4) % 7)
+        assert np.array_equal(batch.slates[run, :, 0], np.arange(first, first + 4) % 7)
+        assert batch.hidden[run, 0] == first
 
 
 def test_run_starts_are_uniform_over_the_runs_that_fit():
     # capacity 20 after 30 pushes holds transitions 10..29; runs of 4 can
     # start at 10..26
-    buf = ReplayBuffer(capacity=20, window=1, slate_size=1, action_dim=1)
+    buf = scalar_buffer(20)
     for i in range(30):
-        buf.push([0], [0.0], [0.0], float(i), False)
+        buf.push([0], [0.0], [0.0], float(i), False, [0.0])
     starts = buf.sample(4 * 17_000, substream(2, "sample"), sequence=4).rewards[::4]
     counts = np.bincount(starts.astype(int) - 10, minlength=17)
     assert len(counts) == 17
@@ -421,19 +467,23 @@ def test_run_starts_are_uniform_over_the_runs_that_fit():
 
 
 def test_buffer_guards():
-    buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
+    buf = scalar_buffer(2)
     with pytest.raises(ValueError):
         buf.sample(1, substream(0, "s"), sequence=1)  # empty buffer
-    buf.push([0], [0.0], [0.0], 0.0, False)
+    buf.push([0], [0.0], [0.0], 0.0, False, [0.0])
     with pytest.raises(ValueError, match="runs of 2 from 1"):
         buf.sample(4, substream(0, "s"), sequence=2)  # a run longer than the buffer
     with pytest.raises(ValueError, match="runs of 0"):
         buf.sample(1, substream(0, "s"), sequence=0)
-    buf = ReplayBuffer(capacity=2, window=2, slate_size=1, action_dim=1)
+    buf = ReplayBuffer(capacity=2, slate_size=1, action_dim=1, belief_dim=2,
+                       dtype=np.float32)
     with pytest.raises(ValueError, match="1 entries"):
-        buf.push([0, 1], [0.0], [0.0], 0.0, False)  # slate of the wrong size
+        buf.push([0, 1], [0.0], [0.0], 0.0, False, [0.0, 0.0])  # slate of the wrong size
     with pytest.raises(ValueError, match="1 entries"):
-        buf.push([0], [0.0, 1.0], [0.0], 0.0, False)  # clicks of the wrong size
+        buf.push([0], [0.0, 1.0], [0.0], 0.0, False, [0.0, 0.0])  # clicks of the wrong size
+    for hidden in ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0):  # beliefs of the wrong shape
+        with pytest.raises(ValueError, match=r"hidden must have shape \(2,\)"):
+            buf.push([0], [0.0], [0.0], 0.0, False, hidden)
     assert len(buf) == 0
 
 
@@ -442,10 +492,10 @@ def test_buffer_guards():
 
 
 def tiny_sac(alpha=0.2, gamma=0.5, action_dim=1, hidden=(1,), belief_dim=1,
-             window=1, k=1, seed=0, **kw):
+             k=1, seed=0, **kw):
     cfg = SacConfig(action_dim=action_dim, alpha=alpha, gamma=gamma,
                     hidden=hidden, batch_size=kw.pop("batch_size", 4), **kw)
-    bcfg = BeliefConfig(belief_dim=belief_dim, item_source="mf", truncation=window)
+    bcfg = BeliefConfig(belief_dim=belief_dim, item_source="mf")
     table = small_table(num_items=4, dim=2, seed=seed)
     model = SacModel(cfg, bcfg, k, table, substream(seed, "init"))
     return cfg, model
@@ -545,8 +595,8 @@ def hand_set_critics(model):
 
 
 def one_transition_batch(action=0.4, reward=2.0, done=False):
-    buf = ReplayBuffer(capacity=4, window=1, slate_size=1, action_dim=1)
-    buf.push([0], [1.0], [action], reward, done)
+    buf = scalar_buffer(4)
+    buf.push([0], [1.0], [action], reward, done, [0.0])
 
     class First:
         def integers(self, lo, hi, size):
@@ -603,8 +653,9 @@ def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
         model.critic_store[f"{q}.l1.W"].value[...] = 0.0
     batch = one_transition_batch()
     # widen to the right shapes: rebuild a batch matching k=1, d=2
-    buf = ReplayBuffer(capacity=2, window=1, slate_size=1, action_dim=2)
-    buf.push([0], [1.0], [0.1, -0.2], 1.0, False)
+    buf = ReplayBuffer(capacity=2, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
+    buf.push([0], [1.0], [0.1, -0.2], 1.0, False, np.zeros(3))
     batch = buf.sample(2, substream(0, "s"), sequence=1)
     loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg, substream(0, "eps"))
     ad.backward(loss)
@@ -627,15 +678,18 @@ def nudge_biases(store, seed):
 
 def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     cfg, model = tiny_sac(alpha=0.3, hidden=(4,), action_dim=2, belief_dim=3,
-                          window=2, seed=12, dtype="float64")   # FD needs float64
+                          seed=12, dtype="float64")   # FD needs float64
     nudge_biases(model.actor_store, 12)
     nudge_biases(model.critic_store, 12)
-    buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
+    buf = ReplayBuffer(capacity=8, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
     roll = substream(12, "roll")
-    for t in range(6):
+    for t in range(8):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2,
+                 roll.uniform(-0.5, 0.5, 3))
     batch = buf.sample(5, substream(12, "s"), sequence=3)  # runs cross episode ends
+    assert not batch.resets[:, 0].all()     # a run starts from a stored nonzero belief
 
     def loss_fn():
         return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
@@ -652,15 +706,18 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
 
 def test_critic_loss_gradient_matches_fd_including_belief():
     cfg, model = tiny_sac(alpha=0.2, gamma=0.7, hidden=(4,), action_dim=2,
-                          belief_dim=3, window=2, seed=13, dtype="float64")
+                          belief_dim=3, seed=13, dtype="float64")
     nudge_biases(model.actor_store, 13)
     nudge_biases(model.critic_store, 13)
-    buf = ReplayBuffer(capacity=8, window=2, slate_size=1, action_dim=2)
+    buf = ReplayBuffer(capacity=8, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
     roll = substream(13, "roll")
-    for t in range(6):
+    for t in range(8):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2)
+                 roll.uniform(-0.5, 0.5, 2), float(roll.integers(0, 3)), t % 3 == 2,
+                 roll.uniform(-0.5, 0.5, 3))
     batch = buf.sample(4, substream(13, "s"), sequence=3)  # runs cross episode ends
+    assert not batch.resets[:, 0].all()     # a run starts from a stored nonzero belief
     # the TD target is a constant of the loss; hold it fixed while
     # differencing, as autodiff does by construction
     y = td_target(model, batch, post_action_beliefs(model, batch), cfg, substream(13, "eps"))
@@ -681,10 +738,11 @@ def test_critic_loss_gradient_matches_fd_including_belief():
 
 def quadratic_bandit_buffer(n, rng):
     """One-turn episodes, empty prior history, reward 1 - a^2 (optimum a=0)."""
-    buf = ReplayBuffer(capacity=n, window=1, slate_size=1, action_dim=1)
+    buf = ReplayBuffer(capacity=n, slate_size=1, action_dim=1, belief_dim=4,
+                       dtype=np.float32)
     for _ in range(n):
         a = rng.uniform(-1.0, 1.0, 1)
-        buf.push([0], [0.0], a, 1.0 - a[0] ** 2, True)
+        buf.push([0], [0.0], a, 1.0 - a[0] ** 2, True, np.zeros(4))
     return buf
 
 
@@ -724,13 +782,9 @@ def test_entropy_weight_raises_converged_policy_spread():
 def test_sac_update_deterministic_given_seed_and_buffer():
     runs = []
     for _ in range(2):
-        cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2,
+        cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
                               seed=21, batch_size=4)
-        buf = ReplayBuffer(capacity=16, window=2, slate_size=1, action_dim=2)
-        roll = substream(21, "roll")
-        for t in range(10):
-            buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                     roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4)
+        buf = one_slot_buffer(21)
         rng = substream(21, "upd")
         diags = [sac_update(model, buf, cfg, rng) for _ in range(3)]
         runs.append((model, diags))
@@ -747,23 +801,26 @@ def test_sac_update_deterministic_given_seed_and_buffer():
 
 def test_sac_update_requires_a_full_batch():
     cfg, model = tiny_sac(batch_size=8)
-    buf = ReplayBuffer(capacity=8, window=1, slate_size=1, action_dim=1)
-    buf.push([0], [0.0], [0.1], 1.0, True)
+    buf = scalar_buffer(8)
+    buf.push([0], [0.0], [0.1], 1.0, True, [0.0])
     with pytest.raises(ValueError):
         sac_update(model, buf, cfg, substream(0, "u"))
 
 
-def one_slot_buffer(seed, window=2, turns=10):
-    buf = ReplayBuffer(capacity=16, window=window, slate_size=1, action_dim=2)
+def one_slot_buffer(seed, turns=10):
+    """Random turns of one-item slates, two-dim actions and three-dim stored beliefs."""
+    buf = ReplayBuffer(capacity=16, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=np.float32)
     roll = substream(seed, "roll")
     for t in range(turns):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4)
+                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 5 == 4,
+                 roll.uniform(-0.5, 0.5, 3))
     return buf
 
 
 def test_sac_update_builds_the_window_inputs_once(monkeypatch):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=23)
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=23)
     builds = []
     real = BeliefEncoder._inputs
 
@@ -773,8 +830,8 @@ def test_sac_update_builds_the_window_inputs_once(monkeypatch):
 
     monkeypatch.setattr(BeliefEncoder, "_inputs", counting)
     sac_update(model, one_slot_buffer(23), cfg, substream(23, "upd"))
-    # B = 4 < L = 16: one run of 4 turns, [S, W+L, k] for both recomputes
-    assert builds == [(1, 6, 1)]
+    # B = 4 < L = 16: one run of 4 turns, [S, L, k] for both recomputes
+    assert builds == [(1, 4, 1)]
 
 
 def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
@@ -789,8 +846,8 @@ def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
         batches.append(sample(self, *args))
         return batches[-1]
 
-    def recording_recompute(self, x, resets):
-        beliefs.append((x, recompute(self, x, resets)))
+    def recording_recompute(self, h0, x, resets):
+        beliefs.append((x, recompute(self, h0, x, resets)))
         return beliefs[-1][1]
 
     monkeypatch.setattr(ReplayBuffer, "sample", recording_sample)
@@ -801,30 +858,65 @@ def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
     stale = np.concatenate([table[batch.slates], batch.clicks[..., None]], axis=-1)
     assert not np.array_equal(actor_x, stale[:, :-1].reshape(actor_x.shape))
     np.testing.assert_array_equal(actor_x, fresh)
-    np.testing.assert_array_equal(actor_h, recompute(model.belief, fresh, batch.resets[:, :-1]))
+    np.testing.assert_array_equal(actor_h, recompute(model.belief, batch.hidden, fresh,
+                                                     batch.resets[:, :-1]))
 
 
-def mixed_episode_buffer(seed, window, lengths=(3, 1, 5, 2, 4, 1, 6), action_dim=2):
-    """Episodes of the given lengths; returns the buffer and each pushed
-    transition's index within its episode."""
-    buf = ReplayBuffer(capacity=64, window=window, slate_size=1, action_dim=action_dim)
-    roll, turns = substream(seed, "roll"), []
+def mixed_episode_buffer(seed, model, lengths=(3, 1, 5, 2, 4, 1, 6), capacity=64):
+    """Episodes of the given lengths on one-item slates, each turn stored
+    with the belief acted on before it, as ``harness.train`` stores it.
+    Returns the buffer, each pushed transition's index within its episode,
+    and the acting beliefs [N, H] before and after each turn."""
+    enc = model.belief
+    buf = ReplayBuffer(capacity=capacity, slate_size=1, action_dim=model.cfg.action_dim,
+                       belief_dim=enc.belief_dim, dtype=model.dtype)
+    roll, turns, before, after = substream(seed, "roll"), [], [], []
     for length in lengths:
+        belief = enc.init_belief()
         for t in range(length):
-            buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                     roll.uniform(-0.9, 0.9, action_dim), float(len(turns)), t == length - 1)
+            slate, clicks = roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float)
+            buf.push(slate, clicks, roll.uniform(-0.9, 0.9, model.cfg.action_dim),
+                     float(len(turns)), t == length - 1, belief.hidden)
+            before.append(belief.hidden)
+            belief = enc.update_belief(belief, slate, clicks)
+            after.append(belief.hidden)
             turns.append(t)
-    return buf, np.array(turns)
+    return buf, np.array(turns), np.array(before), np.array(after)
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
+def test_replayed_beliefs_equal_the_acting_beliefs_after_the_ring_wraps(dtype, tol):
+    # With the weights held fixed, each run starts from the belief its first
+    # turn was acted on and restarts from zero at episode starts, so replay
+    # gives every transition the acting beliefs before and after its turn.
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=4, seed=32, dtype=dtype)
+    nudge_biases(model.critic_store, 32)
+    buf, turns, before, after = mixed_episode_buffer(32, model, (4, 1, 6, 3, 2, 4),
+                                                     capacity=5)
+    assert len(turns) == 20 and len(buf) == 5
+    assert np.all(before[turns == 0] == 0.0) and np.all(np.any(before[turns > 0], axis=1))
+    crossed = False
+    for run in (1, 2, 5):
+        for rng in (TakeAll(), substream(32, "s")):
+            batch = buf.sample(5, rng, sequence=run)
+            n = batch.rewards.astype(int)
+            np.testing.assert_array_equal(batch.hidden, before[n[::run]])
+            prev, post = batch_beliefs(model, batch)
+            assert prev.dtype == post.dtype == np.dtype(dtype)
+            assert np.max(np.abs(prev - before[n])) <= tol
+            assert np.max(np.abs(post - after[n])) <= tol
+            crossed |= bool(batch.resets[:, 1:].any())
+    assert crossed      # some run crossed an episode end and restarted at the reset
 
 
 def test_turn_zero_transitions_get_the_zero_belief_and_done_ones_no_bootstrap():
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=30,
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=30,
                           gamma=0.9, dtype="float64")
     nudge_biases(model.critic_store, 30)
-    buf, turns = mixed_episode_buffer(30, window=2)
+    buf, turns, _, _ = mixed_episode_buffer(30, model)
     batch = buf.sample(12, substream(30, "s"), sequence=6)   # runs cross episode ends
     n = batch.rewards.astype(int)
-    assert np.all(batch.resets[:, 2:].ravel()[:12] == (turns[n] == 0))
+    assert np.all(batch.resets.ravel()[:12] == (turns[n] == 0))
     prev, post = batch_beliefs(model, batch)
     assert np.all(prev[turns[n] == 0] == 0.0)
     assert np.all(np.any(prev[turns[n] > 0] != 0.0, axis=1))
@@ -842,40 +934,34 @@ def test_turn_zero_transitions_get_the_zero_belief_and_done_ones_no_bootstrap():
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_per_transition_runs_match_the_right_aligned_recompute_bit_for_bit(dtype):
-    # at L = 1 a run is one transition with W history rows: its pre-action
-    # belief is the h_T that a zero state frozen over a right-aligned
-    # history's padding gave, and so is its post-action one before turn W
-    window = 3
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=4, window=window, seed=31,
-                          dtype=dtype)
-    buf, turns = mixed_episode_buffer(31, window=window)
+def test_per_transition_runs_step_once_from_the_stored_state_bit_for_bit(dtype):
+    # at L = 1 a run is one transition: its pre-action belief is its stored
+    # belief, or zero where it starts an episode, and its post-action one is
+    # one step of the per-step reference kernel from there
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=4, seed=31, dtype=dtype)
+    buf, turns, _, _ = mixed_episode_buffer(31, model)
     batch = buf.sample(40, substream(31, "s"), sequence=1)
     t = turns[batch.rewards.astype(int)]
     x = window_inputs(model, batch).value
     s = model.critic_store
     gru = (s["belief.gru.W"].value, s["belief.gru.U"].value, s["belief.gru.b"].value)
-    h0 = model.belief.init_hidden(len(t))
-
-    def right_aligned(lengths):
-        return (np.arange(window) >= window - lengths[:, None]).astype(x.dtype)
-
-    prev_ref = freeze_mask_gru_window(h0, x[:, :-1], *gru, right_aligned(np.minimum(t, window)))
-    next_ref = freeze_mask_gru_window(h0, x[:, 1:], *gru, right_aligned(np.minimum(t + 1, window)))
+    h0 = batch.hidden * (t > 0)[:, None]
     prev, post = batch_beliefs(model, batch)
-    assert prev.dtype == np.dtype(dtype) and (t >= window).any() and (t == 0).any()
-    np.testing.assert_array_equal(prev, prev_ref)
-    np.testing.assert_array_equal(post[t < window], next_ref[t < window])
+    assert prev.dtype == h0.dtype == np.dtype(dtype) and (t > 0).any() and (t == 0).any()
+    np.testing.assert_array_equal(prev, h0)
+    np.testing.assert_array_equal(post, freeze_mask_gru_window(h0, x, *gru))
 
 
 def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2,
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
                           seed=22, batch_size=4)
-    buf = ReplayBuffer(capacity=16, window=2, slate_size=1, action_dim=2)
+    buf = ReplayBuffer(capacity=16, slate_size=1, action_dim=2, belief_dim=3,
+                       dtype=model.dtype)
     roll = substream(22, "roll")
     for t in range(8):
         buf.push(roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float),
-                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 4 == 3)
+                 roll.uniform(-0.9, 0.9, 2), float(roll.integers(0, 2)), t % 4 == 3,
+                 roll.uniform(-0.5, 0.5, 3))
     rng = substream(22, "upd")
     for _ in range(3):
         sac_update(model, buf, cfg, rng)
@@ -893,7 +979,7 @@ def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
 
 def test_checkpoint_with_per_gate_gru_parameters_is_rejected(tmp_path):
     # the GRU once stored one W/U/b triple per gate; such files must not load
-    _, model = tiny_sac(belief_dim=2, window=2)
+    _, model = tiny_sac(belief_dim=2)
     path = tmp_path / "agent.ckpt"
     save_sac(model, path)
     stores, meta = load_checkpoint(path)
@@ -911,13 +997,15 @@ def test_checkpoint_with_per_gate_gru_parameters_is_rejected(tmp_path):
 
 
 def test_losses_stay_finite_over_many_updates():
-    cfg, model = tiny_sac(hidden=(16, 16), action_dim=3, belief_dim=6, window=3,
+    cfg, model = tiny_sac(hidden=(16, 16), action_dim=3, belief_dim=6,
                           k=2, seed=30, batch_size=16, gamma=0.8)
-    buf = ReplayBuffer(capacity=512, window=3, slate_size=2, action_dim=3)
+    buf = ReplayBuffer(capacity=512, slate_size=2, action_dim=3, belief_dim=6,
+                       dtype=model.dtype)
     roll = substream(30, "roll")
     for t in range(300):
         buf.push(roll.integers(0, 4, 2), (roll.random(2) < 0.4).astype(float),
-                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9)
+                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9,
+                 roll.uniform(-0.9, 0.9, 6))
     rng = substream(30, "upd")
     for _ in range(300):
         d = sac_update(model, buf, cfg, rng)
@@ -947,7 +1035,7 @@ def sac_arrays(model):
 
 
 def test_float32_sac_update_upcasts_nothing(monkeypatch):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=25)
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=25)
     assert cfg.dtype == "float32"
     roots, backward = [], ad.backward
 
@@ -984,10 +1072,10 @@ def test_float32_sac_update_upcasts_nothing(monkeypatch):
             assert p.value.dtype == p.grad.dtype == p.m.dtype == np.float64, name
 
 
-def twin_models(seed, k, window, belief_dim, **kw):
+def twin_models(seed, k, belief_dim, **kw):
     """The same agent in float32 and in float64, from identical parameters."""
     table = small_table(num_items=20, dim=4, seed=seed).astype(np.float32)
-    bcfg = BeliefConfig(belief_dim=belief_dim, item_source="mf", truncation=window)
+    bcfg = BeliefConfig(belief_dim=belief_dim, item_source="mf")
     (cfg32, m32), (cfg64, m64) = [
         (cfg, SacModel(cfg, bcfg, k, table, substream(seed, "init")))
         for cfg in (SacConfig(dtype=dt, **kw) for dt in ("float32", "float64"))]
@@ -1000,14 +1088,16 @@ def test_float32_and_float64_updates_agree(monkeypatch):
     # One update from the same parameters and batch: losses, beliefs and
     # gradients agree to 1e-4 relative (float32 rounds at 6e-8; measured
     # gaps are about 2e-7 here).
-    kw = dict(hidden=(32, 32), action_dim=4, belief_dim=16, window=6, k=3,
+    kw = dict(hidden=(32, 32), action_dim=4, belief_dim=16, k=3,
               batch_size=64, gamma=0.8)
     (cfg32, m32), (cfg64, m64) = twin_models(26, **kw)
-    buf = ReplayBuffer(capacity=256, window=6, slate_size=3, action_dim=4)
+    buf = ReplayBuffer(capacity=256, slate_size=3, action_dim=4, belief_dim=16,
+                       dtype=np.float32)
     roll = substream(26, "roll")
     for t in range(200):
         buf.push(roll.integers(0, 20, 3), (roll.random(3) < 0.4).astype(float),
-                 roll.uniform(-1.0, 1.0, 4), float(roll.integers(0, 3)), t % 10 == 9)
+                 roll.uniform(-1.0, 1.0, 4), float(roll.integers(0, 3)), t % 10 == 9,
+                 roll.uniform(-0.5, 0.5, 16))
     grads, beliefs = [], []
     adam = slatelab.sac.adam_step
 
@@ -1016,8 +1106,8 @@ def test_float32_and_float64_updates_agree(monkeypatch):
         adam(store, adam_cfg)
 
     def recording(recompute):
-        def wrapper(self, x, resets):
-            beliefs.append(recompute(self, x, resets))
+        def wrapper(self, h0, x, resets):
+            beliefs.append(recompute(self, h0, x, resets))
             return beliefs[-1]
         return wrapper
 
@@ -1041,7 +1131,7 @@ def test_float32_and_float64_updates_agree(monkeypatch):
 
 
 def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, window=2, seed=27)
+    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=27)
     rng = substream(27, "upd")
     buf = one_slot_buffer(27)
     for _ in range(3):
@@ -1060,14 +1150,16 @@ def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     # checkpoints written before SacConfig had a dtype hold a float64 agent
     # and no "dtype" key; a float64 model computes as that code did
-    cfg, old = tiny_sac(hidden=(16,), action_dim=3, belief_dim=16, window=8, k=4,
+    cfg, old = tiny_sac(hidden=(16,), action_dim=3, belief_dim=16, k=4,
                         seed=28, dtype="float64")
     rng = substream(28, "upd")
-    buf = ReplayBuffer(capacity=64, window=8, slate_size=4, action_dim=3)
+    buf = ReplayBuffer(capacity=64, slate_size=4, action_dim=3, belief_dim=16,
+                       dtype=np.float64)
     roll = substream(28, "roll")
     for t in range(40):
         buf.push(roll.integers(0, 4, 4), (roll.random(4) < 0.4).astype(float),
-                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9)
+                 roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9,
+                 roll.uniform(-0.5, 0.5, 16))
     for _ in range(5):
         sac_update(old, buf, cfg, rng)
     path = tmp_path / "agent.ckpt"
@@ -1080,7 +1172,8 @@ def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     batch = buf.sample(32, substream(28, "s"), sequence=1)
     step = [m.belief.step_hidden(np.full((32, 16), 0.3), batch.slates[:, -1],
                                  batch.clicks[:, -1]) for m in (old, model)]
-    window = [m.belief.recompute_array(m.belief._input_values(batch.slates, batch.clicks),
+    window = [m.belief.recompute_array(batch.hidden,
+                                       m.belief._input_values(batch.slates, batch.clicks),
                                        batch.resets) for m in (old, model)]
     for b64, b32 in (step, window):
         assert b32.dtype == np.float32
