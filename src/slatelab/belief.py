@@ -7,20 +7,21 @@ agents consume as their state.  Item embeddings come from a frozen table
 one) or, for agents without a pretrained table, from a table learned
 jointly with the rest of the network.
 
-Histories are runs of consecutive turns: :func:`run_windows` cuts [S, T, k]
-windows and their resets (True on rows that start an episode) from per-turn
-arrays, for the replay buffer and REINFORCE alike.  The GRU recomputes every
-row's state from a given start state (zero for REINFORCE, the stored acting
-belief for SAC's replay), restarting from zero at each reset;
-:func:`prev_beliefs` and :func:`next_beliefs` read a run's pre- and
-post-action beliefs off those states.  :meth:`BeliefEncoder._inputs` builds a
-window's GRU inputs once.
+A belief is a plain [H] array, or [n, H] for n lockstep episodes: acting
+steps it one turn at a time with :meth:`BeliefEncoder.step_hidden`.  Training
+recomputes it over runs of consecutive turns [S, T, k] with resets (True on
+rows that start an episode): the GRU recomputes every row's state from a
+given start state (zero for a REINFORCE episode, the stored acting belief for
+SAC's replay), restarting from zero at each reset.  It runs the kernel that
+acting steps, so while the weights stay fixed it reproduces the acting
+beliefs (bit for bit over a REINFORCE episode).  :func:`prev_beliefs` and
+:func:`next_beliefs` read a run's pre- and post-action beliefs off those
+states.  :meth:`BeliefEncoder._inputs` builds a run's GRU inputs once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -36,25 +37,12 @@ ITEM_SOURCES = ("gems-table", "mf", "ideal", "learned")
 class BeliefConfig:
     belief_dim: int = 64
     item_source: str = "gems-table"
-    truncation: int = 20   # W: turns REINFORCE recomputes a turn's belief over, from zero
 
     def __post_init__(self):
         if self.belief_dim <= 0:
             raise ValueError("belief_dim must be positive")
         if self.item_source not in ITEM_SOURCES:
             raise ValueError(f"unknown item source {self.item_source!r}")
-        if self.truncation <= 0:
-            raise ValueError("truncation window must be positive")
-
-
-def run_windows(slates: np.ndarray, clicks: np.ndarray, turns: np.ndarray, starts,
-                length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[S, length, k] int64 slates and float64 clicks of rows starts[s] ...
-    starts[s] + length - 1 of per-turn [N, k] arrays (modulo N, so a ring is
-    read in place), and [S, length] resets where ``turns`` (index in the episode) is 0."""
-    rows = (np.asarray(starts)[:, None] + np.arange(length)) % len(slates)
-    return (slates[rows].astype(np.int64), clicks[rows].astype(np.float64),
-            turns[rows] == 0)
 
 
 def prev_beliefs(h0: np.ndarray, states: Tensor, resets: np.ndarray, count: int) -> Tensor:
@@ -74,14 +62,6 @@ def prev_beliefs(h0: np.ndarray, states: Tensor, resets: np.ndarray, count: int)
 def next_beliefs(states: np.ndarray, count: int) -> np.ndarray:
     """Post-action beliefs [count, H] of the turns of :func:`prev_beliefs`."""
     return states.reshape(-1, states.shape[-1])[:count]
-
-
-@dataclass
-class BeliefState:
-    """Value-typed belief; updates return new states."""
-
-    hidden: np.ndarray
-    turn: int = 0
 
 
 class BeliefEncoder:
@@ -149,20 +129,6 @@ class BeliefEncoder:
         with ad.no_grad():
             return self._inputs(slates, clicks).value
 
-    # -- single-episode API ------------------------------------------------
-
-    def init_belief(self) -> BeliefState:
-        return BeliefState(hidden=np.zeros(self.cfg.belief_dim, self.dtype), turn=0)
-
-    def update_belief(self, belief: BeliefState, slate, clicks) -> BeliefState:
-        """One GRU step; pure, returns a new state."""
-        x = self._input_values(np.asarray(slate, dtype=np.int64)[None, :],
-                               np.asarray(clicks)[None, :])
-        h = self.cell.sequence_array(belief.hidden[None, :], x[:, None, :])
-        return BeliefState(hidden=h[0, 0], turn=belief.turn + 1)
-
-    # -- batched API -------------------------------------------------------
-
     def init_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.cfg.belief_dim), self.dtype)
 
@@ -171,6 +137,11 @@ class BeliefEncoder:
         """One GRU step for a batch of independent episodes; no graph."""
         x = self._input_values(slates, clicks)
         return self.cell.sequence_array(hidden, x[:, None, :])[:, 0]
+
+    def update_belief(self, hidden: np.ndarray, slate, clicks) -> np.ndarray:
+        """:meth:`step_hidden` for one episode: [H] belief, [k] slate and clicks."""
+        return self.step_hidden(np.asarray(hidden)[None], np.asarray(slate)[None],
+                                np.asarray(clicks)[None])[0]
 
     def recompute_array(self, h0: np.ndarray, x: np.ndarray,
                         resets: np.ndarray) -> np.ndarray:

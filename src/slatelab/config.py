@@ -39,7 +39,6 @@ class ExperimentConfig:
     # belief encoder
     belief_dim: int = 64
     belief_item_source: str = ""     # gems-table|mf|ideal|learned; "" = per-agent default
-    belief_truncation: int = 20      # W: REINFORCE's history window; SAC replay ignores it
 
     # sac
     gamma: float = 0.8
@@ -83,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("buffer_capacity below batch_size: SAC would never update")
         self.hidden = tuple(int(h) for h in self.hidden)
         self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
 
     @property
     def env_label(self) -> str:

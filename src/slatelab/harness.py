@@ -23,8 +23,7 @@ from .autodiff import NonFiniteError
 from .belief import BeliefConfig
 from .config import ExperimentConfig, config_hash
 from .gems import decode_to_slate, load_gems
-from .rankers import (rank_gems, rank_random, rank_short_term_oracle,
-                      rank_topk, rank_wknn)
+from .rankers import rank_random, rank_short_term_oracle, rank_topk, rank_wknn
 from .reinforce import (BaselineState, EpisodeRecord, ReinforceConfig,
                         ReinforcePolicy, load_reinforce, reinforce_update,
                         sample_slate, save_reinforce)
@@ -186,8 +185,7 @@ class Policy:
         cfg = self.cfg
         init_rng = substream(seed, STREAM_INIT)
         belief_cfg = BeliefConfig(belief_dim=cfg.belief_dim,
-                                  item_source=self._belief_source(),
-                                  truncation=cfg.belief_truncation)
+                                  item_source=self._belief_source())
         table = self._belief_table(init_rng)
         if cfg.agent == "sac":
             sac_cfg = SacConfig(action_dim=self.action_dim(), gamma=cfg.gamma,
@@ -208,40 +206,33 @@ class Policy:
         return np.minimum(self.model.q1.forward_array(x)[:, 0],
                           self.model.q2.forward_array(x)[:, 0])
 
-    def _rank(self, action, belief_vec, env, rng) -> np.ndarray:
-        if self.ranker == "gems":
-            return rank_gems(self.gems_model, action)
-        if self.ranker in ("topk-mf", "topk-ideal"):
-            return rank_topk(action, self.table, self.slate_size)
-        if self.ranker == "wknn":
-            return rank_wknn(action, self.table, self._wknn_critic, belief_vec,
-                             self.slate_size, self.cfg.wknn_p)
+    def act(self, hidden, envs, mode: str, rng):
+        """(actions [n, d] or None, slates [n, k]) for n lockstep episodes
+        with beliefs hidden [n, H] (None for static policies)."""
+        if self.agent == "reinforce":
+            return None, np.stack([sample_slate(self.model, h, self.slate_size, rng)
+                                   for h in hidden])
         if self.ranker == "random":
-            return rank_random(self.cfg.sim.num_items, self.slate_size, rng)
-        return rank_short_term_oracle(env, self.slate_size)
+            return None, np.stack([rank_random(self.cfg.sim.num_items, self.slate_size, rng)
+                                   for _ in envs])
+        if self.ranker == "oracle":
+            return None, np.stack([rank_short_term_oracle(env, self.slate_size)
+                                   for env in envs])
+        actions = select_action(self.model, hidden, mode, rng)
+        if self.ranker == "gems":
+            return actions, decode_to_slate(self.gems_model, actions)
+        if self.ranker == "wknn":
+            return actions, np.stack([
+                rank_wknn(a, self.table, self._wknn_critic, h, self.slate_size,
+                          self.cfg.wknn_p) for a, h in zip(actions, hidden)])
+        return actions, np.stack([rank_topk(a, self.table, self.slate_size)
+                                  for a in actions])
 
-    def act_single(self, belief_hidden, env, mode: str, rng):
-        """One (action, slate) step for the training loop."""
-        if self.agent == "sac":
-            action = select_action(self.model, belief_hidden, mode, rng)
-            return action, self._rank(action, belief_hidden, env, rng)
-        if self.agent == "reinforce":
-            return None, sample_slate(self.model, belief_hidden, self.slate_size, rng)
-        return None, self._rank(None, None, env, rng)
-
-    def slates_batch(self, hidden, envs, rng) -> np.ndarray:
-        """Deterministic-protocol slates for a batch of lockstep episodes."""
-        n = len(envs)
-        if self.agent == "sac":
-            actions = select_action(self.model, hidden, self.eval_mode, rng)
-            if self.ranker == "gems":
-                return decode_to_slate(self.gems_model, actions)
-            return np.stack([self._rank(actions[i], hidden[i], envs[i], rng)
-                             for i in range(n)])
-        if self.agent == "reinforce":
-            return np.stack([sample_slate(self.model, hidden[i], self.slate_size, rng)
-                             for i in range(n)])
-        return np.stack([self._rank(None, None, env, rng) for env in envs])
+    def act_single(self, hidden, env, mode: str, rng):
+        """:meth:`act` for one episode with belief hidden [H]: (action [d] or
+        None, slate [k])."""
+        actions, slates = self.act(hidden[None], [env], mode, rng)
+        return None if actions is None else actions[0], slates[0]
 
     def init_hidden(self, n: int):
         return self.encoder.init_hidden(n) if self.encoder is not None else None
@@ -292,7 +283,7 @@ def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
     returns = np.zeros(n)
     clicks = np.zeros((n, sim.slate_size))
     for t in range(sim.episode_length):
-        slates = policy.slates_batch(hidden, envs, rng)
+        _, slates = policy.act(hidden, envs, policy.eval_mode, rng)
         if diagnostics is not None:
             for i, env in enumerate(envs):
                 rel = env.disclosed_relevance()
@@ -387,20 +378,18 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
         if cfg.agent != "none":
             env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
             env.reset(substream_seed(seed, STREAM_ENV_TRAIN, traj))
-            belief = policy.encoder.init_belief()
+            hidden = policy.init_hidden(1)[0]
             ep_slates, ep_clicks, ep_rewards = [], [], []
             for t in range(cfg.sim.episode_length):
-                action, slate = policy.act_single(belief.hidden, env, "sample",
-                                                  action_rng)
+                action, slate = policy.act_single(hidden, env, "sample", action_rng)
                 res = env.step(slate)
                 if cfg.agent == "sac":
-                    buffer.push(slate, res.clicks, action, res.reward, res.done,
-                                belief.hidden)
+                    buffer.push(slate, res.clicks, action, res.reward, res.done, hidden)
                 else:
                     ep_slates.append(slate)
                     ep_clicks.append(res.clicks)
                     ep_rewards.append(res.reward)
-                belief = policy.encoder.update_belief(belief, slate, res.clicks)
+                hidden = policy.encoder.update_belief(hidden, slate, res.clicks)
                 turn_count += 1
                 if (cfg.agent == "sac" and turn_count % cfg.update_every == 0
                         and len(buffer) >= sac_cfg.batch_size):

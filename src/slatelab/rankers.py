@@ -1,25 +1,17 @@
 """Rankers: turn an agent's action vector into a slate of item ids.
 
 Each ranker fixes its own action geometry, so the agent's action dimension
-must be chosen to match (see ``harness.Policy.action_dim``).  The softmax
-head's draws live with its agent, in ``reinforce.sample_slate``.  All
-rankers are deterministic given their inputs except the stochastic ones,
-which take an explicit numpy Generator.
+must be chosen to match (see ``harness.Policy.action_dim``).  A GeMS latent
+action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
+on a batch) and the softmax head's draws live with their agent, in
+``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
+them.  All rankers are deterministic given their inputs except the
+stochastic ones, which take an explicit numpy Generator.
 """
 
 from typing import Callable, List
 
 import numpy as np
-
-from .gems import GemsModel, decode_to_slate
-
-
-def rank_gems(model: GemsModel, z: np.ndarray) -> np.ndarray:
-    """Decode a latent action to a slate (most likely item per slot)."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.size != model.cfg.latent_dim:
-        raise ValueError(f"latent action must have {model.cfg.latent_dim} dims")
-    return decode_to_slate(model, z[None, :])[0]
 
 
 def rank_topk(action: np.ndarray, item_embeddings: np.ndarray,

@@ -3,11 +3,11 @@
 The policy scores every item from the belief state; slates are sampled
 with replacement from the softmax.  Updates are per episode: each turn's
 slate log-probability is weighted by its discounted return-to-go minus
-a per-turn exponential moving-average baseline.  Turn t's belief is
-recomputed from zero over the (up to ``truncation``) turns before it, a
-one-turn run cut by :func:`belief.run_windows` as the replay buffer cuts
-SAC's.  The belief GRU (and its learned item table, if any) trains
-through the same loss, as this agent has no critic.
+a per-turn exponential moving-average baseline.  The turns' beliefs come
+from one GRU pass over the whole episode from zero, with the kernel that
+acting steps, so the update trains on exactly the beliefs the slates were
+drawn from.  The belief GRU (and its learned item table, if any) trains through
+the same loss, as this agent has no critic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .belief import BeliefConfig, BeliefEncoder, run_windows
+from .belief import BeliefConfig, BeliefEncoder, prev_beliefs
 from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
@@ -100,19 +100,13 @@ class ReinforcePolicy:
 
 
 def episode_beliefs(policy: ReinforcePolicy, episode: EpisodeRecord):
-    """[T, H] graph of each turn's pre-action belief: the state after the W
-    rows before it, a one-turn run of :func:`belief.run_windows` recomputed
-    from zero, or zero at turn 0; window rows that wrap past turn 0 precede
-    its reset."""
-    turns = np.arange(len(episode.slates))
-    window = policy.belief.cfg.truncation
-    slates, clicks, resets = run_windows(episode.slates, episode.clicks, turns,
-                                         turns - window, window + 1)
+    """[T, H] graph of each turn's pre-action belief: zero at turn 0, then the
+    states of one GRU pass over the episode from zero."""
+    turns = len(episode.slates)
+    h0, resets = policy.belief.init_hidden(1), np.zeros((1, turns), bool)
     states = policy.belief.recompute_graph(
-        policy.belief.init_hidden(len(turns)),
-        policy.belief._inputs(slates[:, :-1], clicks[:, :-1]), resets[:, :-1])
-    keep = np.logical_not(resets[:, -1:]).astype(states.value.dtype)
-    return ad.mul(states[:, -1], ad.constant(keep))
+        h0, policy.belief._inputs(episode.slates[None], episode.clicks[None]), resets)
+    return prev_beliefs(h0, states, resets, turns)
 
 
 def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
@@ -168,6 +162,7 @@ def load_reinforce(path) -> Tuple[ReinforcePolicy, dict]:
     raw = dict(meta["config"])
     raw["hidden"] = tuple(raw["hidden"])
     cfg = ReinforceConfig(**raw)
+    meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
     belief_cfg = BeliefConfig(**meta["belief"])
     if "frozen" in stores:
         table = stores["frozen"]["belief.items"].value

@@ -2,22 +2,21 @@
 
 The buffer keeps one row per turn: slate, clicks, action, reward, done,
 the turn's index within its episode, and the acting belief from just
-before the turn.  It samples runs of L consecutive transitions, cut at
-sampling time by :func:`belief.run_windows`.  One GRU pass over a run's L
-rows, from the stored belief of its first turn and restarting from zero at
-every episode start (runs may cross episode ends), gives each transition
-its pre- and post-action beliefs under fresh weights.  This is R2D2's
-stored-state replay (Kapturowski et al., 2019): a stored state is as old
-as its turn, and no gradient flows into it.
+before the turn.  It samples runs of L consecutive transitions, which
+:func:`run_windows` cuts from the ring in place at sampling time.  One GRU
+pass over a run's L rows, from the stored belief of its first turn and
+restarting from zero at every episode start (runs may cross episode ends),
+gives each transition its pre- and post-action beliefs under fresh weights.
+This is R2D2's stored-state replay (Kapturowski et al., 2019): a stored
+state is as old as its turn, and no gradient flows into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-
-from .belief import run_windows
 
 
 @dataclass
@@ -29,6 +28,16 @@ class TransitionBatch:
     actions: np.ndarray       # [B, d] the runs' transitions, run-major, the first B of S*L
     rewards: np.ndarray       # [B]
     dones: np.ndarray         # [B] in {0.0, 1.0}
+
+
+def run_windows(slates: np.ndarray, clicks: np.ndarray, turns: np.ndarray, starts,
+                length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[S, length, k] int64 slates and float64 clicks of rows starts[s] ...
+    starts[s] + length - 1 of per-turn [N, k] arrays (modulo N, so a ring is
+    read in place), and [S, length] resets where ``turns`` (index in the episode) is 0."""
+    rows = (np.asarray(starts)[:, None] + np.arange(length)) % len(slates)
+    return (slates[rows].astype(np.int64), clicks[rows].astype(np.float64),
+            turns[rows] == 0)
 
 
 _COLUMNS = ("_slates", "_clicks", "_actions", "_rewards", "_dones", "_turns", "_hidden")

@@ -264,6 +264,7 @@ def load_sac(path) -> Tuple[SacModel, dict]:
     raw_cfg = dict(meta["config"])
     raw_cfg["hidden"] = tuple(raw_cfg["hidden"])
     cfg = SacConfig(**raw_cfg)
+    meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
     belief_cfg = BeliefConfig(**meta["belief"])
     if "frozen" in stores:
         table = stores["frozen"]["belief.items"].value

@@ -415,12 +415,12 @@ def _context_bandit_buffer(model, n, rng):
                        belief_dim=enc.belief_dim, dtype=model.dtype)
     for _ in range(n):
         ctx = int(rng.integers(0, 2))
-        start = enc.init_belief()
-        buf.push([0], [float(ctx)], rng.uniform(-1.0, 1.0, 1), 0.0, False, start.hidden)
+        start = enc.init_hidden(1)[0]
+        buf.push([0], [float(ctx)], rng.uniform(-1.0, 1.0, 1), 0.0, False, start)
         a = rng.uniform(-1.0, 1.0, 1)
         target = 0.5 if ctx else -0.5
         buf.push([0], [0.0], a, 1.0 - (a[0] - target) ** 2, True,
-                 enc.update_belief(start, [0], [float(ctx)]).hidden)
+                 enc.update_belief(start, [0], [float(ctx)]))
     return buf
 
 
@@ -493,7 +493,7 @@ def _pipeline_once(root):
         "sim.num_topics = 3", "sim.topic_dim = 2",
         "gems.latent_dim = 4", "gems.item_embed_dim = 4", "gems.hidden = 16",
         "gems.epochs = 2", "gems.batch_size = 32",
-        "belief_dim = 8", "belief_truncation = 4",
+        "belief_dim = 8",
         "hidden = 16,16", "batch_size = 16", "update_every = 4",
         "training_steps = 6", "validation_every = 3",
         "validation_trajectories = 3", "test_trajectories = 4",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -7,10 +9,8 @@ from slatelab import autodiff as ad
 from slatelab.belief import (
     BeliefConfig,
     BeliefEncoder,
-    BeliefState,
     next_beliefs,
     prev_beliefs,
-    run_windows,
 )
 from slatelab.checkpoint import load_checkpoint, save_checkpoint
 from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
@@ -27,7 +27,7 @@ from slatelab.reinforce import (
     sample_slate,
     save_reinforce,
 )
-from slatelab.replay import ReplayBuffer
+from slatelab.replay import ReplayBuffer, run_windows
 from slatelab.rng import substream
 from slatelab.sac import (
     SacConfig,
@@ -68,9 +68,9 @@ def small_table(num_items=12, dim=3, seed=0):
     return substream(seed, "table").normal(0.0, 0.5, (num_items, dim))
 
 
-def small_encoder(belief_dim=5, k=2, window=3, source="mf", seed=0, store=None):
+def small_encoder(belief_dim=5, k=2, source="mf", seed=0, store=None):
     store = store if store is not None else ParameterStore()
-    cfg = BeliefConfig(belief_dim=belief_dim, item_source=source, truncation=window)
+    cfg = BeliefConfig(belief_dim=belief_dim, item_source=source)
     enc = BeliefEncoder(store, cfg, k, small_table(seed=seed), substream(seed, "init"))
     return store, enc
 
@@ -81,47 +81,42 @@ def small_encoder(belief_dim=5, k=2, window=3, source="mf", seed=0, store=None):
 
 def test_init_belief_is_zero_with_configured_dim():
     _, enc = small_encoder(belief_dim=7)
-    b = enc.init_belief()
-    assert b.hidden.shape == (7,)
-    assert np.all(b.hidden == 0.0)
-    assert b.turn == 0
+    b = enc.init_hidden(3)
+    assert b.shape == (3, 7) and b.dtype == np.float64
+    assert np.all(b == 0.0)
     assert BeliefConfig().belief_dim == 64
-
-    b2 = enc.init_belief()
-    assert np.array_equal(b.hidden, b2.hidden) and b2.turn == 0
 
 
 def test_zero_parameters_halve_the_hidden_state():
     store, enc = small_encoder()
     for _, p in store.items():
         p.value[...] = 0.0
-    start = BeliefState(hidden=np.array([0.8, -0.4, 0.2, 0.0, 1.0]), turn=3)
+    start = np.array([0.8, -0.4, 0.2, 0.0, 1.0])
     out = enc.update_belief(start, [1, 2], [1.0, 0.0])
-    assert np.allclose(out.hidden, 0.5 * start.hidden)
-    assert out.turn == 4
+    assert np.allclose(out, 0.5 * start)
 
 
 def test_permuting_slate_slots_changes_the_belief():
     _, enc = small_encoder(seed=4)
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     straight = enc.update_belief(b, [3, 9], [1.0, 0.0])
     swapped = enc.update_belief(b, [9, 3], [0.0, 1.0])
-    assert not np.allclose(straight.hidden, swapped.hidden)
+    assert not np.allclose(straight, swapped)
 
 
 def test_update_belief_is_pure_and_reproducible():
     _, enc = small_encoder(seed=2)
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     first = enc.update_belief(b, [0, 5], [1.0, 1.0])
     enc.update_belief(b, [7, 7], [0.0, 0.0])  # unrelated call
     second = enc.update_belief(b, [0, 5], [1.0, 1.0])
-    assert np.array_equal(first.hidden, second.hidden)
-    assert np.all(b.hidden == 0.0)  # input state untouched
+    assert np.array_equal(first, second)
+    assert np.all(b == 0.0)  # input state untouched
 
 
 def test_unknown_item_id_rejected():
     _, enc = small_encoder()
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     with pytest.raises(ValueError):
         enc.update_belief(b, [0, 12], [0.0, 0.0])
     with pytest.raises(ValueError):
@@ -135,12 +130,12 @@ def test_hidden_entries_stay_inside_unit_interval():
     for _, p in store.items():
         p.value *= 4.0
     rng = substream(8, "episode")
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     for _ in range(40):
         slate = rng.integers(0, 12, 2)
         clicks = (rng.random(2) < 0.5).astype(float)
         b = enc.update_belief(b, slate, clicks)
-        assert np.all(np.abs(b.hidden) < 1.0)
+        assert np.all(np.abs(b) < 1.0)
 
 
 def test_batched_step_matches_single_updates():
@@ -151,18 +146,18 @@ def test_batched_step_matches_single_updates():
     clicks = (rng.random((4, 2)) < 0.5).astype(float)
     stepped = enc.step_hidden(hidden, slates, clicks)
     for i in range(4):
-        one = enc.update_belief(BeliefState(hidden=hidden[i].copy()), slates[i], clicks[i])
-        assert np.allclose(stepped[i], one.hidden, atol=1e-12)
+        one = enc.update_belief(hidden[i].copy(), slates[i], clicks[i])
+        assert np.allclose(stepped[i], one, atol=1e-12)
 
 
 def test_recompute_matches_sequential_updates_and_truncates():
-    _, enc = small_encoder(window=3, seed=6)
+    _, enc = small_encoder(seed=6)
     rng = substream(6, "episode")
     slates = rng.integers(0, 12, (6, 2))
     clicks = (rng.random((6, 2)) < 0.5).astype(float)
 
     # belief for turn 6 with window 3 = GRU run from zero over turns 3..5
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     for t in (3, 4, 5):
         b = enc.update_belief(b, slates[t], clicks[t])
 
@@ -171,9 +166,9 @@ def test_recompute_matches_sequential_updates_and_truncates():
     no_reset = np.zeros((1, 3), bool)
     arr = enc.recompute_array(enc.init_hidden(1), enc._input_values(window_s, window_c),
                               no_reset)
-    assert np.allclose(arr[0, -1], b.hidden, atol=1e-12)
+    assert np.allclose(arr[0, -1], b, atol=1e-12)
     graph = enc.recompute_graph(enc.init_hidden(1), enc._inputs(window_s, window_c), no_reset)
-    assert np.allclose(graph.value[0, -1], b.hidden, atol=1e-12)
+    assert np.allclose(graph.value[0, -1], b, atol=1e-12)
 
 
 def test_recompute_handles_short_histories_right_aligned():
@@ -181,10 +176,10 @@ def test_recompute_handles_short_histories_right_aligned():
     # garbage before it, the run's start state included, does not leak into
     # the pre-action belief of the turn in the last row; the first turn's
     # belief is the start state, and a turn that starts an episode gets zero
-    _, enc = small_encoder(window=4, seed=7)
+    _, enc = small_encoder(seed=7)
     slates = np.array([[5, 1], [2, 8]])
     clicks = np.array([[1.0, 0.0], [0.0, 0.0]])
-    b = enc.init_belief()
+    b = enc.init_hidden(1)[0]
     for t in range(2):
         b = enc.update_belief(b, slates[t], clicks[t])
 
@@ -200,7 +195,7 @@ def test_recompute_handles_short_histories_right_aligned():
     resets = np.zeros((1, 5), bool)
     resets[0, 2] = True
     out = prev_beliefs(h0, ad.constant(enc.recompute_array(h0, x, resets)), resets, 5)
-    assert np.allclose(out.value[4], b.hidden, atol=1e-12)
+    assert np.allclose(out.value[4], b, atol=1e-12)
     assert np.array_equal(out.value[0], h0[0]) and np.all(out.value[2] == 0.0)
     resets[0, 4] = True
     zero = prev_beliefs(h0, ad.constant(enc.recompute_array(h0, x, resets)), resets, 5)
@@ -210,7 +205,7 @@ def test_recompute_handles_short_histories_right_aligned():
 def test_belief_gradient_through_chained_updates_matches_fd():
     # three real turns inside the window; learned table so its rows get
     # gradient checked too
-    store, enc = small_encoder(belief_dim=4, window=3, source="learned", seed=9)
+    store, enc = small_encoder(belief_dim=4, source="learned", seed=9)
     rng = substream(9, "episode")
     slates = rng.integers(0, 12, (1, 3, 2))
     clicks = (rng.random((1, 3, 2)) < 0.5).astype(float)
@@ -233,7 +228,7 @@ def test_learned_table_gradient_through_short_windows_matches_fd():
     # windows restarting at their first row, their last row, and at both
     # of their last two rows: the table's gradient reaches it through the
     # fused GRU's input gradient from every step's state
-    store, enc = small_encoder(belief_dim=4, window=3, source="learned", seed=10)
+    store, enc = small_encoder(belief_dim=4, source="learned", seed=10)
     rng = substream(10, "episode")
     slates = rng.integers(0, 12, (3, 3, 2))
     clicks = (rng.random((3, 3, 2)) < 0.5).astype(float)
@@ -749,7 +744,7 @@ def quadratic_bandit_buffer(n, rng):
 def train_bandit_sac(alpha, updates=700, seed=11):
     cfg = SacConfig(action_dim=1, alpha=alpha, hidden=(32, 32), batch_size=64,
                     critic_lr=0.003, actor_lr=0.003)
-    bcfg = BeliefConfig(belief_dim=4, item_source="mf", truncation=1)
+    bcfg = BeliefConfig(belief_dim=4, item_source="mf")
     model = SacModel(cfg, bcfg, 1, np.array([[0.5]]), substream(seed, "init"))
     buf = quadratic_bandit_buffer(1500, substream(seed, "data"))
     rng = substream(seed, "upd")
@@ -836,7 +831,7 @@ def test_sac_update_builds_the_window_inputs_once(monkeypatch):
 
 def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
     cfg = SacConfig(action_dim=2, hidden=(6,), batch_size=4)
-    bcfg = BeliefConfig(belief_dim=3, item_source="learned", truncation=2)
+    bcfg = BeliefConfig(belief_dim=3, item_source="learned")
     table = small_table(num_items=4, dim=2, seed=24)
     model = SacModel(cfg, bcfg, 1, table, substream(24, "init"))
     batches, beliefs = [], []
@@ -872,14 +867,14 @@ def mixed_episode_buffer(seed, model, lengths=(3, 1, 5, 2, 4, 1, 6), capacity=64
                        belief_dim=enc.belief_dim, dtype=model.dtype)
     roll, turns, before, after = substream(seed, "roll"), [], [], []
     for length in lengths:
-        belief = enc.init_belief()
+        belief = enc.init_hidden(1)[0]
         for t in range(length):
             slate, clicks = roll.integers(0, 4, 1), (roll.random(1) < 0.5).astype(float)
             buf.push(slate, clicks, roll.uniform(-0.9, 0.9, model.cfg.action_dim),
-                     float(len(turns)), t == length - 1, belief.hidden)
-            before.append(belief.hidden)
+                     float(len(turns)), t == length - 1, belief)
+            before.append(belief)
             belief = enc.update_belief(belief, slate, clicks)
-            after.append(belief.hidden)
+            after.append(belief)
             turns.append(t)
     return buf, np.array(turns), np.array(before), np.array(after)
 
@@ -1056,7 +1051,7 @@ def test_float32_sac_update_upcasts_nothing(monkeypatch):
     enc, rng = model.belief, substream(25, "act")
     h = enc.step_hidden(enc.init_hidden(2), np.array([[1], [3]]), np.array([[1.0], [0.0]]))
     assert h.dtype == np.float32
-    assert enc.update_belief(enc.init_belief(), [2], [1.0]).hidden.dtype == np.float32
+    assert enc.update_belief(enc.init_hidden(1)[0], [2], [1.0]).dtype == np.float32
     for hidden in (h, h[0]):
         assert select_action(model, hidden, "mean").dtype == np.float32
         assert select_action(model, hidden, "sample", rng).dtype == np.float32
@@ -1198,7 +1193,7 @@ def test_return_to_go_matches_direct_sums_and_gamma_zero():
 
 def small_reinforce(seed=3, num_items=6, k=2, lr=0.01):
     cfg = ReinforceConfig(gamma=0.6, learning_rate=lr, hidden=(12,))
-    bcfg = BeliefConfig(belief_dim=5, item_source="learned", truncation=3)
+    bcfg = BeliefConfig(belief_dim=5, item_source="learned")
     table = substream(seed, "table").normal(0.0, 0.1, (num_items, 2))
     return cfg, ReinforcePolicy(cfg, bcfg, k, table, substream(seed, "init"))
 
@@ -1235,7 +1230,7 @@ def test_first_episode_initializes_the_baseline_to_its_returns():
 
 def test_reinforce_prefers_the_rewarding_item_on_a_bandit():
     cfg = ReinforceConfig(gamma=0.0, learning_rate=0.01, hidden=(16,))
-    bcfg = BeliefConfig(belief_dim=4, item_source="learned", truncation=1)
+    bcfg = BeliefConfig(belief_dim=4, item_source="learned")
     table = substream(3, "table").normal(0.0, 0.1, (2, 2))
     pol = ReinforcePolicy(cfg, bcfg, 1, table, substream(3, "init"))
     base = BaselineState(decay=0.9)
@@ -1279,6 +1274,24 @@ def test_reinforce_update_gradient_matches_fd():
         assert max_relative_error(grads[name], fd[name]) < 1e-4, name
 
 
+def test_reinforce_trains_on_the_beliefs_it_acted_from():
+    # An episode longer than the old 20-turn window: one GRU pass from zero
+    # gives every turn the belief acting stepped to before it, bit for bit.
+    _, pol = small_reinforce(seed=17)
+    nudge_biases(pol.store, 17)
+    rng = substream(17, "ep")
+    hidden, acted, slates, clicks = pol.belief.init_hidden(1)[0], [], [], []
+    for _ in range(27):
+        acted.append(hidden)
+        slates.append(sample_slate(pol, hidden, 2, rng))
+        clicks.append((rng.random(2) < 0.5).astype(float))
+        hidden = pol.belief.update_belief(hidden, slates[-1], clicks[-1])
+    episode = EpisodeRecord(np.array(slates), np.array(clicks), np.ones(27))
+    beliefs = episode_beliefs(pol, episode).value
+    assert beliefs.shape == (27, 5) and np.all(beliefs[0] == 0.0)
+    np.testing.assert_array_equal(beliefs, np.array(acted))
+
+
 def test_sample_slate_draws_with_replacement_from_the_softmax():
     cfg, pol = small_reinforce(seed=15, num_items=3, k=4)
     # force a known distribution: zero body, logits from the head bias
@@ -1305,9 +1318,27 @@ def test_reinforce_checkpoint_roundtrip(tmp_path):
         "kind": "reinforce",
         "config": {"gamma": 0.6, "learning_rate": 0.01, "baseline_decay": 0.9,
                    "hidden": [12]},
-        "belief": {"belief_dim": 5, "item_source": "learned", "truncation": 3},
+        "belief": {"belief_dim": 5, "item_source": "learned"},
         "slate_size": 2, "num_items": 6, "item_dim": 2, "val_round": 2,
     }
     h = substream(16, "h").normal(0.0, 0.5, (4, 5))
     np.testing.assert_array_equal(loaded.head.forward_array(h).view(np.int64),
                                   pol.head.forward_array(h).view(np.int64))
+
+
+def test_checkpoints_that_store_a_truncation_window_still_load(tmp_path):
+    # Checkpoints written before whole-episode REINFORCE beliefs store the
+    # window in their belief metadata; the loaders drop it.
+    _, pol = small_reinforce(seed=18)
+    _, sac = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=18)
+    for model, save, load, net in ((pol, save_reinforce, load_reinforce, "head"),
+                                   (sac, save_sac, load_sac, "actor")):
+        old = {**dataclasses.asdict(model.belief_cfg), "truncation": 20}
+        save(model, tmp_path / "old.ckpt", {"belief": old})
+        assert load_checkpoint(tmp_path / "old.ckpt")[1]["belief"] == old
+        loaded, meta = load(tmp_path / "old.ckpt")
+        assert loaded.belief_cfg == model.belief_cfg
+        assert meta["belief"] == dataclasses.asdict(model.belief_cfg)
+        h = substream(18, "h").normal(0.0, 0.5, (4, model.belief_cfg.belief_dim))
+        np.testing.assert_array_equal(getattr(loaded, net).forward_array(h),
+                                      getattr(model, net).forward_array(h))

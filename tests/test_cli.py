@@ -21,7 +21,6 @@ gems.epochs = 2
 mf.embed_dim = 4
 mf.epochs = 2
 belief_dim = 8
-belief_truncation = 4
 hidden = 16,16
 batch_size = 16
 update_every = 4

@@ -68,6 +68,8 @@ def test_invalid_choices_raise():
     with pytest.raises(ValueError, match="never update"):
         build_config({"buffer_capacity": "10", "batch_size": "16"})
     build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})
+    with pytest.raises(ValueError, match="seeds must name at least one seed"):
+        build_config({"seeds": ""})
     for dtype in ("float16", "float", "int32", ""):
         with pytest.raises(ValueError, match="dtype must be float32 or float64"):
             SacConfig(action_dim=2, dtype=dtype)

@@ -32,7 +32,7 @@ TINY = {
     "gems.latent_dim": "4", "gems.item_embed_dim": "4", "gems.hidden": "16",
     "gems.epochs": "2", "gems.batch_size": "32",
     "mf.embed_dim": "4", "mf.epochs": "2",
-    "belief_dim": "8", "belief_truncation": "4",
+    "belief_dim": "8",
     "hidden": "16,16", "batch_size": "16", "update_every": "4",
     "training_steps": "4", "validation_every": "2",
     "validation_trajectories": "3", "test_trajectories": "4",
@@ -139,6 +139,32 @@ def test_action_dims(artifacts):
         cfg = tiny_config(**over)
         catalog = generate_item_catalog(cfg.sim, 0)
         assert build_policy(cfg, catalog, 0).action_dim() == expected
+
+
+@pytest.mark.parametrize("agent, ranker", [("sac", "gems"), ("sac", "wknn"),
+                                           ("sac", "topk-mf"), ("reinforce", "softmax"),
+                                           ("none", "random")])
+def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
+    cfg = tiny_config(agent=agent, ranker=ranker, gems_ckpt=artifacts["gems"],
+                      mf_embeddings=artifacts["mf"])
+    catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
+    policy = build_policy(cfg, catalog, seed=5)
+    env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
+    env.reset(7)
+    dtype = policy.encoder.dtype if policy.encoder is not None else np.float64
+    h = np.random.default_rng(5).uniform(-0.5, 0.5, cfg.belief_dim).astype(dtype)
+    for mode in ("sample", "mean"):
+        one_rng, batch_rng = np.random.default_rng(9), np.random.default_rng(9)
+        action, slate = policy.act_single(h, env, mode, one_rng)
+        actions, slates = policy.act(h[None], [env], mode, batch_rng)
+        assert slates.shape == (1, cfg.sim.slate_size)
+        np.testing.assert_array_equal(slate, slates[0])
+        if agent == "sac":
+            assert actions.shape == (1, policy.action_dim())
+            np.testing.assert_array_equal(action, actions[0])
+        else:
+            assert action is None and actions is None
+        assert one_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 # -- training protocol ---------------------------------------------------------

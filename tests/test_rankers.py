@@ -7,9 +7,7 @@ import pytest
 from scipy import stats as sps
 
 from slatelab.belief import BeliefConfig
-from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.rankers import (
-    rank_gems,
     rank_random,
     rank_short_term_oracle,
     rank_topk,
@@ -321,20 +319,6 @@ def test_oracle_deterministic_and_requires_disclosure():
     closed.reset(seed=1)
     with pytest.raises(PermissionError):
         rank_short_term_oracle(closed, slate_size=3)
-
-
-# --- gems delegation ---------------------------------------------------------
-
-
-def test_rank_gems_delegates_to_decoder():
-    cfg = GemsConfig(latent_dim=4, item_embed_dim=3, hidden=(8,))
-    model = GemsModel(cfg, num_items=6, slate_size=3, seed=22)
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        z = rng.normal(size=4)
-        assert rank_gems(model, z).tolist() == decode_to_slate(model, z[None])[0].tolist()
-    with pytest.raises(ValueError):
-        rank_gems(model, np.zeros(5))
 
 
 def test_structural_validity_across_rankers():
