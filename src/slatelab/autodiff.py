@@ -510,7 +510,7 @@ def gru_sequence(h0: Tensor, x: Tensor, W: Tensor, U: Tensor, b: Tensor,
         up = g.transpose(1, 2, 0)                   # [T, H, B]
         h_in = hs[:T] if keep is None else hs[:T] * keep[:, None]
         d = np.empty((T, 4 * H, g.shape[0]), gates.dtype)
-        dh = up[T - 1]
+        dh = up[T - 1] if T else np.zeros((H, g.shape[0]), gates.dtype)
         for t in reversed(range(T)):
             z, r, n = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:]
             dhz = dh * z

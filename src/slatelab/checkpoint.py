@@ -21,17 +21,28 @@ the parameters: a float32 value converts to float64 and back exactly.
 Loaded stores are float64; ``ParameterStore.load_state_from`` casts them
 into a model built in its own dtype.  Round-trips are bit-exact: values,
 Adam moments, step counts and metadata all survive save/load unchanged.
+
+An agent checkpoint (:func:`save_agent`) holds the stores its class lists
+(``critic, actor, target`` for SAC, ``policy`` for REINFORCE), then, if
+the belief's item table is not trained, a ``frozen`` store holding it as
+``belief.items``.  Its header holds the class's ``kind``, the agent's and
+the belief's ``config``/``belief`` fields, ``slate_size``, ``num_items``
+and ``item_dim``, plus the caller's metadata.  :func:`load_agent` rebuilds
+the agent from it and refuses a checkpoint of another kind.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from typing import Dict, Tuple
 
 import numpy as np
 
+from .belief import BeliefConfig
 from .optim import ParameterStore
+from .rng import substream
 
 MAGIC = b"SLCKPT01"
 
@@ -116,3 +127,31 @@ def load_checkpoint(path) -> Tuple[Dict[str, ParameterStore], dict]:
             p.v[...] = r.array(shape)
         stores[store_name] = store
     return stores, metadata
+
+
+def save_agent(path, model, metadata: dict | None = None) -> None:
+    """Checkpoint an agent: the stores its class lists, then a frozen item table."""
+    belief = model.belief
+    meta = {"kind": model.kind, "config": asdict(model.cfg), "belief": asdict(belief.cfg),
+            "slate_size": belief.slate_size, "num_items": belief.num_items,
+            "item_dim": belief.item_dim, **(metadata or {})}
+    stores = {name: getattr(model, attr) for name, attr in model.stores.items()}
+    if not belief.trainable_table:
+        stores["frozen"] = ParameterStore()
+        stores["frozen"].add("belief.items", belief.table_value())
+    save_checkpoint(path, stores, meta)
+
+
+def load_agent(path, cls):
+    """(agent of class ``cls``, header) restored from a :func:`save_agent` file."""
+    stores, meta = load_checkpoint(path)
+    if meta.get("kind") != cls.kind:
+        raise ValueError(f"{path} holds a {meta.get('kind')!r} agent checkpoint, "
+                         f"not {cls.kind!r}")
+    meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
+    table = next(s["belief.items"].value for s in stores.values() if "belief.items" in s)
+    model = cls(cls.config_class(**meta["config"]), BeliefConfig(**meta["belief"]),
+                meta["slate_size"], table, substream(0, "init"))
+    for name, attr in cls.stores.items():
+        getattr(model, attr).load_state_from(stores[name])
+    return model, meta

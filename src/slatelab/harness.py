@@ -6,6 +6,11 @@ trajectories the deterministic policy is scored on a disjoint user stream
 and checkpointed; the best checkpoint (ties to the earliest) is then scored
 on the test stream. Every random draw comes from a named substream of the
 run seed, so a rerun reproduces returns exactly.
+
+A learning agent trains through the learner :meth:`Policy.learner` builds.
+Training hands it each turn, with the belief the turn was acted from, as
+``observe(hidden, slate, clicks, action, reward, done) -> bool`` (is an
+update due?), and runs a due update with ``update() -> dict`` (diagnostics).
 """
 
 import csv
@@ -21,17 +26,17 @@ import numpy as np
 
 from .autodiff import NonFiniteError
 from .belief import BeliefConfig
+from .checkpoint import load_agent, save_agent
 from .config import ExperimentConfig, config_hash
 from .gems import decode_to_slate, load_gems
 from .rankers import rank_random, rank_short_term_oracle, rank_topk, rank_wknn
 from .reinforce import (BaselineState, EpisodeRecord, ReinforceConfig,
-                        ReinforcePolicy, load_reinforce, reinforce_update,
-                        sample_slate, save_reinforce)
+                        ReinforcePolicy, reinforce_update, sample_slate)
 from .replay import ReplayBuffer
 from .rng import (STREAM_ACTION, STREAM_BUFFER, STREAM_ENV_TEST,
                   STREAM_ENV_TRAIN, STREAM_ENV_VAL, STREAM_INIT, substream,
                   substream_seed)
-from .sac import SacConfig, SacModel, load_sac, sac_update, save_sac, select_action
+from .sac import SacConfig, SacModel, sac_update, select_action
 from .simulator import Environment, ItemCatalog, generate_item_catalog
 
 log = logging.getLogger(__name__)
@@ -93,12 +98,61 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _check_artifact(path: Path, what: str, field: str, got: int, want: int) -> None:
-    """A loaded artifact must fit the configured simulator, or decoding and
-    ranking would fail late or return the wrong item ids."""
-    if got != want:
-        raise ValueError(f"{what} {path} has {field}={got}, but the config has "
-                         f"sim.{field}={want}")
+def _check_artifact(path: Path, what: str, sim, **fields: int) -> None:
+    """A loaded artifact's sizes ``fields`` must equal the simulator's, or
+    decoding and ranking would fail late or return the wrong item ids."""
+    for field, got in fields.items():
+        if got != getattr(sim, field):
+            raise ValueError(f"{what} {path} has {field}={got}, but the config has "
+                             f"sim.{field}={getattr(sim, field)}")
+
+
+class SacLearner:
+    """A SAC agent's replay ring: an update every ``update_every`` turns once it holds a batch."""
+
+    model_class = SacModel
+
+    def __init__(self, model: SacModel, cfg: ExperimentConfig, rng: np.random.Generator):
+        self.model = model
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, cfg.sim.slate_size,
+                                   model.cfg.action_dim, cfg.belief_dim, model.dtype)
+        self.update_every = cfg.update_every
+        self.rng = rng
+        self.turns = 0
+
+    def observe(self, hidden, slate, clicks, action, reward, done) -> bool:
+        self.buffer.push(slate, clicks, action, reward, done, hidden)
+        self.turns += 1
+        return (self.turns % self.update_every == 0
+                and len(self.buffer) >= self.model.cfg.batch_size)
+
+    def update(self) -> dict:
+        return sac_update(self.model, self.buffer, self.rng)
+
+
+class ReinforceLearner:
+    """A REINFORCE agent's running episode and return baseline: an update per episode."""
+
+    model_class = ReinforcePolicy
+
+    def __init__(self, model: ReinforcePolicy, cfg: ExperimentConfig, rng: np.random.Generator):
+        self.model = model
+        self.baseline = BaselineState(decay=cfg.baseline_decay)
+        self.episode = []
+
+    def observe(self, hidden, slate, clicks, action, reward, done) -> bool:
+        self.episode.append((slate, clicks, reward))
+        return done
+
+    def update(self) -> dict:
+        slates, clicks, rewards = zip(*self.episode)
+        self.episode = []
+        episode = EpisodeRecord(np.asarray(slates), np.asarray(clicks, dtype=np.float64),
+                                np.asarray(rewards, dtype=np.float64))
+        return reinforce_update(self.model, episode, self.baseline)
+
+
+LEARNERS = {"sac": SacLearner, "reinforce": ReinforceLearner}
 
 
 class Policy:
@@ -123,10 +177,8 @@ class Policy:
                                 and self._belief_source() == "gems-table"):
             path = _require_file(cfg.gems_ckpt, "gems checkpoint")
             self.gems_model = load_gems(path)
-            _check_artifact(path, "gems checkpoint", "num_items",
-                            self.gems_model.num_items, cfg.sim.num_items)
-            _check_artifact(path, "gems checkpoint", "slate_size",
-                            self.gems_model.slate_size, cfg.sim.slate_size)
+            _check_artifact(path, "gems checkpoint", cfg.sim, num_items=self.gems_model.num_items,
+                            slate_size=self.gems_model.slate_size)
 
         self.table = None            # ranker embedding table (topk / wknn)
         if ranker in ("topk-mf", "topk-ideal", "wknn"):
@@ -156,8 +208,7 @@ class Policy:
     def _mf_table(self) -> np.ndarray:
         path = _require_file(self.cfg.mf_embeddings, "mf embeddings")
         table = load_mf_embeddings(path)
-        _check_artifact(path, "mf embeddings", "num_items", table.shape[0],
-                        self.cfg.sim.num_items)
+        _check_artifact(path, "mf embeddings", self.cfg.sim, num_items=table.shape[0])
         return table
 
     def _belief_table(self, rng: np.random.Generator) -> np.ndarray:
@@ -237,15 +288,16 @@ class Policy:
     def init_hidden(self, n: int):
         return self.encoder.init_hidden(n) if self.encoder is not None else None
 
-    # -- persistence -------------------------------------------------------------
+    # -- learning and persistence --------------------------------------------------
+
+    def learner(self, rng: np.random.Generator):
+        """A learner for this policy's agent, drawing from ``rng`` (None if static)."""
+        return LEARNERS[self.agent](self.model, self.cfg, rng) if self.model is not None else None
 
     def save(self, path, metadata: Optional[dict] = None) -> None:
-        if self.agent == "sac":
-            save_sac(self.model, path, metadata)
-        elif self.agent == "reinforce":
-            save_reinforce(self.model, path, metadata)
-        else:
+        if self.model is None:
             raise ValueError("static policies have nothing to checkpoint")
+        save_agent(path, self.model, metadata)
 
 
 def build_policy(cfg: ExperimentConfig, catalog: ItemCatalog, seed: int) -> Policy:
@@ -254,10 +306,11 @@ def build_policy(cfg: ExperimentConfig, catalog: ItemCatalog, seed: int) -> Poli
 
 def load_policy(cfg: ExperimentConfig, catalog: ItemCatalog, ckpt_path) -> Policy:
     """Policy acting with parameters restored from a checkpoint."""
-    if cfg.agent == "none":
+    if cfg.agent not in LEARNERS:
         return Policy(cfg, catalog, seed=0)
-    loader = load_sac if cfg.agent == "sac" else load_reinforce
-    model, _ = loader(ckpt_path)
+    model, meta = load_agent(ckpt_path, LEARNERS[cfg.agent].model_class)
+    _check_artifact(Path(ckpt_path), "agent checkpoint", cfg.sim,
+                    num_items=meta["num_items"], slate_size=meta["slate_size"])
     return Policy(cfg, catalog, seed=0, model=model)
 
 
@@ -343,18 +396,8 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
     chash = config_hash(cfg)
 
     action_rng = substream(seed, STREAM_ACTION, 0)
-    buffer_rng = substream(seed, STREAM_BUFFER)
+    learner = policy.learner(substream(seed, STREAM_BUFFER))
     diag_history: deque = deque(maxlen=50)
-
-    buffer = None
-    baseline = None
-    sac_cfg = None
-    if cfg.agent == "sac":
-        sac_cfg = policy.model.cfg
-        buffer = ReplayBuffer(cfg.buffer_capacity, cfg.sim.slate_size, sac_cfg.action_dim,
-                              cfg.belief_dim, policy.model.dtype)
-    elif cfg.agent == "reinforce":
-        baseline = BaselineState(decay=cfg.baseline_decay)
 
     validation_means: List[float] = []
 
@@ -365,7 +408,7 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
             lambda i: substream_seed(seed, STREAM_ENV_VAL, round_idx, i), rng)
         mean = float(returns.mean())
         validation_means.append(mean)
-        if cfg.agent != "none":
+        if learner is not None:
             policy.save(workdir / f"ckpt-{round_idx:04d}.slk",
                         {"val_round": round_idx, "val_mean": mean,
                          "trajectories": traj_done, "config_hash": chash})
@@ -373,42 +416,24 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
                  seed, round_idx, traj_done, mean)
 
     validate(0, 0)
-    turn_count = 0
     for traj in range(1, cfg.training_steps + 1):
-        if cfg.agent != "none":
+        if learner is not None:
             env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
             env.reset(substream_seed(seed, STREAM_ENV_TRAIN, traj))
             hidden = policy.init_hidden(1)[0]
-            ep_slates, ep_clicks, ep_rewards = [], [], []
             for t in range(cfg.sim.episode_length):
                 action, slate = policy.act_single(hidden, env, "sample", action_rng)
                 res = env.step(slate)
-                if cfg.agent == "sac":
-                    buffer.push(slate, res.clicks, action, res.reward, res.done, hidden)
-                else:
-                    ep_slates.append(slate)
-                    ep_clicks.append(res.clicks)
-                    ep_rewards.append(res.reward)
+                due = learner.observe(hidden, slate, res.clicks, action, res.reward, res.done)
                 hidden = policy.encoder.update_belief(hidden, slate, res.clicks)
-                turn_count += 1
-                if (cfg.agent == "sac" and turn_count % cfg.update_every == 0
-                        and len(buffer) >= sac_cfg.batch_size):
-                    _checked_update(
-                        lambda: sac_update(policy.model, buffer, sac_cfg, buffer_rng),
-                        diag_history, {"trajectory": traj, "turn": t}, workdir)
-            if cfg.agent == "reinforce":
-                episode = EpisodeRecord(np.asarray(ep_slates),
-                                        np.asarray(ep_clicks, dtype=np.float64),
-                                        np.asarray(ep_rewards, dtype=np.float64))
-                _checked_update(
-                    lambda: reinforce_update(policy.model, episode, baseline,
-                                             policy.model.cfg),
-                    diag_history, {"trajectory": traj}, workdir)
+                if due:
+                    _checked_update(learner.update, diag_history,
+                                    {"trajectory": traj, "turn": t}, workdir)
         if traj % cfg.validation_every == 0:
             validate(traj // cfg.validation_every, traj)
 
     best = int(np.argmax(validation_means))
-    if cfg.agent != "none":
+    if learner is not None:
         policy = load_policy(cfg, catalog, workdir / f"ckpt-{best:04d}.slk")
     test_rng = substream(seed, STREAM_ACTION, 2)
     test_returns = rollout_returns(

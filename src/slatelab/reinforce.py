@@ -12,17 +12,15 @@ the same loss, as this agent has no critic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .belief import BeliefConfig, BeliefEncoder, prev_beliefs
-from .checkpoint import load_checkpoint, save_checkpoint
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
-from .rng import substream
 
 
 @dataclass
@@ -84,36 +82,39 @@ def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
 class ReinforcePolicy:
     """Belief GRU plus an MLP head producing one logit per item."""
 
+    kind = "reinforce"
+    config_class = ReinforceConfig
+    stores = {"policy": "store"}
+
     def __init__(self, cfg: ReinforceConfig, belief_cfg: BeliefConfig,
                  slate_size: int, item_embeddings: np.ndarray,
                  rng: np.random.Generator):
         self.cfg = cfg
-        self.belief_cfg = belief_cfg
         self.store = ParameterStore()
         self.belief = BeliefEncoder(self.store, belief_cfg, slate_size,
                                     item_embeddings, rng)
-        self.num_items = self.belief.num_items
         self.head = Mlp(self.store, "logits",
-                        [belief_cfg.belief_dim, *cfg.hidden, self.num_items],
+                        [belief_cfg.belief_dim, *cfg.hidden, self.belief.num_items],
                         rng, "relu")
         self.adam = AdamConfig(cfg.learning_rate)
 
 
 def episode_beliefs(policy: ReinforcePolicy, episode: EpisodeRecord):
     """[T, H] graph of each turn's pre-action belief: zero at turn 0, then the
-    states of one GRU pass over the episode from zero."""
+    states of one GRU pass from zero over the episode but its last turn,
+    whose post-action belief no turn reads."""
     turns = len(episode.slates)
     h0, resets = policy.belief.init_hidden(1), np.zeros((1, turns), bool)
-    states = policy.belief.recompute_graph(
-        h0, policy.belief._inputs(episode.slates[None], episode.clicks[None]), resets)
+    inputs = policy.belief._inputs(episode.slates[None, :-1], episode.clicks[None, :-1])
+    states = policy.belief.recompute_graph(h0, inputs, resets[:, :-1])
     return prev_beliefs(h0, states, resets, turns)
 
 
 def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
-                     baseline: BaselineState, cfg: ReinforceConfig) -> dict:
+                     baseline: BaselineState) -> dict:
     """One Adam step on -sum_t (G_t - b_t) * log pi(slate_t | belief_t)."""
     k = episode.slates.shape[1]
-    returns = return_to_go(episode.rewards, cfg.gamma)
+    returns = return_to_go(episode.rewards, policy.cfg.gamma)
     advantage = returns - baseline.lookup(returns)
 
     log_probs = ad.log_softmax(policy.head(episode_beliefs(policy, episode)))
@@ -135,40 +136,4 @@ def sample_slate(policy: ReinforcePolicy, hidden: np.ndarray, slate_size: int,
     shifted = logits - logits.max()
     p = np.exp(shifted)
     p /= p.sum()
-    return rng.choice(policy.num_items, size=slate_size, replace=True, p=p)
-
-
-def save_reinforce(policy: ReinforcePolicy, path, metadata: Optional[dict] = None) -> None:
-    meta = {
-        "kind": "reinforce",
-        "config": asdict(policy.cfg),
-        "belief": asdict(policy.belief_cfg),
-        "slate_size": policy.belief.slate_size,
-        "num_items": policy.num_items,
-        "item_dim": policy.belief.item_dim,
-    }
-    if metadata:
-        meta.update(metadata)
-    stores = {"policy": policy.store}
-    if not policy.belief.trainable_table:
-        frozen = ParameterStore()
-        frozen.add("belief.items", policy.belief.table_value())
-        stores["frozen"] = frozen
-    save_checkpoint(path, stores, meta)
-
-
-def load_reinforce(path) -> Tuple[ReinforcePolicy, dict]:
-    stores, meta = load_checkpoint(path)
-    raw = dict(meta["config"])
-    raw["hidden"] = tuple(raw["hidden"])
-    cfg = ReinforceConfig(**raw)
-    meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
-    belief_cfg = BeliefConfig(**meta["belief"])
-    if "frozen" in stores:
-        table = stores["frozen"]["belief.items"].value
-    else:
-        table = stores["policy"]["belief.items"].value
-    policy = ReinforcePolicy(cfg, belief_cfg, meta["slate_size"], table,
-                             substream(0, "init"))
-    policy.store.load_state_from(stores["policy"])
-    return policy, meta
+    return rng.choice(policy.belief.num_items, size=slate_size, replace=True, p=p)

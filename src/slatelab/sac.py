@@ -28,7 +28,7 @@ Gaussian noise are cast to it where they enter a graph.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,11 +36,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .belief import BeliefConfig, BeliefEncoder, next_beliefs, prev_beliefs
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_agent
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step, polyak_update
 from .replay import ReplayBuffer, TransitionBatch
-from .rng import substream
 
 REPLAY_SEQUENCE = 16     # consecutive transitions per sampled run
 LOG_SIGMA_MIN = -5.0
@@ -79,10 +78,13 @@ class SacConfig:
 class SacModel:
     """Actor, two critics, their targets, and the shared belief encoder."""
 
+    kind = "sac"
+    config_class = SacConfig
+    stores = {"critic": "critic_store", "actor": "actor_store", "target": "target_store"}
+
     def __init__(self, cfg: SacConfig, belief_cfg: BeliefConfig, slate_size: int,
                  item_embeddings: np.ndarray, rng: np.random.Generator):
         self.cfg = cfg
-        self.belief_cfg = belief_cfg
         self.dtype = np.dtype(cfg.dtype)
         self.critic_store = ParameterStore(self.dtype)
         self.belief = BeliefEncoder(self.critic_store, belief_cfg, slate_size,
@@ -148,7 +150,7 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
 
 
 def td_target(model: SacModel, batch: TransitionBatch, next_hidden: np.ndarray,
-              cfg: SacConfig, rng: np.random.Generator) -> np.ndarray:
+              rng: np.random.Generator) -> np.ndarray:
     """y = r + gamma*(1-done)*(min Q' - alpha*log pi') with a' freshly sampled.
 
     ``next_hidden`` [B, H] holds the batch's post-action beliefs.  Computed
@@ -162,11 +164,12 @@ def td_target(model: SacModel, batch: TransitionBatch, next_hidden: np.ndarray,
     target_in = np.concatenate([next_hidden, np.tanh(u)], axis=1)
     tq = np.minimum(model.target_q1.forward_array(target_in)[:, 0],
                     model.target_q2.forward_array(target_in)[:, 0])
+    cfg = model.cfg
     return batch.rewards + cfg.gamma * (1.0 - batch.dones) * (tq - cfg.alpha * next_log_pi)
 
 
 def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
-                cfg: SacConfig, rng: np.random.Generator,
+                rng: np.random.Generator,
                 target: Optional[np.ndarray] = None) -> Tuple[Tensor, dict]:
     """Mean over the batch and both critics of (Q(s,a) - y)^2.
 
@@ -180,7 +183,7 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
     states = model.belief.recompute_graph(batch.hidden, inputs, batch.resets)
     y = target
     if y is None:
-        y = td_target(model, batch, next_beliefs(states.value, b), cfg, rng)
+        y = td_target(model, batch, next_beliefs(states.value, b), rng)
 
     hidden = prev_beliefs(batch.hidden, states, batch.resets, b)
     q_in = ad.concat([hidden, ad.constant(batch.actions.astype(model.dtype, copy=False))],
@@ -197,11 +200,11 @@ def critic_loss(model: SacModel, batch: TransitionBatch, inputs: Tensor,
 
 
 def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
-               cfg: SacConfig, rng: np.random.Generator) -> Tuple[Tensor, dict]:
+               rng: np.random.Generator) -> Tuple[Tensor, dict]:
     """mean(alpha*log pi - min Q) over the batch runs' GRU input values
     but their last rows; beliefs and critic weights enter as constants, so
     only actor parameters receive gradients."""
-    b, d = batch.actions.shape[0], cfg.action_dim
+    b, d = batch.actions.shape[0], model.cfg.action_dim
     states = model.belief.recompute_array(batch.hidden, inputs[:, :-1], batch.resets[:, :-1])
     hidden = prev_beliefs(batch.hidden, ad.constant(states), batch.resets, b)
     mu, log_sigma = actor_stats(model, hidden)
@@ -213,65 +216,32 @@ def actor_loss(model: SacModel, batch: TransitionBatch, inputs: np.ndarray,
         q1 = ad.reshape(model.q1(q_in), (b,))
         q2 = ad.reshape(model.q2(q_in), (b,))
     q_min = ad.minimum(q1, q2)
-    loss = ad.mean(ad.add(ad.scale(log_pi, cfg.alpha), ad.scale(q_min, -1.0)))
+    loss = ad.mean(ad.add(ad.scale(log_pi, model.cfg.alpha), ad.scale(q_min, -1.0)))
     diag = {"actor_loss": loss.item(), "mean_log_pi": float(np.mean(log_pi.value)),
             "mean_sigma": float(np.mean(np.exp(log_sigma.value)))}
     return loss, diag
 
 
-def sac_update(model: SacModel, buffer: ReplayBuffer, cfg: SacConfig,
-               rng: np.random.Generator) -> dict:
+def sac_update(model: SacModel, buffer: ReplayBuffer, rng: np.random.Generator) -> dict:
     """One critic step, one actor step, one polyak step."""
+    cfg = model.cfg
     if len(buffer) < cfg.batch_size:
         raise ValueError("replay buffer holds fewer transitions than a batch")
     batch = buffer.sample(cfg.batch_size, rng, REPLAY_SEQUENCE)
     inputs = model.belief._inputs(batch.slates, batch.clicks)
-    c_loss, c_diag = critic_loss(model, batch, inputs, cfg, rng)
+    c_loss, c_diag = critic_loss(model, batch, inputs, rng)
     ad.backward(c_loss)
     adam_step(model.critic_store, model.critic_adam)
     x = inputs.value
     if model.belief.trainable_table:        # the critic step moved the table
         x = model.belief._input_values(batch.slates, batch.clicks)
-    a_loss, a_diag = actor_loss(model, batch, x, cfg, rng)
+    a_loss, a_diag = actor_loss(model, batch, x, rng)
     ad.backward(a_loss)
     adam_step(model.actor_store, model.actor_adam)
     polyak_update(model.target_store, model.critic_store, cfg.tau)
     return {**c_diag, **a_diag}
 
 
-def save_sac(model: SacModel, path, metadata: Optional[dict] = None) -> None:
-    meta = {
-        "kind": "sac",
-        "config": asdict(model.cfg),
-        "belief": asdict(model.belief_cfg),
-        "slate_size": model.belief.slate_size,
-        "num_items": model.belief.num_items,
-        "item_dim": model.belief.item_dim,
-    }
-    if metadata:
-        meta.update(metadata)
-    stores = {"critic": model.critic_store, "actor": model.actor_store,
-              "target": model.target_store}
-    if not model.belief.trainable_table:
-        frozen = ParameterStore()
-        frozen.add("belief.items", model.belief.table_value())
-        stores["frozen"] = frozen
-    save_checkpoint(path, stores, meta)
-
-
 def load_sac(path) -> Tuple[SacModel, dict]:
-    stores, meta = load_checkpoint(path)
-    raw_cfg = dict(meta["config"])
-    raw_cfg["hidden"] = tuple(raw_cfg["hidden"])
-    cfg = SacConfig(**raw_cfg)
-    meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
-    belief_cfg = BeliefConfig(**meta["belief"])
-    if "frozen" in stores:
-        table = stores["frozen"]["belief.items"].value
-    else:
-        table = stores["critic"]["belief.items"].value
-    model = SacModel(cfg, belief_cfg, meta["slate_size"], table, substream(0, "init"))
-    model.critic_store.load_state_from(stores["critic"])
-    model.actor_store.load_state_from(stores["actor"])
-    model.target_store.load_state_from(stores["target"])
-    return model, meta
+    """:func:`checkpoint.load_agent` for SAC; the benchmark imports this name."""
+    return load_agent(path, SacModel)

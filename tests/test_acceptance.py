@@ -129,24 +129,24 @@ def _sac_fixture(seed):
 
 
 def _fd_sac_actor(seed):
-    cfg, model, batch = _sac_fixture(seed)
+    _, model, batch = _sac_fixture(seed)
 
     def graph():
-        return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+        return actor_loss(model, batch, window_inputs(model, batch).value,
                           substream(seed, "eps"))[0]
 
     _assert_grads_match(model.actor_store, lambda: graph().item(), graph)
 
 
 def _fd_sac_critic(seed):
-    cfg, model, batch = _sac_fixture(seed)
+    _, model, batch = _sac_fixture(seed)
     # the TD target is a constant of the loss; hold it fixed while differencing
     states = model.belief.recompute_array(batch.hidden, window_inputs(model, batch).value,
                                           batch.resets)
-    y = td_target(model, batch, next_beliefs(states, 4), cfg, substream(seed, "eps"))
+    y = td_target(model, batch, next_beliefs(states, 4), substream(seed, "eps"))
 
     def graph():
-        return critic_loss(model, batch, window_inputs(model, batch), cfg,
+        return critic_loss(model, batch, window_inputs(model, batch),
                            substream(seed, "eps"), target=y)[0]
 
     _assert_grads_match(model.critic_store, lambda: graph().item(), graph)
@@ -433,7 +433,7 @@ def test_criterion_10_sac_reaches_bandit_optimum_on_all_seeds():
         buf = _context_bandit_buffer(model, 3000, substream(seed, "data"))
         rng = substream(seed, "upd")
         for _ in range(2000):
-            sac_update(model, buf, cfg, rng)
+            sac_update(model, buf, rng)
         for ctx, target in ((1, 0.5), (0, -0.5)):
             x = model.belief._input_values(np.array([[[0]]]), np.array([[[float(ctx)]]]))
             h = model.belief.recompute_array(model.belief.init_hidden(1), x,

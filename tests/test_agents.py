@@ -12,7 +12,7 @@ from slatelab.belief import (
     next_beliefs,
     prev_beliefs,
 )
-from slatelab.checkpoint import load_checkpoint, save_checkpoint
+from slatelab.checkpoint import load_agent, load_checkpoint, save_agent, save_checkpoint
 from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
 from slatelab.optim import ParameterStore
 from slatelab.reinforce import (
@@ -21,11 +21,9 @@ from slatelab.reinforce import (
     ReinforceConfig,
     ReinforcePolicy,
     episode_beliefs,
-    load_reinforce,
     reinforce_update,
     return_to_go,
     sample_slate,
-    save_reinforce,
 )
 from slatelab.replay import ReplayBuffer, run_windows
 from slatelab.rng import substream
@@ -35,9 +33,7 @@ from slatelab.sac import (
     actor_loss,
     actor_stats,
     critic_loss,
-    load_sac,
     sac_update,
-    save_sac,
     td_target,
     select_action,
     squashed_log_prob,
@@ -276,12 +272,12 @@ def test_graph_size_does_not_grow_with_the_window():
     # one gru-sequence node covers a batch's runs, however long they are
     sizes = {}
     for run in (2, 20):
-        cfg, model, batch = _critic_fixture(run)
+        _, model, batch = _critic_fixture(run)
         assert batch.slates.shape[1] == run
         hidden = model.belief.recompute_graph(batch.hidden, window_inputs(model, batch),
                                               batch.resets)
         assert [n.op for n in _graph_nodes(hidden)].count("gru-sequence") == 1
-        loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
+        loss, _ = critic_loss(model, batch, window_inputs(model, batch), substream(0, "eps"))
         nodes = _graph_nodes(loss)
         assert [n.op for n in nodes].count("gru-sequence") == 1
         sizes[run] = len(nodes)
@@ -602,10 +598,10 @@ def one_transition_batch(action=0.4, reward=2.0, done=False):
 
 def test_critic_loss_equals_hand_computed_td_error():
     # float64: the hand-computed loss is checked to 1e-12
-    cfg, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
+    _, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
     hand_set_critics(model)
     batch = one_transition_batch()
-    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), substream(0, "eps"))
     # y = 2 + 0.5 * min(0.6, 0.9) = 2.3
     # q1 = 2*relu(0.7*0.4 + 0.1) - 0.2 = 0.56 ; q2 = 1.5*relu(0.4*0.4 + 0.05) + 0.3 = 0.615
     expected = 0.5 * ((0.56 - 2.3) ** 2 + (0.615 - 2.3) ** 2)
@@ -614,21 +610,21 @@ def test_critic_loss_equals_hand_computed_td_error():
 
 
 def test_done_transition_target_ignores_next_state():
-    cfg, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
+    _, model = tiny_sac(alpha=0.0, gamma=0.5, dtype="float64")
     hand_set_critics(model)
     batch = one_transition_batch(done=True)
-    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), substream(0, "eps"))
     expected = 0.5 * ((0.56 - 2.0) ** 2 + (0.615 - 2.0) ** 2)
     assert abs(loss.item() - expected) < 1e-12
     # perturbing the target networks must not change the loss when done
     model.target_store["q1.l1.b"].value[...] = [123.0]
     model.target_store["q2.l1.b"].value[...] = [-55.0]
-    again, _ = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
+    again, _ = critic_loss(model, batch, window_inputs(model, batch), substream(0, "eps"))
     assert abs(again.item() - loss.item()) < 1e-12
 
 
 def test_gamma_zero_target_reduces_to_reward():
-    cfg, model = tiny_sac(alpha=0.0, gamma=0.0)
+    _, model = tiny_sac(alpha=0.0, gamma=0.0)
     hand_set_critics(model)
     # make both critics output the reward exactly: q = 2*relu(0 + 0.7a + ...)
     batch = one_transition_batch(action=0.4, reward=0.56)
@@ -636,13 +632,13 @@ def test_gamma_zero_target_reduces_to_reward():
     model.critic_store["q2.l0.b"].value[...] = [0.1]
     model.critic_store["q2.l1.W"].value[...] = [[2.0]]
     model.critic_store["q2.l1.b"].value[...] = [-0.2]
-    loss, diag = critic_loss(model, batch, window_inputs(model, batch), cfg, substream(0, "eps"))
+    loss, diag = critic_loss(model, batch, window_inputs(model, batch), substream(0, "eps"))
     assert abs(diag["mean_target"] - 0.56) < 1e-12
     assert loss.item() < 1e-24
 
 
 def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
-    cfg, model = tiny_sac(alpha=0.0, hidden=(4,), action_dim=2, belief_dim=3)
+    _, model = tiny_sac(alpha=0.0, hidden=(4,), action_dim=2, belief_dim=3)
     for q in ("q1", "q2"):
         model.critic_store[f"{q}.l0.W"].value[...] = 0.0
         model.critic_store[f"{q}.l1.W"].value[...] = 0.0
@@ -652,7 +648,7 @@ def test_actor_gradient_zero_under_constant_critics_and_zero_alpha():
                        dtype=model.dtype)
     buf.push([0], [1.0], [0.1, -0.2], 1.0, False, np.zeros(3))
     batch = buf.sample(2, substream(0, "s"), sequence=1)
-    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg, substream(0, "eps"))
+    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, substream(0, "eps"))
     ad.backward(loss)
     for name, p in model.actor_store.items():
         assert np.all(p.grad == 0.0), name
@@ -672,7 +668,7 @@ def nudge_biases(store, seed):
 
 
 def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
-    cfg, model = tiny_sac(alpha=0.3, hidden=(4,), action_dim=2, belief_dim=3,
+    _, model = tiny_sac(alpha=0.3, hidden=(4,), action_dim=2, belief_dim=3,
                           seed=12, dtype="float64")   # FD needs float64
     nudge_biases(model.actor_store, 12)
     nudge_biases(model.critic_store, 12)
@@ -687,10 +683,10 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
     assert not batch.resets[:, 0].all()     # a run starts from a stored nonzero belief
 
     def loss_fn():
-        return actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+        return actor_loss(model, batch, window_inputs(model, batch).value,
                           substream(12, "eps"))[0].item()
 
-    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value, cfg,
+    loss, _ = actor_loss(model, batch, window_inputs(model, batch).value,
                          substream(12, "eps"))
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in model.actor_store.items()}
@@ -700,7 +696,7 @@ def test_actor_loss_gradient_matches_fd_on_two_dim_toy():
 
 
 def test_critic_loss_gradient_matches_fd_including_belief():
-    cfg, model = tiny_sac(alpha=0.2, gamma=0.7, hidden=(4,), action_dim=2,
+    _, model = tiny_sac(alpha=0.2, gamma=0.7, hidden=(4,), action_dim=2,
                           belief_dim=3, seed=13, dtype="float64")
     nudge_biases(model.actor_store, 13)
     nudge_biases(model.critic_store, 13)
@@ -715,13 +711,13 @@ def test_critic_loss_gradient_matches_fd_including_belief():
     assert not batch.resets[:, 0].all()     # a run starts from a stored nonzero belief
     # the TD target is a constant of the loss; hold it fixed while
     # differencing, as autodiff does by construction
-    y = td_target(model, batch, post_action_beliefs(model, batch), cfg, substream(13, "eps"))
+    y = td_target(model, batch, post_action_beliefs(model, batch), substream(13, "eps"))
 
     def loss_fn():
-        return critic_loss(model, batch, window_inputs(model, batch), cfg,
+        return critic_loss(model, batch, window_inputs(model, batch),
                            substream(13, "eps"), target=y)[0].item()
 
-    loss, _ = critic_loss(model, batch, window_inputs(model, batch), cfg,
+    loss, _ = critic_loss(model, batch, window_inputs(model, batch),
                           substream(13, "eps"), target=y)
     ad.backward(loss)
     grads = {name: p.grad.copy() for name, p in model.critic_store.items()}
@@ -748,7 +744,7 @@ def train_bandit_sac(alpha, updates=700, seed=11):
     model = SacModel(cfg, bcfg, 1, np.array([[0.5]]), substream(seed, "init"))
     buf = quadratic_bandit_buffer(1500, substream(seed, "data"))
     rng = substream(seed, "upd")
-    diags = [sac_update(model, buf, cfg, rng) for _ in range(updates)]
+    diags = [sac_update(model, buf, rng) for _ in range(updates)]
     return model, diags
 
 
@@ -777,11 +773,11 @@ def test_entropy_weight_raises_converged_policy_spread():
 def test_sac_update_deterministic_given_seed_and_buffer():
     runs = []
     for _ in range(2):
-        cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
+        _, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
                               seed=21, batch_size=4)
         buf = one_slot_buffer(21)
         rng = substream(21, "upd")
-        diags = [sac_update(model, buf, cfg, rng) for _ in range(3)]
+        diags = [sac_update(model, buf, rng) for _ in range(3)]
         runs.append((model, diags))
     m1, d1 = runs[0]
     m2, d2 = runs[1]
@@ -795,11 +791,11 @@ def test_sac_update_deterministic_given_seed_and_buffer():
 
 
 def test_sac_update_requires_a_full_batch():
-    cfg, model = tiny_sac(batch_size=8)
+    _, model = tiny_sac(batch_size=8)
     buf = scalar_buffer(8)
     buf.push([0], [0.0], [0.1], 1.0, True, [0.0])
     with pytest.raises(ValueError):
-        sac_update(model, buf, cfg, substream(0, "u"))
+        sac_update(model, buf, substream(0, "u"))
 
 
 def one_slot_buffer(seed, turns=10):
@@ -815,7 +811,7 @@ def one_slot_buffer(seed, turns=10):
 
 
 def test_sac_update_builds_the_window_inputs_once(monkeypatch):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=23)
+    _, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=23)
     builds = []
     real = BeliefEncoder._inputs
 
@@ -824,7 +820,7 @@ def test_sac_update_builds_the_window_inputs_once(monkeypatch):
         return real(self, slates, clicks)
 
     monkeypatch.setattr(BeliefEncoder, "_inputs", counting)
-    sac_update(model, one_slot_buffer(23), cfg, substream(23, "upd"))
+    sac_update(model, one_slot_buffer(23), substream(23, "upd"))
     # B = 4 < L = 16: one run of 4 turns, [S, L, k] for both recomputes
     assert builds == [(1, 4, 1)]
 
@@ -847,7 +843,7 @@ def test_actor_belief_uses_the_learned_table_after_the_critic_step(monkeypatch):
 
     monkeypatch.setattr(ReplayBuffer, "sample", recording_sample)
     monkeypatch.setattr(BeliefEncoder, "recompute_array", recording_recompute)
-    sac_update(model, one_slot_buffer(24), cfg, substream(24, "upd"))
+    sac_update(model, one_slot_buffer(24), substream(24, "upd"))
     (batch,), (actor_x, actor_h) = batches, beliefs[-1]
     fresh = model.belief._input_values(batch.slates, batch.clicks)[:, :-1]
     stale = np.concatenate([table[batch.slates], batch.clicks[..., None]], axis=-1)
@@ -905,7 +901,7 @@ def test_replayed_beliefs_equal_the_acting_beliefs_after_the_ring_wraps(dtype, t
 
 
 def test_turn_zero_transitions_get_the_zero_belief_and_done_ones_no_bootstrap():
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=30,
+    _, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=30,
                           gamma=0.9, dtype="float64")
     nudge_biases(model.critic_store, 30)
     buf, turns, _, _ = mixed_episode_buffer(30, model)
@@ -921,8 +917,8 @@ def test_turn_zero_transitions_get_the_zero_belief_and_done_ones_no_bootstrap():
     assert nested.any() and np.array_equal(post[:-1][nested], prev[1:][nested])
     done = batch.dones == 1.0
     assert done.any() and not done.all()
-    y = td_target(model, batch, post, cfg, substream(30, "eps"))
-    moved = td_target(model, batch, post + 5.0, cfg, substream(30, "eps"))
+    y = td_target(model, batch, post, substream(30, "eps"))
+    moved = td_target(model, batch, post + 5.0, substream(30, "eps"))
     np.testing.assert_array_equal(y[done], batch.rewards[done])
     np.testing.assert_array_equal(moved[done], y[done])
     assert np.all(moved[~done] != y[~done])
@@ -948,7 +944,7 @@ def test_per_transition_runs_step_once_from_the_stored_state_bit_for_bit(dtype):
 
 
 def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
+    _, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3,
                           seed=22, batch_size=4)
     buf = ReplayBuffer(capacity=16, slate_size=1, action_dim=2, belief_dim=3,
                        dtype=model.dtype)
@@ -959,13 +955,13 @@ def test_sac_checkpoint_roundtrip_resumes_exactly(tmp_path):
                  roll.uniform(-0.5, 0.5, 3))
     rng = substream(22, "upd")
     for _ in range(3):
-        sac_update(model, buf, cfg, rng)
+        sac_update(model, buf, rng)
     path = tmp_path / "agent.ckpt"
-    save_sac(model, path, {"note": "resume"})
-    loaded, meta = load_sac(path)
+    save_agent(path, model, {"note": "resume"})
+    loaded, meta = load_agent(path, SacModel)
     assert meta["note"] == "resume"
-    d1 = sac_update(model, buf, cfg, substream(22, "resume"))
-    d2 = sac_update(loaded, buf, cfg, substream(22, "resume"))
+    d1 = sac_update(model, buf, substream(22, "resume"))
+    d2 = sac_update(loaded, buf, substream(22, "resume"))
     assert d1 == d2
     for name, p in model.critic_store.items():
         assert np.array_equal(p.value, loaded.critic_store[name].value)
@@ -976,7 +972,7 @@ def test_checkpoint_with_per_gate_gru_parameters_is_rejected(tmp_path):
     # the GRU once stored one W/U/b triple per gate; such files must not load
     _, model = tiny_sac(belief_dim=2)
     path = tmp_path / "agent.ckpt"
-    save_sac(model, path)
+    save_agent(path, model)
     stores, meta = load_checkpoint(path)
     old = ParameterStore()
     for name, p in stores["critic"].items():
@@ -988,11 +984,11 @@ def test_checkpoint_with_per_gate_gru_parameters_is_rejected(tmp_path):
     stores["critic"] = old
     save_checkpoint(path, stores, meta)
     with pytest.raises(ValueError, match="belief.gru.Wz"):
-        load_sac(path)
+        load_agent(path, SacModel)
 
 
 def test_losses_stay_finite_over_many_updates():
-    cfg, model = tiny_sac(hidden=(16, 16), action_dim=3, belief_dim=6,
+    _, model = tiny_sac(hidden=(16, 16), action_dim=3, belief_dim=6,
                           k=2, seed=30, batch_size=16, gamma=0.8)
     buf = ReplayBuffer(capacity=512, slate_size=2, action_dim=3, belief_dim=6,
                        dtype=model.dtype)
@@ -1003,7 +999,7 @@ def test_losses_stay_finite_over_many_updates():
                  roll.uniform(-0.9, 0.9, 6))
     rng = substream(30, "upd")
     for _ in range(300):
-        d = sac_update(model, buf, cfg, rng)
+        d = sac_update(model, buf, rng)
         assert np.isfinite(d["critic_loss"]) and np.isfinite(d["actor_loss"])
 
 
@@ -1039,7 +1035,7 @@ def test_float32_sac_update_upcasts_nothing(monkeypatch):
         backward(root)
 
     monkeypatch.setattr(ad, "backward", recording_backward)
-    sac_update(model, one_slot_buffer(25), cfg, substream(25, "upd"))
+    sac_update(model, one_slot_buffer(25), substream(25, "upd"))
     assert len(roots) == 2                      # critic loss, then actor loss
     nodes = graph_nodes(roots[0]) + graph_nodes(roots[1])
     assert {"gru-sequence", "mlp", "softplus", "const", "param"} <= {n.op for n in nodes}
@@ -1085,7 +1081,7 @@ def test_float32_and_float64_updates_agree(monkeypatch):
     # gaps are about 2e-7 here).
     kw = dict(hidden=(32, 32), action_dim=4, belief_dim=16, k=3,
               batch_size=64, gamma=0.8)
-    (cfg32, m32), (cfg64, m64) = twin_models(26, **kw)
+    (_, m32), (_, m64) = twin_models(26, **kw)
     buf = ReplayBuffer(capacity=256, slate_size=3, action_dim=4, belief_dim=16,
                        dtype=np.float32)
     roll = substream(26, "roll")
@@ -1109,8 +1105,8 @@ def test_float32_and_float64_updates_agree(monkeypatch):
     monkeypatch.setattr(slatelab.sac, "adam_step", recording_adam)
     for name in ("recompute_array", "recompute_graph"):
         monkeypatch.setattr(BeliefEncoder, name, recording(getattr(BeliefEncoder, name)))
-    d32 = sac_update(m32, buf, cfg32, substream(26, "upd"))
-    d64 = sac_update(m64, buf, cfg64, substream(26, "upd"))
+    d32 = sac_update(m32, buf, substream(26, "upd"))
+    d64 = sac_update(m64, buf, substream(26, "upd"))
     for key in ("critic_loss", "actor_loss"):
         assert abs(d32[key] - d64[key]) <= 1e-4 * abs(d64[key]), key
     n = len(beliefs) // 2
@@ -1126,14 +1122,14 @@ def test_float32_and_float64_updates_agree(monkeypatch):
 
 
 def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    cfg, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=27)
+    _, model = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=27)
     rng = substream(27, "upd")
     buf = one_slot_buffer(27)
     for _ in range(3):
-        sac_update(model, buf, cfg, rng)
+        sac_update(model, buf, rng)
     path = tmp_path / "agent.ckpt"
-    save_sac(model, path)
-    loaded, meta = load_sac(path)
+    save_agent(path, model)
+    loaded, meta = load_agent(path, SacModel)
     assert meta["config"]["dtype"] == "float32" and loaded.dtype == np.float32
     for (name, a), (_, b) in zip(sac_arrays(model), sac_arrays(loaded)):
         assert b.dtype == np.float32, name
@@ -1145,7 +1141,7 @@ def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     # checkpoints written before SacConfig had a dtype hold a float64 agent
     # and no "dtype" key; a float64 model computes as that code did
-    cfg, old = tiny_sac(hidden=(16,), action_dim=3, belief_dim=16, k=4,
+    _, old = tiny_sac(hidden=(16,), action_dim=3, belief_dim=16, k=4,
                         seed=28, dtype="float64")
     rng = substream(28, "upd")
     buf = ReplayBuffer(capacity=64, slate_size=4, action_dim=3, belief_dim=16,
@@ -1156,13 +1152,13 @@ def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
                  roll.uniform(-1.0, 1.0, 3), float(roll.integers(0, 3)), t % 10 == 9,
                  roll.uniform(-0.5, 0.5, 16))
     for _ in range(5):
-        sac_update(old, buf, cfg, rng)
+        sac_update(old, buf, rng)
     path = tmp_path / "agent.ckpt"
-    save_sac(old, path)
+    save_agent(path, old)
     stores, meta = load_checkpoint(path)
     del meta["config"]["dtype"]
     save_checkpoint(path, stores, meta)
-    model, _ = load_sac(path)
+    model, _ = load_agent(path, SacModel)
     assert model.cfg.dtype == "float32" and model.dtype == np.float32
     batch = buf.sample(32, substream(28, "s"), sequence=1)
     step = [m.belief.step_hidden(np.full((32, 16), 0.3), batch.slates[:, -1],
@@ -1207,7 +1203,7 @@ def test_constant_rewards_equal_to_baseline_give_zero_gradient():
     base = BaselineState(decay=0.9)
     base.values = return_to_go(episode.rewards, cfg.gamma)
     before = {name: p.value.copy() for name, p in pol.store.items()}
-    diag = reinforce_update(pol, episode, base, cfg)
+    diag = reinforce_update(pol, episode, base)
     assert diag["mean_advantage"] == 0.0
     for name, p in pol.store.items():
         assert np.array_equal(before[name], p.value), name
@@ -1220,11 +1216,11 @@ def test_first_episode_initializes_the_baseline_to_its_returns():
                             clicks=np.zeros((3, 2)),
                             rewards=np.array([1.0, 0.0, 2.0]))
     base = BaselineState(decay=0.9)
-    reinforce_update(pol, episode, base, cfg)
+    reinforce_update(pol, episode, base)
     assert np.allclose(base.values, return_to_go(episode.rewards, cfg.gamma))
     # EMA afterwards
     episode2 = EpisodeRecord(episode.slates, episode.clicks, np.array([0.0, 0.0, 0.0]))
-    reinforce_update(pol, episode2, base, cfg)
+    reinforce_update(pol, episode2, base)
     assert np.allclose(base.values, 0.9 * return_to_go(episode.rewards, cfg.gamma))
 
 
@@ -1242,7 +1238,7 @@ def test_reinforce_prefers_the_rewarding_item_on_a_bandit():
         episode = EpisodeRecord(slates=slate[None, :],
                                 clicks=np.array([[reward]]),
                                 rewards=np.array([reward]))
-        reinforce_update(pol, episode, base, cfg)
+        reinforce_update(pol, episode, base)
     logits = pol.head.forward_array(h0[None, :])[0]
     p = np.exp(logits - logits.max())
     p /= p.sum()
@@ -1292,6 +1288,28 @@ def test_reinforce_trains_on_the_beliefs_it_acted_from():
     np.testing.assert_array_equal(beliefs, np.array(acted))
 
 
+def test_a_one_turn_episode_backpropagates_through_zero_gru_rows():
+    # its only belief is the zero start state, so its GRU pass has no rows
+    _, pol = small_reinforce(seed=19)
+    h0, resets = pol.belief.init_hidden(1), np.zeros((1, 1), bool)
+    inputs = pol.belief._inputs(np.zeros((1, 0, 2), np.int64), np.zeros((1, 0, 2)))
+    states = pol.belief.recompute_graph(h0, inputs, resets[:, :0])
+    assert states.shape == (1, 0, 5)
+    ad.backward(ad.sum_(pol.head(prev_beliefs(h0, states, resets, 1))))
+    for name, p in pol.store.items():
+        if name.startswith("belief."):
+            assert not p.grad.any(), name
+    # a start state that takes a gradient gets a zero one of its own shape
+    store = ParameterStore()
+    for name, shape in (("h0", (2, 5)), ("x", (2, 0, 3)), ("W", (3, 15)),
+                        ("U", (5, 15)), ("b", (15,))):
+        store.add(name, np.ones(shape))
+    gru = ad.gru_sequence(*(store.tensor(n) for n in ("h0", "x", "W", "U", "b")))
+    ad.backward(ad.sum_(gru))
+    for name, p in store.items():
+        assert p.grad.shape == p.value.shape and not p.grad.any(), name
+
+
 def test_sample_slate_draws_with_replacement_from_the_softmax():
     cfg, pol = small_reinforce(seed=15, num_items=3, k=4)
     # force a known distribution: zero body, logits from the head bias
@@ -1312,8 +1330,8 @@ def test_reinforce_checkpoint_roundtrip(tmp_path):
     cfg, pol = small_reinforce(seed=16)
     nudge_biases(pol.store, 16)
     path = tmp_path / "policy.ckpt"
-    save_reinforce(pol, path, {"val_round": 2})
-    loaded, meta = load_reinforce(path)
+    save_agent(path, pol, {"val_round": 2})
+    loaded, meta = load_agent(path, ReinforcePolicy)
     assert meta == {
         "kind": "reinforce",
         "config": {"gamma": 0.6, "learning_rate": 0.01, "baseline_decay": 0.9,
@@ -1326,19 +1344,28 @@ def test_reinforce_checkpoint_roundtrip(tmp_path):
                                   pol.head.forward_array(h).view(np.int64))
 
 
+def test_load_agent_refuses_a_checkpoint_of_the_other_kind(tmp_path):
+    _, pol = small_reinforce(seed=20)
+    _, sac = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=20)
+    for model, other in ((pol, SacModel), (sac, ReinforcePolicy)):
+        save_agent(tmp_path / "agent.ckpt", model)
+        with pytest.raises(ValueError, match=f"holds a '{model.kind}' agent checkpoint, "
+                                             f"not '{other.kind}'"):
+            load_agent(tmp_path / "agent.ckpt", other)
+
+
 def test_checkpoints_that_store_a_truncation_window_still_load(tmp_path):
     # Checkpoints written before whole-episode REINFORCE beliefs store the
-    # window in their belief metadata; the loaders drop it.
+    # window in their belief metadata; the loader drops it.
     _, pol = small_reinforce(seed=18)
     _, sac = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=18)
-    for model, save, load, net in ((pol, save_reinforce, load_reinforce, "head"),
-                                   (sac, save_sac, load_sac, "actor")):
-        old = {**dataclasses.asdict(model.belief_cfg), "truncation": 20}
-        save(model, tmp_path / "old.ckpt", {"belief": old})
+    for model, net in ((pol, "head"), (sac, "actor")):
+        old = {**dataclasses.asdict(model.belief.cfg), "truncation": 20}
+        save_agent(tmp_path / "old.ckpt", model, {"belief": old})
         assert load_checkpoint(tmp_path / "old.ckpt")[1]["belief"] == old
-        loaded, meta = load(tmp_path / "old.ckpt")
-        assert loaded.belief_cfg == model.belief_cfg
-        assert meta["belief"] == dataclasses.asdict(model.belief_cfg)
-        h = substream(18, "h").normal(0.0, 0.5, (4, model.belief_cfg.belief_dim))
+        loaded, meta = load_agent(tmp_path / "old.ckpt", type(model))
+        assert loaded.belief.cfg == model.belief.cfg
+        assert meta["belief"] == dataclasses.asdict(model.belief.cfg)
+        h = substream(18, "h").normal(0.0, 0.5, (4, model.belief.cfg.belief_dim))
         np.testing.assert_array_equal(getattr(loaded, net).forward_array(h),
                                       getattr(model, net).forward_array(h))

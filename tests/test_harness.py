@@ -13,6 +13,7 @@ from slatelab.harness import (
     RunRecord,
     build_policy,
     evaluate,
+    load_policy,
     read_records,
     rollout_returns,
     save_mf_embeddings,
@@ -124,6 +125,27 @@ def test_mf_embeddings_with_wrong_row_count_are_rejected(artifacts):
         with pytest.raises(ValueError, match=r"mf embeddings .*mf.npz has "
                                              r"num_items=15, .*sim.num_items=16"):
             build_policy(cfg, catalog, 0)
+
+
+def test_agent_checkpoint_that_does_not_fit_the_simulator_is_rejected(tmp_path):
+    cfg = tiny_config(agent="reinforce", ranker="softmax")
+    ckpt = tmp_path / "policy.slk"
+    build_policy(cfg, generate_item_catalog(cfg.sim, 0), 0).save(ckpt)
+    for field, value in (("num_items", 40), ("slate_size", 4)):
+        other = tiny_config(agent="reinforce", ranker="softmax", **{f"sim.{field}": value})
+        want = getattr(cfg.sim, field)
+        with pytest.raises(ValueError, match=f"agent checkpoint .*policy.slk has "
+                                             f"{field}={want}, .*sim.{field}={value}"):
+            load_policy(other, generate_item_catalog(other.sim, 0), ckpt)
+
+
+def test_agent_checkpoint_of_another_agent_is_rejected(artifacts, tmp_path):
+    cfg = tiny_config(agent="reinforce", ranker="softmax")
+    ckpt = tmp_path / "policy.slk"
+    build_policy(cfg, generate_item_catalog(cfg.sim, 0), 0).save(ckpt)
+    sac = tiny_config(gems_ckpt=artifacts["gems"])
+    with pytest.raises(ValueError, match="holds a 'reinforce' agent checkpoint, not 'sac'"):
+        load_policy(sac, generate_item_catalog(sac.sim, 0), ckpt)
 
 
 def test_action_dims(artifacts):

@@ -2,15 +2,23 @@
 
 A traced benchmark run reports a probe whose target was renamed or deleted
 as ``missing`` instead of failing, so this suite checks every target that
-``perfbench/tracing.py`` names.  The module is read, not imported, so no
-bytecode cache is written next to it.
+``perfbench/tracing.py`` names, and every slatelab name the benchmark's
+modules import.  Those modules are read, not imported, so no bytecode
+cache is written next to them.
 """
 
+import ast
+import importlib
+import importlib.util
 import sys
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import slatelab.harness
+import slatelab.sac
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -33,3 +41,24 @@ def test_every_counting_hook_target_resolves():
     hooks = (tracing.TENSOR_INIT, tracing.WKNN_CRITIC, ("checkpoint", "save_checkpoint"))
     gone = [f"{m}.{a}" for m, a in hooks if tracing._resolve(m, a) is None]
     assert gone == []
+
+
+def _resolves(module: str, name: str) -> bool:
+    return (hasattr(importlib.import_module(module), name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_every_slatelab_name_the_benchmark_imports_resolves():
+    gone = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("slatelab"):
+                gone += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                         if not _resolves(node.module, a.name)]
+            elif isinstance(node, ast.Import):
+                gone += [f"{path.name}: {a.name}" for a in node.names
+                         if a.name.startswith("slatelab")
+                         and importlib.util.find_spec(a.name) is None]
+    assert gone == []
+    # the probe self-test reads the train loop's binding of the update
+    assert slatelab.harness.sac_update is slatelab.sac.sac_update
