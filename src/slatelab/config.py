@@ -75,9 +75,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown agent {self.agent!r}")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
-        for name in ("update_every", "validation_every"):
+        for name in ("update_every", "validation_every", "wknn_p"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.ranker == "wknn" and self.wknn_p > self.sim.num_items:
+            raise ValueError(f"wknn_p={self.wknn_p} exceeds sim.num_items={self.sim.num_items}")
         if self.agent == "sac" and self.buffer_capacity < self.batch_size:
             raise ValueError("buffer_capacity below batch_size: SAC would never update")
         self.hidden = tuple(int(h) for h in self.hidden)

@@ -252,8 +252,8 @@ class Policy:
 
     def _wknn_critic(self, belief_vec: np.ndarray, trials: np.ndarray) -> np.ndarray:
         """min(Q1, Q2) of one belief with each row of trials [m, k*e]."""
-        beliefs = np.broadcast_to(belief_vec, (trials.shape[0], belief_vec.size))
-        x = np.concatenate([beliefs, trials], axis=1)
+        x = np.empty((len(trials), belief_vec.size + trials.shape[1]), self.model.dtype)
+        x[:, :belief_vec.size], x[:, belief_vec.size:] = belief_vec, trials
         return np.minimum(self.model.q1.forward_array(x)[:, 0],
                           self.model.q2.forward_array(x)[:, 0])
 

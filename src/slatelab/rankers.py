@@ -5,8 +5,9 @@ must be chosen to match (see ``harness.Policy.action_dim``).  A GeMS latent
 action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
 on a batch) and the softmax head's draws live with their agent, in
 ``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
-them.  All rankers are deterministic given their inputs except the
-stochastic ones, which take an explicit numpy Generator.
+them.  ``rank_wknn`` ranks only a shortlist of each slot's neighbours, cut
+with a rounding margin.  All rankers are deterministic given their inputs
+except the stochastic ones, which take an explicit numpy Generator.
 """
 
 from typing import Callable, List
@@ -24,6 +25,8 @@ def rank_topk(action: np.ndarray, item_embeddings: np.ndarray,
         raise ValueError(f"action must have {emb.shape[1]} dims, got {action.size}")
     if slate_size > len(emb):
         raise ValueError("slate_size exceeds catalog size")
+    if not np.isfinite(action).all():
+        raise ValueError("action must be finite")
     scores = emb @ action
     # Stable sort on the negated scores keeps ascending ids among ties.
     order = np.argsort(-scores, kind="stable")
@@ -45,26 +48,42 @@ def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
     returns m scores.  The first highest score wins. The candidate set
     shrinks to the remaining count in late slots when p exceeds it; with a
     single candidate (p == 1 in particular) the critic is never called.
+
+    Each slot ranks a shortlist, not every unplaced item: those whose
+    expanded squared distance |x|^2 - 2 x.t + |t|^2 (one product per call)
+    is within twice a float64 rounding margin of the m-th smallest.  The
+    direct ((x - t)**2).sum() orders it with a stable sort, so candidates,
+    their order (ties to the lower id) and critic rows equal a full sort's.
     """
     emb = np.asarray(item_embeddings, dtype=np.float64)
     n, e = emb.shape
     action = np.asarray(action, dtype=np.float64).ravel()
     if action.size != slate_size * e:
         raise ValueError(f"action must have {slate_size * e} dims, got {action.size}")
+    if slate_size > n:
+        raise ValueError(f"slate_size={slate_size} exceeds the {n} available items")
     if p <= 0:
         raise ValueError("p must be positive")
     if p > n:
         raise ValueError(f"p={p} exceeds the {n} available items")
+    if not np.isfinite(action).all():
+        raise ValueError("action must be finite")
     targets = action.reshape(slate_size, e)
+    x2 = np.einsum("ij,ij->i", emb, emb)
+    t2 = np.einsum("ij,ij->i", targets, targets)
+    expanded = x2 - 2.0 * (targets @ emb.T) + t2[:, None]
+    # |expanded - direct| <= (2e + 4) eps (|x|^2 + |t|^2) to first order; twice that.
+    margin = 2.0 * (2 * e + 4) * np.finfo(np.float64).eps * (x2.max() + t2)
     chosen: List[int] = []
     partial = np.zeros(slate_size * e, dtype=np.float64)
-    mask = np.ones(n, dtype=bool)
-    ids = np.arange(n)
     for s in range(slate_size):
-        remaining = ids[mask]
-        d2 = ((emb[remaining] - targets[s]) ** 2).sum(axis=1)
-        # remaining is ascending, so a stable sort breaks ties by lower id.
-        near = remaining[np.argsort(d2, kind="stable")[:min(p, remaining.size)]]
+        d = expanded[s]
+        d[chosen] = np.inf
+        m = min(p, n - s)
+        short = np.flatnonzero(d <= np.partition(d, m - 1)[m - 1] + 2.0 * margin[s])
+        d2 = ((emb[short] - targets[s]) ** 2).sum(axis=1)
+        # short is ascending, so a stable sort breaks ties by lower id.
+        near = short[np.argsort(d2, kind="stable")[:m]]
         if near.size == 1:
             pick = int(near[0])
         else:
@@ -73,7 +92,6 @@ def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
             pick = int(near[np.argmax(critic(belief, trials))])
         partial[s * e:(s + 1) * e] = emb[pick]
         chosen.append(pick)
-        mask[pick] = False
     return np.asarray(chosen, dtype=np.int64)
 
 

@@ -11,11 +11,14 @@ GRU window and its BPTT that the feature-major kernel replaced, kept as the
 reference it must match to 1e-12.  :func:`freeze_mask_gru_window` is the
 feature-major window kernel as it was before per-step resets replaced its
 freeze mask: a right-aligned history restarted at its first real row must
-reproduce its h_T bit for bit.
+reproduce its h_T bit for bit.  :func:`reference_rank_wknn` is the
+Wolpertinger ranker as it was before the shortlist: every slot sorts all
+unplaced items by their direct distance, and the shortlisted ranker must
+pick the same items from the same critic rows, bit for bit.
 """
 
 import math
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -247,3 +250,39 @@ def freeze_mask_gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.n
             h_new *= mask[:, t]
         h_new += h
     return hs[T].T.copy()
+
+
+def reference_rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
+                        critic: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        belief: np.ndarray, slate_size: int, p: int) -> np.ndarray:
+    """Wolpertinger slate with a full stable sort of every unplaced item's
+    direct squared distance per slot; ties go to the lower id."""
+    emb = np.asarray(item_embeddings, dtype=np.float64)
+    n, e = emb.shape
+    action = np.asarray(action, dtype=np.float64).ravel()
+    if action.size != slate_size * e:
+        raise ValueError(f"action must have {slate_size * e} dims, got {action.size}")
+    if p <= 0:
+        raise ValueError("p must be positive")
+    if p > n:
+        raise ValueError(f"p={p} exceeds the {n} available items")
+    targets = action.reshape(slate_size, e)
+    chosen: List[int] = []
+    partial = np.zeros(slate_size * e, dtype=np.float64)
+    mask = np.ones(n, dtype=bool)
+    ids = np.arange(n)
+    for s in range(slate_size):
+        remaining = ids[mask]
+        d2 = ((emb[remaining] - targets[s]) ** 2).sum(axis=1)
+        # remaining is ascending, so a stable sort breaks ties by lower id.
+        near = remaining[np.argsort(d2, kind="stable")[:min(p, remaining.size)]]
+        if near.size == 1:
+            pick = int(near[0])
+        else:
+            trials = np.tile(partial, (near.size, 1))
+            trials[:, s * e:(s + 1) * e] = emb[near]
+            pick = int(near[np.argmax(critic(belief, trials))])
+        partial[s * e:(s + 1) * e] = emb[pick]
+        chosen.append(pick)
+        mask[pick] = False
+    return np.asarray(chosen, dtype=np.int64)

@@ -61,10 +61,14 @@ def test_invalid_choices_raise():
         build_config({"agent": "dqn"})
     with pytest.raises(ValueError, match="wknn_source"):
         build_config({"wknn_source": "catalog"})
-    for key in ("update_every", "validation_every"):
+    for key in ("update_every", "validation_every", "wknn_p"):
         for value in ("0", "-1"):
             with pytest.raises(ValueError, match=f"{key} must be at least 1"):
                 build_config({key: value})
+    with pytest.raises(ValueError, match="wknn_p=26 exceeds sim.num_items=25"):
+        build_config({"ranker": "wknn", "wknn_p": "26", "sim.num_items": "25"})
+    build_config({"ranker": "wknn", "wknn_p": "25", "sim.num_items": "25"})
+    build_config({"ranker": "topk-mf", "wknn_p": "26", "sim.num_items": "25"})
     with pytest.raises(ValueError, match="never update"):
         build_config({"buffer_capacity": "10", "batch_size": "16"})
     build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})

@@ -189,6 +189,24 @@ def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
         assert one_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_wknn_critic_is_the_min_of_both_critics_on_concatenated_rows(dtype, monkeypatch):
+    monkeypatch.setattr(slatelab.harness, "SacConfig", functools.partial(SacConfig, dtype=dtype))
+    cfg = tiny_config(ranker="wknn", wknn_source="ideal", belief_item_source="ideal")
+    policy = build_policy(cfg, generate_item_catalog(cfg.sim, cfg.catalog_seed), seed=5)
+    model = policy.model
+    assert model.dtype == dtype
+    rng = np.random.default_rng(6)
+    belief = rng.uniform(-1.0, 1.0, cfg.belief_dim).astype(dtype)
+    for m in (1, 2, 7):
+        trials = rng.normal(size=(m, policy.action_dim()))
+        x = np.concatenate([np.broadcast_to(belief, (m, belief.size)), trials], axis=1)
+        want = np.minimum(model.q1.forward_array(x)[:, 0], model.q2.forward_array(x)[:, 0])
+        got = policy._wknn_critic(belief, trials)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 # -- training protocol ---------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from oracles import reference_rank_wknn
 from slatelab.belief import BeliefConfig
 from slatelab.rankers import (
     rank_random,
@@ -176,6 +177,69 @@ def test_wknn_errors():
         rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=0)
     with pytest.raises(ValueError):
         rank_wknn(np.zeros(3), emb, critic, np.zeros(1), slate_size=2, p=2)
+
+
+def test_rankers_reject_non_finite_actions_and_oversized_slates():
+    emb = unit_table(5, 2)
+    critic = lambda b, trials: np.zeros(len(trials))
+    with pytest.raises(ValueError, match="slate_size=6 exceeds the 5 available items"):
+        rank_wknn(np.zeros(12), emb, critic, np.zeros(1), slate_size=6, p=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        action = np.zeros(4)
+        action[1] = bad
+        with pytest.raises(ValueError, match="action must be finite"):
+            rank_wknn(action, emb, critic, np.zeros(1), slate_size=2, p=2)
+        with pytest.raises(ValueError, match="action must be finite"):
+            rank_topk(action[:2], emb, slate_size=2)
+
+
+def wknn_reference_cases():
+    """(table, action, slate_size): random tables, duplicated rows, rounded
+    rows with many exact distance ties, targets on item rows, tables offset
+    by 1e4 whose neighbours lie closer than the expanded distance's rounding,
+    and paper-sized tables."""
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n, e, k = int(rng.integers(4, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        emb, action = rng.normal(size=(n, e)), rng.normal(size=k * e)
+        kind = trial % 5
+        if kind == 1:
+            emb = emb[rng.integers(0, n // 2, size=n)]
+        elif kind == 2:
+            emb, action = np.round(emb), np.round(action)
+        elif kind == 3:
+            scale = 10.0 ** rng.uniform(-6, -1)
+            emb, action = 1e4 + scale * emb, 1e4 + scale * action
+        elif kind == 4:
+            emb = np.round(emb[rng.integers(0, n // 2, size=n)], 1)
+            action = emb[rng.integers(0, n, size=k)].ravel()
+        yield emb, action, k
+    for _ in range(3):
+        yield 0.3 * rng.normal(size=(1000, 20)), np.tanh(rng.normal(size=200)), 10
+
+
+def test_wknn_matches_the_full_sort_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for emb, action, k in wknn_reference_cases():
+        n = len(emb)
+        w = rng.normal(size=action.size)
+        critics = (lambda t: t @ w, lambda t: np.round(t @ w), lambda t: np.zeros(len(t)))
+        for p in sorted({1, 2, 3, n - k + 1, n}):
+            for q in critics:
+                got_rows, want_rows = [], []
+
+                def recording(rows, q=q):
+                    def critic(belief, trials):
+                        rows.append(trials.copy())
+                        return q(trials)
+                    return critic
+
+                got = rank_wknn(action, emb, recording(got_rows), np.zeros(1), k, p)
+                want = reference_rank_wknn(action, emb, recording(want_rows), np.zeros(1), k, p)
+                assert got.tolist() == want.tolist(), (n, k, p)
+                assert len(got_rows) == len(want_rows)
+                for a, b in zip(got_rows, want_rows):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --- softmax head (the REINFORCE policy's draws) -----------------------------
