@@ -257,18 +257,17 @@ class Policy:
         return np.minimum(self.model.q1.forward_array(x)[:, 0],
                           self.model.q2.forward_array(x)[:, 0])
 
-    def act(self, hidden, envs, mode: str, rng):
-        """(actions [n, d] or None, slates [n, k]) for n lockstep episodes
-        with beliefs hidden [n, H] (None for static policies)."""
+    def act(self, hidden, env, mode: str, rng):
+        """(actions [n, d] or None, slates [n, k]) for the n lockstep users of
+        env with beliefs hidden [n, H] (None for static policies)."""
         if self.agent == "reinforce":
             return None, np.stack([sample_slate(self.model, h, self.slate_size, rng)
                                    for h in hidden])
         if self.ranker == "random":
             return None, np.stack([rank_random(self.cfg.sim.num_items, self.slate_size, rng)
-                                   for _ in envs])
+                                   for _ in range(env.num_users)])
         if self.ranker == "oracle":
-            return None, np.stack([rank_short_term_oracle(env, self.slate_size)
-                                   for env in envs])
+            return None, rank_short_term_oracle(env, self.slate_size)
         actions = select_action(self.model, hidden, mode, rng)
         if self.ranker == "gems":
             return actions, decode_to_slate(self.gems_model, actions)
@@ -276,13 +275,12 @@ class Policy:
             return actions, np.stack([
                 rank_wknn(a, self.table, self._wknn_critic, h, self.slate_size,
                           self.cfg.wknn_p) for a, h in zip(actions, hidden)])
-        return actions, np.stack([rank_topk(a, self.table, self.slate_size)
-                                  for a in actions])
+        return actions, rank_topk(actions, self.table, self.slate_size)
 
     def act_single(self, hidden, env, mode: str, rng):
-        """:meth:`act` for one episode with belief hidden [H]: (action [d] or
-        None, slate [k])."""
-        actions, slates = self.act(hidden[None], [env], mode, rng)
+        """:meth:`act` for a one-user env with belief hidden [H]: (action [d]
+        or None, slate [k])."""
+        actions, slates = self.act(hidden[None], env, mode, rng)
         return None if actions is None else actions[0], slates[0]
 
     def init_hidden(self, n: int):
@@ -329,27 +327,23 @@ def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
     """
     sim = policy.cfg.sim
     disclosed = policy.needs_disclosed or diagnostics is not None
-    envs = [Environment(sim, catalog, disclosed=disclosed) for _ in range(n)]
-    for i, env in enumerate(envs):
-        env.reset(env_seed(i))
+    env = Environment(sim, catalog, disclosed=disclosed)
+    env.reset([env_seed(i) for i in range(n)])
     hidden = policy.init_hidden(n)
     returns = np.zeros(n)
-    clicks = np.zeros((n, sim.slate_size))
     for t in range(sim.episode_length):
-        _, slates = policy.act(hidden, envs, policy.eval_mode, rng)
+        _, slates = policy.act(hidden, env, policy.eval_mode, rng)
         if diagnostics is not None:
-            for i, env in enumerate(envs):
-                rel = env.disclosed_relevance()
-                bored = len(env.disclosed_bored_topics())
+            rel = env.disclosed_relevance()
+            bored = (env.disclosed_bored_topics() > 0).sum(axis=1)
+            for i in range(n):
                 for slot, item in enumerate(slates[i]):
                     diagnostics.append((traj_offset + i, t, slot, int(item),
-                                        float(rel[item]), bored))
-        for i, env in enumerate(envs):
-            res = env.step(slates[i])
-            returns[i] += res.reward
-            clicks[i] = res.clicks
+                                        float(rel[i, item]), int(bored[i])))
+        res = env.step(slates)
+        returns += res.rewards
         if hidden is not None:
-            hidden = policy.encoder.step_hidden(hidden, slates, clicks)
+            hidden = policy.encoder.step_hidden(hidden, slates, res.clicks)
     return returns
 
 
@@ -416,16 +410,18 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
                  seed, round_idx, traj_done, mean)
 
     validate(0, 0)
+    env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
     for traj in range(1, cfg.training_steps + 1):
         if learner is not None:
-            env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
-            env.reset(substream_seed(seed, STREAM_ENV_TRAIN, traj))
+            env.reset([substream_seed(seed, STREAM_ENV_TRAIN, traj)])
             hidden = policy.init_hidden(1)[0]
             for t in range(cfg.sim.episode_length):
                 action, slate = policy.act_single(hidden, env, "sample", action_rng)
-                res = env.step(slate)
-                due = learner.observe(hidden, slate, res.clicks, action, res.reward, res.done)
-                hidden = policy.encoder.update_belief(hidden, slate, res.clicks)
+                res = env.step(slate[None])
+                clicks = res.clicks[0]
+                due = learner.observe(hidden, slate, clicks, action, int(res.rewards[0]),
+                                      res.done)
+                hidden = policy.encoder.update_belief(hidden, slate, clicks)
                 if due:
                     _checked_update(learner.update, diag_history,
                                     {"trajectory": traj, "turn": t}, workdir)

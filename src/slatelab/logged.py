@@ -7,14 +7,17 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import rng as rngmod
+from .rankers import top_k
 from .simulator import Environment, ItemCatalog, SimConfig
 
 MAGIC = b"SLDATA01"
 VERSION = 1
+LOCKSTEP_USERS = 64     # users per lockstep block while logging
 
 
 def sim_config_text(cfg: SimConfig) -> str:
@@ -61,47 +64,59 @@ class LoggedDataset:
 
 
 def epsilon_greedy_slate(scores: np.ndarray, epsilon: float, k: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Fill each slot independently: uniform item with probability epsilon,
-    otherwise the best not-yet-placed item by score.  Placed items are
-    excluded from both branches, so slates contain distinct items."""
-    n = scores.shape[0]
-    order = np.argsort(-scores, kind="stable")
-    placed = np.zeros(n, dtype=bool)
-    slate = np.empty(k, dtype=np.int64)
-    ptr = 0
-    for j in range(k):
-        if rng.random() < epsilon:
-            choice = int(rng.choice(np.flatnonzero(~placed)))
-        else:
-            while placed[order[ptr]]:
-                ptr += 1
-            choice = int(order[ptr])
-        placed[choice] = True
-        slate[j] = choice
-    return slate
+                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Slates [n, k] for score rows [n, N], row i drawing from rngs[i].
+
+    Fill each slot independently: uniform item with probability epsilon,
+    otherwise the best not-yet-placed item by score (ties to the lower id).
+    Placed items are excluded from both branches, so slates contain distinct
+    items.  At most k - 1 items are placed before the last slot, so the
+    greedy walk never passes a row's k-th best item.
+    """
+    num_items = scores.shape[1]
+    best = top_k(scores, k).tolist()
+    slates = np.empty((len(rngs), k), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        order = best[i]
+        placed = np.zeros(num_items, dtype=bool)
+        ptr = 0
+        for j in range(k):
+            if rng.random() < epsilon:
+                choice = int(rng.choice(np.flatnonzero(~placed)))
+            else:
+                while placed[order[ptr]]:
+                    ptr += 1
+                choice = order[ptr]
+            placed[choice] = True
+            slates[i, j] = choice
+    return slates
 
 
 def generate_dataset(cfg: SimConfig, catalog: ItemCatalog, num_trajectories: int,
                      epsilon: float = 0.5, seed: int = 0) -> LoggedDataset:
     """Roll num_trajectories fresh users under the epsilon-greedy oracle
-    logging policy and record every (slate, clicks) pair."""
+    logging policy and record every (slate, clicks) pair.
+
+    Users step in lockstep blocks of at most LOCKSTEP_USERS; trajectory i
+    draws its user from substream ("logged-user", i) and its slates from
+    ("logged-policy", i), so the data do not depend on the block size."""
     env = Environment(cfg, catalog, disclosed=True)
     k, t_len = cfg.slate_size, cfg.episode_length
     user_seeds = np.empty(num_trajectories, dtype=np.uint64)
     slates = np.empty((num_trajectories, t_len, k), dtype=np.uint32)
     clicks = np.empty((num_trajectories, t_len, k), dtype=np.uint8)
-    for i in range(num_trajectories):
-        user_seed = rngmod.substream_seed(seed, "logged-user", i)
-        policy_rng = rngmod.substream(seed, "logged-policy", i)
-        user_seeds[i] = user_seed
-        env.reset(user_seed)
+    for lo in range(0, num_trajectories, LOCKSTEP_USERS):
+        block = range(lo, min(lo + LOCKSTEP_USERS, num_trajectories))
+        seeds = [rngmod.substream_seed(seed, "logged-user", i) for i in block]
+        policy_rngs = [rngmod.substream(seed, "logged-policy", i) for i in block]
+        user_seeds[lo:block.stop] = seeds
+        env.reset(seeds)
         for t in range(t_len):
             slate = epsilon_greedy_slate(env.disclosed_relevance(), epsilon, k,
-                                         policy_rng)
+                                         policy_rngs)
             result = env.step(slate)
-            slates[i, t] = slate
-            clicks[i, t] = result.clicks
+            slates[lo:block.stop, t] = slate
+            clicks[lo:block.stop, t] = result.clicks
     return LoggedDataset(user_seeds=user_seeds, slates=slates, clicks=clicks,
                          num_items=cfg.num_items, config_hash=sim_config_hash(cfg))
 

@@ -5,9 +5,12 @@ must be chosen to match (see ``harness.Policy.action_dim``).  A GeMS latent
 action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
 on a batch) and the softmax head's draws live with their agent, in
 ``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
-them.  ``rank_wknn`` ranks only a shortlist of each slot's neighbours, cut
-with a rounding margin.  All rankers are deterministic given their inputs
-except the stochastic ones, which take an explicit numpy Generator.
+them.  ``rank_topk`` and the short-term oracle rank every user of a batch
+at once through :func:`top_k`, which partitions to each row's k-th score
+and sorts only the k kept; ``rank_wknn`` ranks one user at a time, from a
+shortlist of each slot's neighbours cut with a rounding margin.  All
+rankers are deterministic given their inputs except the stochastic ones,
+which take an explicit numpy Generator.
 """
 
 from typing import Callable, List
@@ -15,22 +18,54 @@ from typing import Callable, List
 import numpy as np
 
 
-def rank_topk(action: np.ndarray, item_embeddings: np.ndarray,
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices [..., k] of the k highest of each row of scores [..., N], in
+    descending score order with ties to the lower index: bit for bit
+    ``np.argsort(-scores, kind="stable")[..., :k]``.
+
+    A partition finds each row's k-th highest value; only the k indices
+    above it, plus the lowest-indexed ties at it, are then stably sorted.
+    NaN scores raise ValueError.
+    """
+    scores = np.asarray(scores)
+    num = scores.shape[-1]
+    if not 1 <= k <= num:
+        raise ValueError(f"k={k} must lie in 1..{num}")
+    rows = scores.reshape(-1, num)
+    kth = np.partition(rows, num - k, axis=1)[:, num - k, None]
+    keep = rows >= kth
+    flat = np.flatnonzero(keep)
+    if flat.size != len(rows) * k:
+        # Ties at the k-th value: keep only the lowest-indexed ones needed.
+        tied = rows == kth
+        need = k - (rows > kth).sum(axis=1, keepdims=True)
+        keep &= ~tied | (np.cumsum(tied, axis=1) <= need)
+        flat = np.flatnonzero(keep)
+        if flat.size != len(rows) * k:
+            raise ValueError("scores must not contain NaN")
+    flat = flat.reshape(-1, k)
+    # flat ascends in each row, so the stable sort breaks score ties by lower id.
+    order = np.argsort(-rows.reshape(-1)[flat], axis=1, kind="stable")
+    ids = flat[np.arange(len(flat))[:, None], order] % num
+    return ids.reshape(*scores.shape[:-1], k)
+
+
+def rank_topk(actions: np.ndarray, item_embeddings: np.ndarray,
               slate_size: int) -> np.ndarray:
-    """The k distinct items with the highest dot product against the action,
-    in descending score order; score ties go to the lower item id."""
+    """The k distinct items with the highest dot product against each action
+    [..., d], in descending score order; score ties go to the lower item id.
+    Each action's scores are one matrix-vector product, as for a lone action."""
     emb = np.asarray(item_embeddings, dtype=np.float64)
-    action = np.asarray(action, dtype=np.float64).ravel()
-    if action.size != emb.shape[1]:
-        raise ValueError(f"action must have {emb.shape[1]} dims, got {action.size}")
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.ndim == 0 or actions.shape[-1] != emb.shape[1]:
+        raise ValueError(f"action must have {emb.shape[1]} dims, got shape {actions.shape}")
     if slate_size > len(emb):
         raise ValueError("slate_size exceeds catalog size")
-    if not np.isfinite(action).all():
+    if not np.isfinite(actions).all():
         raise ValueError("action must be finite")
-    scores = emb @ action
-    # Stable sort on the negated scores keeps ascending ids among ties.
-    order = np.argsort(-scores, kind="stable")
-    return order[:slate_size].astype(np.int64)
+    rows = actions.reshape(-1, emb.shape[1])
+    scores = np.matmul(emb[None], rows[:, :, None])[..., 0]
+    return top_k(scores, slate_size).reshape(*actions.shape[:-1], slate_size)
 
 
 def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
@@ -104,11 +139,10 @@ def rank_random(num_items: int, slate_size: int,
 
 
 def rank_short_term_oracle(env, slate_size: int) -> np.ndarray:
-    """Top-k items by the user's current true (masked) relevance, descending.
+    """Top-k items [n, k] by each user's current true (masked) relevance,
+    descending.
 
     Requires an environment constructed with disclosed=True; greedy per turn,
     with no regard for boredom it may trigger later.
     """
-    rel = env.disclosed_relevance()
-    order = np.argsort(-rel, kind="stable")
-    return order[:slate_size].astype(np.int64)
+    return top_k(env.disclosed_relevance(), slate_size)

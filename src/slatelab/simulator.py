@@ -6,6 +6,11 @@ probability factorizes into item attractiveness and rank-dependent
 examination.  Two slow dynamics penalize myopic recommenders: clicked items
 drift the user embedding (influence), and over-exposure to one topic zeroes
 that topic's contribution to relevance for a fixed number of turns (boredom).
+
+:class:`Environment` steps n users in lockstep, their state held as arrays.
+Each user draws from its own generator in the order a lone user would, and
+every dot product is one matrix-vector product per user row, so a user's
+clicks do not depend on which or how many users share its batch.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +62,9 @@ class SimConfig:
             raise ValueError("nu must lie in [0, 1]")
         if not (0.0 < self.epsilon_exam < 1.0):
             raise ValueError("epsilon_exam must lie in (0, 1)")
+        if min(self.boredom_threshold, self.boredom_window, self.boredom_duration) < 1:
+            raise ValueError("boredom_threshold, boredom_window and boredom_duration "
+                             "must be at least 1")
 
     @property
     def embed_dim(self) -> int:
@@ -70,27 +78,9 @@ class ItemCatalog:
 
 
 @dataclass
-class UserState:
-    base_embedding: np.ndarray          # [embed_dim], unit norm at creation
-    bored_topics: Dict[int, int] = field(default_factory=dict)   # topic -> remaining turns
-    click_history: deque = field(default_factory=deque)          # last-N clicked item ids
-    turn_index: int = 0
-
-    def masked_embedding(self, cfg: SimConfig) -> np.ndarray:
-        """Base embedding with bored topic blocks zeroed at scoring time."""
-        if not self.bored_topics:
-            return self.base_embedding
-        e = self.base_embedding.copy()
-        d = cfg.topic_dim
-        for t in self.bored_topics:
-            e[t * d:(t + 1) * d] = 0.0
-        return e
-
-
-@dataclass
 class StepResult:
-    clicks: np.ndarray   # [k] uint8, aligned with the slate
-    reward: int
+    clicks: np.ndarray    # [n, k] uint8, aligned with the slates
+    rewards: np.ndarray   # [n] int64, clicks per user
     done: bool
 
 
@@ -119,23 +109,6 @@ def generate_item_catalog(cfg: SimConfig, seed: int) -> ItemCatalog:
     return ItemCatalog(embeddings=emb, main_topic=_main_topics(emb, cfg))
 
 
-def sample_user(cfg: SimConfig, rng: np.random.Generator) -> UserState:
-    # Users always follow the diffuse process; only items get the focused variant.
-    return UserState(base_embedding=_raw_embedding(cfg, rng),
-                     click_history=deque(maxlen=cfg.boredom_window))
-
-
-def relevance(user: UserState, item_id: int, catalog: ItemCatalog, cfg: SimConfig) -> float:
-    dot = float(catalog.embeddings[item_id] @ user.masked_embedding(cfg))
-    return float(_sigmoid(np.asarray((dot - cfg.sigmoid_offset) * cfg.sigmoid_slope)))
-
-
-def relevance_scores(user: UserState, catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
-    """Relevance of every catalog item for the user's current masked state."""
-    dots = catalog.embeddings @ user.masked_embedding(cfg)
-    return _sigmoid((dots - cfg.sigmoid_offset) * cfg.sigmoid_slope)
-
-
 def examination(rank: int, cfg: SimConfig) -> float:
     if not (1 <= rank <= cfg.slate_size):
         raise ValueError(f"rank must lie in 1..{cfg.slate_size}")
@@ -149,96 +122,48 @@ def examination_vector(cfg: SimConfig) -> np.ndarray:
     return nu * e**ranks + (1.0 - nu) * e**(k + 1 - ranks)
 
 
-def attractiveness_vector(user: UserState, slate: np.ndarray,
-                          catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
-    masked = user.masked_embedding(cfg)
-    dots = catalog.embeddings[slate] @ masked
-    a = _sigmoid((dots - cfg.sigmoid_offset) * cfg.sigmoid_slope)
-    if cfg.click_model == "DivPen":
-        topics = catalog.main_topic[slate]
-        counts = np.bincount(topics, minlength=cfg.num_topics)
-        if counts.max() > cfg.divpen_count:
-            # Slate-level penalty: every item is down-weighted.
-            a = a / cfg.divpen_factor
-    return a
-
-
-def click_probabilities(user: UserState, slate: np.ndarray,
-                        catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
-    """Per-slot click probability A_i * E_r for the slate as presented."""
-    return attractiveness_vector(user, slate, catalog, cfg) * examination_vector(cfg)
-
-
 def validate_slate(slate: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    slate = np.asarray(slate, dtype=np.int64)
-    if slate.shape != (cfg.slate_size,):
+    """Slates [..., k] of integer item ids as int64; booleans, floats and
+    out-of-range ids raise ValueError rather than being cast."""
+    slate = np.asarray(slate)
+    if slate.dtype.kind not in "iu":
+        raise ValueError(f"slate item ids must be integers, got dtype {slate.dtype}")
+    if slate.ndim == 0 or slate.shape[-1] != cfg.slate_size:
         raise ValueError(f"slate must have exactly {cfg.slate_size} items")
-    if slate.min() < 0 or slate.max() >= cfg.num_items:
+    slate = slate.astype(np.int64, copy=False)
+    # Viewed as unsigned, a negative id exceeds every valid one.
+    if slate.view(np.uint64).max() >= cfg.num_items:
         raise ValueError("slate contains out-of-range item ids")
     return slate
-
-
-def step(user: UserState, slate: np.ndarray, catalog: ItemCatalog, cfg: SimConfig,
-         rng: np.random.Generator) -> StepResult:
-    """Advance the user by one interaction turn, mutating the user state.
-
-    Order of effects: clicks are sampled from the pre-turn state; influence
-    and history updates apply per clicked item in slate order; boredom
-    counters decrement before new boredom is detected, so a topic expiring
-    this turn may immediately re-trigger.
-    """
-    if user.turn_index >= cfg.episode_length:
-        raise RuntimeError("step() called on a finished episode")
-    slate = validate_slate(slate, cfg)
-    probs = click_probabilities(user, slate, catalog, cfg)
-    clicks = (rng.random(cfg.slate_size) < probs).astype(np.uint8)
-    reward = int(clicks.sum())
-
-    for j in range(cfg.slate_size):
-        if clicks[j]:
-            item = slate[j]
-            user.base_embedding = (cfg.omega * user.base_embedding
-                                   + (1.0 - cfg.omega) * catalog.embeddings[item])
-            user.click_history.append(int(item))
-    while len(user.click_history) > cfg.boredom_window:
-        user.click_history.popleft()
-
-    expired = [t for t in user.bored_topics if user.bored_topics[t] <= 1]
-    for t in user.bored_topics:
-        user.bored_topics[t] -= 1
-    for t in expired:
-        del user.bored_topics[t]
-
-    if user.click_history:
-        topics = catalog.main_topic[list(user.click_history)]
-        counts = np.bincount(topics, minlength=cfg.num_topics)
-        for t in range(cfg.num_topics):
-            if counts[t] >= cfg.boredom_threshold and t not in user.bored_topics:
-                user.bored_topics[t] = cfg.boredom_duration
-
-    user.turn_index += 1
-    return StepResult(clicks=clicks, reward=reward,
-                      done=user.turn_index >= cfg.episode_length)
 
 
 _disclosed_warned = False
 
 
 class Environment:
-    """Episodic wrapper: reset(seed) samples a fresh user, step(slate) advances.
+    """n episodic users in lockstep: reset(seeds) samples one fresh user per
+    seed, step(slates) advances them all by one turn.
 
-    Agents interact only through reset/step.  Rankers that need the true
-    item embeddings or current relevance (TopK-ideal, short-term oracle)
-    must construct the environment with disclosed=True; the privilege is
-    logged loudly once per environment.
+    State, one row per user: base embeddings [n, e], turns left of each
+    topic's boredom [n, topics] (0: not bored), the last ``boredom_window``
+    clicked items of each user, oldest first, with their per-topic counts,
+    and the user's generator ``rngs[i]``.  Read the state freely; overwrite
+    it through :meth:`set_state`.  Agents interact only through reset/step.
+    Rankers that need the true item embeddings or current relevance
+    (TopK-ideal, short-term oracle) must construct the environment with
+    disclosed=True; the privilege is logged loudly once per process.
     """
 
     def __init__(self, cfg: SimConfig, catalog: ItemCatalog, disclosed: bool = False):
         self.cfg = cfg
         self.catalog = catalog
         self._disclosed = disclosed
-        self._user: Optional[UserState] = None
-        self._rng: Optional[np.random.Generator] = None
+        self._exam = examination_vector(cfg)
+        # (1 - omega) * e_item, row by row as the influence update scales it.
+        self._pull = (1.0 - cfg.omega) * catalog.embeddings
+        self._topic_of = catalog.main_topic.tolist()
+        self.num_users = 0
+        self.turn_index = 0
         self._done = True
         if disclosed:
             global _disclosed_warned
@@ -247,27 +172,144 @@ class Environment:
                             "and relevance are readable by the policy")
                 _disclosed_warned = True
 
-    def reset(self, seed: int) -> None:
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-        self._user = sample_user(self.cfg, self._rng)
+    def reset(self, seeds: Sequence[int]) -> None:
+        """Start one fresh episode per seed; user i draws only from seed i."""
+        cfg = self.cfg
+        self.rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(s))))
+                     for s in seeds]
+        n = self.num_users = len(self.rngs)
+        if n == 0:
+            raise ValueError("reset() needs at least one seed")
+        # Users always follow the diffuse process; only items get the focused variant.
+        self.base_embeddings = np.stack([_raw_embedding(cfg, rng) for rng in self.rngs])
+        self.bored_turns = np.zeros((n, cfg.num_topics), dtype=np.int64)
+        self._bored_left = 0      # the largest entry of bored_turns
+        self.click_history = [deque(maxlen=cfg.boredom_window) for _ in range(n)]
+        self._topic_counts = [[0] * cfg.num_topics for _ in range(n)]
+        # (user, topic) pairs with at least boredom_threshold clicks in the window.
+        self._saturated = set()
+        self._masked = None
+        self.turn_index = 0
         self._done = False
 
     @property
     def done(self) -> bool:
         return self._done
 
-    @property
-    def turn_index(self) -> int:
-        return self._user.turn_index if self._user is not None else 0
+    def set_state(self, base_embeddings: Optional[np.ndarray] = None,
+                  bored_turns: Optional[np.ndarray] = None) -> None:
+        """Overwrite the users' base embeddings [n, e] and boredom counters
+        [n, topics] (turns left, 0: not bored), as when scripting a user."""
+        if base_embeddings is not None:
+            base = np.array(base_embeddings, dtype=np.float64)
+            if base.shape != self.base_embeddings.shape:
+                raise ValueError(f"base_embeddings must have shape {self.base_embeddings.shape}")
+            self.base_embeddings = base
+        if bored_turns is not None:
+            bored = np.array(bored_turns, dtype=np.int64)
+            if bored.shape != self.bored_turns.shape or bored.min() < 0:
+                raise ValueError(f"bored_turns must be non-negative, of shape "
+                                 f"{self.bored_turns.shape}")
+            self.bored_turns = bored
+            self._bored_left = int(bored.max())
+        self._masked = None
 
-    def step(self, slate: np.ndarray) -> StepResult:
-        if self._user is None:
+    def _masked_embeddings(self) -> np.ndarray:
+        """Base embeddings with bored topic blocks zeroed, as scored; cached
+        until the next step."""
+        if self._masked is None:
+            if self._bored_left:
+                bored = self.bored_turns > 0
+                base = self.base_embeddings.reshape(*bored.shape, -1)
+                self._masked = np.where(bored[:, :, None], 0.0, base).reshape(len(bored), -1)
+            else:
+                self._masked = self.base_embeddings
+        return self._masked
+
+    def _relevance(self, dots: np.ndarray) -> np.ndarray:
+        return _sigmoid((dots - self.cfg.sigmoid_offset) * self.cfg.sigmoid_slope)
+
+    def _attractiveness(self, slates: np.ndarray) -> np.ndarray:
+        """Per-slot attractiveness [n, k] of the slates as presented."""
+        cfg = self.cfg
+        m = self._masked_embeddings()
+        a = self._relevance((self.catalog.embeddings[slates] @ m[:, :, None])[..., 0])
+        if cfg.click_model == "DivPen":
+            # Slate-level penalty: more than divpen_count items of one main
+            # topic down-weight every item of that slate.
+            topics = self.catalog.main_topic[slates]
+            same = (topics[:, :, None] == topics[:, None, :]).sum(axis=2)
+            a[same.max(axis=1) > cfg.divpen_count] /= cfg.divpen_factor
+        return a
+
+    def step(self, slates: np.ndarray) -> StepResult:
+        """Advance every user by one turn, one slate [k] per user.
+
+        Order of effects: clicks are sampled from the pre-turn state;
+        influence and history updates apply per clicked item in slate order;
+        boredom counters decrement before new boredom is detected, so a topic
+        expiring this turn may immediately re-trigger.
+        """
+        cfg = self.cfg
+        if self.num_users == 0:
             raise RuntimeError("reset() must be called before step()")
         if self._done:
             raise RuntimeError("step() called on a finished episode")
-        result = step(self._user, slate, self.catalog, self.cfg, self._rng)
-        self._done = result.done
-        return result
+        slates = validate_slate(slates, cfg)
+        if slates.shape != (self.num_users, cfg.slate_size):
+            raise ValueError(f"slates must have shape ({self.num_users}, {cfg.slate_size}), "
+                             f"got {slates.shape}")
+        probs = self._attractiveness(slates) * self._exam
+        draws = np.empty_like(probs)
+        for i, rng in enumerate(self.rngs):
+            rng.random(out=draws[i])
+        clicks = (draws < probs).astype(np.uint8)
+        users, slots = clicks.nonzero()
+        rewards = np.bincount(users, minlength=self.num_users)
+        if users.size:
+            self._apply_clicks(slates, clicks, users, slots)
+
+        bored = self.bored_turns
+        if self._bored_left:
+            bored -= bored > 0
+            self._bored_left -= 1
+        for i, t in self._saturated:
+            if not bored[i, t]:
+                bored[i, t] = cfg.boredom_duration
+                self._bored_left = cfg.boredom_duration
+        self._masked = None
+
+        self.turn_index += 1
+        self._done = self.turn_index >= cfg.episode_length
+        return StepResult(clicks=clicks, rewards=rewards, done=self._done)
+
+    def _apply_clicks(self, slates: np.ndarray, clicks: np.ndarray,
+                      users: np.ndarray, slots: np.ndarray) -> None:
+        """Influence, slot by slot, of every clicked item on its user's base
+        embedding, then each click's entry into its user's history window,
+        in slate order; the (users, slots) of the clicks ascend row-major."""
+        omega = self.cfg.omega
+        pull = self._pull[slates]
+        for j, clicked in enumerate(np.bincount(slots, minlength=slates.shape[1]).tolist()):
+            if clicked:
+                base = self.base_embeddings
+                pulled = omega * base + pull[:, j]
+                self.base_embeddings = (pulled if clicked == self.num_users
+                                        else np.where(clicks[:, j, None], pulled, base))
+        topic_of, w = self._topic_of, self.cfg.boredom_window
+        threshold, saturated = self.cfg.boredom_threshold, self._saturated
+        for i, item in zip(users.tolist(), slates[users, slots].tolist()):
+            history, counts = self.click_history[i], self._topic_counts[i]
+            if len(history) == w:
+                t = topic_of[history[0]]
+                counts[t] -= 1
+                if counts[t] == threshold - 1:
+                    saturated.discard((i, t))
+            history.append(item)
+            t = topic_of[item]
+            counts[t] += 1
+            if counts[t] == threshold:
+                saturated.add((i, t))
 
     # Disclosed-mode accessors ------------------------------------------------
 
@@ -281,11 +323,19 @@ class Environment:
         return self.catalog.embeddings
 
     def disclosed_relevance(self) -> np.ndarray:
-        """True relevance of every item for the current (masked) user state."""
+        """True relevance [n, num_items] of every item for each user's current
+        (masked) state."""
         self._require_disclosed()
-        return relevance_scores(self._user, self.catalog, self.cfg)
+        m = self._masked_embeddings()
+        return self._relevance(np.matmul(self.catalog.embeddings[None], m[:, :, None])[..., 0])
 
-    def disclosed_bored_topics(self) -> dict:
-        """Currently masked topics and their remaining turns."""
+    def disclosed_attractiveness(self, slates: np.ndarray) -> np.ndarray:
+        """Per-slot attractiveness [n, k] of slates [n, k] for the current
+        state; times :func:`examination_vector` it is the click probability."""
         self._require_disclosed()
-        return dict(self._user.bored_topics)
+        return self._attractiveness(validate_slate(slates, self.cfg))
+
+    def disclosed_bored_topics(self) -> np.ndarray:
+        """Remaining masked turns [n, num_topics] of each topic; 0 if not bored."""
+        self._require_disclosed()
+        return self.bored_turns.copy()

@@ -14,17 +14,25 @@ freeze mask: a right-aligned history restarted at its first real row must
 reproduce its h_T bit for bit.  :func:`reference_rank_wknn` is the
 Wolpertinger ranker as it was before the shortlist: every slot sorts all
 unplaced items by their direct distance, and the shortlisted ranker must
-pick the same items from the same critic rows, bit for bit.
+pick the same items from the same critic rows, bit for bit.  :func:`step`
+and the :class:`UserState` helpers are the one-user simulator as it was
+before users were held as arrays; the lockstep ``Environment`` must
+reproduce its clicks, embeddings and boredom counters bit for bit, so it
+leans on the simulator's generative process and examination curve.
 """
 
 import math
-from typing import Callable, List, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from slatelab import autodiff as ad
 from slatelab.autodiff import Tensor, _check_finite, _node, _sigmoid
 from slatelab.gems import GemsLossParts
+from slatelab.simulator import (ItemCatalog, SimConfig, _raw_embedding,
+                                examination_vector)
 
 
 def finite_difference_grads(store, loss_fn, h=1e-5):
@@ -286,3 +294,120 @@ def reference_rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
         chosen.append(pick)
         mask[pick] = False
     return np.asarray(chosen, dtype=np.int64)
+
+
+# --- one-user reference simulator -------------------------------------------------
+
+
+@dataclass
+class UserState:
+    base_embedding: np.ndarray          # [embed_dim], unit norm at creation
+    bored_topics: Dict[int, int] = field(default_factory=dict)   # topic -> remaining turns
+    click_history: deque = field(default_factory=deque)          # last-N clicked item ids
+    turn_index: int = 0
+
+    def masked_embedding(self, cfg: SimConfig) -> np.ndarray:
+        """Base embedding with bored topic blocks zeroed at scoring time."""
+        if not self.bored_topics:
+            return self.base_embedding
+        e = self.base_embedding.copy()
+        d = cfg.topic_dim
+        for t in self.bored_topics:
+            e[t * d:(t + 1) * d] = 0.0
+        return e
+
+
+@dataclass
+class StepResult:
+    clicks: np.ndarray   # [k] uint8, aligned with the slate
+    reward: int
+    done: bool
+
+
+def sample_user(cfg: SimConfig, rng: np.random.Generator) -> UserState:
+    # Users always follow the diffuse process; only items get the focused variant.
+    return UserState(base_embedding=_raw_embedding(cfg, rng),
+                     click_history=deque(maxlen=cfg.boredom_window))
+
+
+def relevance(user: UserState, item_id: int, catalog: ItemCatalog, cfg: SimConfig) -> float:
+    dot = float(catalog.embeddings[item_id] @ user.masked_embedding(cfg))
+    return float(_sigmoid(np.asarray((dot - cfg.sigmoid_offset) * cfg.sigmoid_slope)))
+
+
+def relevance_scores(user: UserState, catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
+    """Relevance of every catalog item for the user's current masked state."""
+    dots = catalog.embeddings @ user.masked_embedding(cfg)
+    return _sigmoid((dots - cfg.sigmoid_offset) * cfg.sigmoid_slope)
+
+
+def attractiveness_vector(user: UserState, slate: np.ndarray,
+                          catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
+    masked = user.masked_embedding(cfg)
+    dots = catalog.embeddings[slate] @ masked
+    a = _sigmoid((dots - cfg.sigmoid_offset) * cfg.sigmoid_slope)
+    if cfg.click_model == "DivPen":
+        topics = catalog.main_topic[slate]
+        counts = np.bincount(topics, minlength=cfg.num_topics)
+        if counts.max() > cfg.divpen_count:
+            # Slate-level penalty: every item is down-weighted.
+            a = a / cfg.divpen_factor
+    return a
+
+
+def click_probabilities(user: UserState, slate: np.ndarray,
+                        catalog: ItemCatalog, cfg: SimConfig) -> np.ndarray:
+    """Per-slot click probability A_i * E_r for the slate as presented."""
+    return attractiveness_vector(user, slate, catalog, cfg) * examination_vector(cfg)
+
+
+def validate_slate(slate: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    slate = np.asarray(slate, dtype=np.int64)
+    if slate.shape != (cfg.slate_size,):
+        raise ValueError(f"slate must have exactly {cfg.slate_size} items")
+    if slate.min() < 0 or slate.max() >= cfg.num_items:
+        raise ValueError("slate contains out-of-range item ids")
+    return slate
+
+
+def step(user: UserState, slate: np.ndarray, catalog: ItemCatalog, cfg: SimConfig,
+         rng: np.random.Generator) -> StepResult:
+    """Advance the user by one interaction turn, mutating the user state.
+
+    Order of effects: clicks are sampled from the pre-turn state; influence
+    and history updates apply per clicked item in slate order; boredom
+    counters decrement before new boredom is detected, so a topic expiring
+    this turn may immediately re-trigger.
+    """
+    if user.turn_index >= cfg.episode_length:
+        raise RuntimeError("step() called on a finished episode")
+    slate = validate_slate(slate, cfg)
+    probs = click_probabilities(user, slate, catalog, cfg)
+    clicks = (rng.random(cfg.slate_size) < probs).astype(np.uint8)
+    reward = int(clicks.sum())
+
+    for j in range(cfg.slate_size):
+        if clicks[j]:
+            item = slate[j]
+            user.base_embedding = (cfg.omega * user.base_embedding
+                                   + (1.0 - cfg.omega) * catalog.embeddings[item])
+            user.click_history.append(int(item))
+    while len(user.click_history) > cfg.boredom_window:
+        user.click_history.popleft()
+
+    expired = [t for t in user.bored_topics if user.bored_topics[t] <= 1]
+    for t in user.bored_topics:
+        user.bored_topics[t] -= 1
+    for t in expired:
+        del user.bored_topics[t]
+
+    if user.click_history:
+        topics = catalog.main_topic[list(user.click_history)]
+        counts = np.bincount(topics, minlength=cfg.num_topics)
+        for t in range(cfg.num_topics):
+            if counts[t] >= cfg.boredom_threshold and t not in user.bored_topics:
+                user.bored_topics[t] = cfg.boredom_duration
+
+    user.turn_index += 1
+    return StepResult(clicks=clicks, reward=reward,
+                      done=user.turn_index >= cfg.episode_length)

@@ -44,17 +44,12 @@ from slatelab.simulator import (
     Environment,
     ItemCatalog,
     SimConfig,
-    UserState,
     examination_vector,
-    click_probabilities,
     generate_item_catalog,
-    relevance,
-    sample_user,
-    step,
 )
 from slatelab.stats import confidence_interval, welch_t_test
 
-from oracles import finite_difference_grads, max_relative_error, mc_gaussian_kl
+from oracles import finite_difference_grads, max_relative_error, mc_gaussian_kl, sample_user
 from test_agents import window_inputs
 from test_gems import batch as gems_batch
 
@@ -206,7 +201,9 @@ def test_criterion_03_click_calibration_all_models():
     for click_model in ("TopDown", "Mixed", "DivPen"):
         cfg = _frozen_cfg(click_model)
         catalog = generate_item_catalog(cfg, seed=3)
-        user = sample_user(cfg, substream(3, "user"))
+        env = Environment(cfg, catalog, disclosed=True)
+        env.reset([0])
+        env.set_state(base_embeddings=sample_user(cfg, substream(3, "user")).base_embedding[None])
         if click_model == "DivPen":
             # a slate concentrated on one topic, so the penalty branch is live
             counts = np.bincount(catalog.main_topic, minlength=cfg.num_topics)
@@ -215,11 +212,11 @@ def test_criterion_03_click_calibration_all_models():
             slate = np.where(catalog.main_topic == topic)[0][:5].astype(np.int64)
         else:
             slate = np.arange(5, dtype=np.int64)
-        p = click_probabilities(user, slate, catalog, cfg)
-        rng = substream(3, "clicks-" + click_model)
+        p = env.disclosed_attractiveness(slate[None])[0] * examination_vector(cfg)
+        env.rngs = [substream(3, "clicks-" + click_model)]
         totals = np.zeros(5)
         for _ in range(turns):
-            totals += step(user, slate, catalog, cfg, rng).clicks
+            totals += env.step(slate[None]).clicks[0]
         rate = totals / turns
         se = np.sqrt(p * (1.0 - p) / turns)
         assert np.all(np.abs(rate - p) <= 3.0 * se), click_model
@@ -230,16 +227,17 @@ def test_criterion_03_click_calibration_all_models():
 
 
 class _ScriptRng:
-    """Feeds pre-scripted uniforms to step(); a row below the click
+    """Feeds pre-scripted uniforms to a user's clicks; a row below the click
     probability forces a click, a row of ones forces none."""
 
     def __init__(self, rows):
         self.rows = [np.asarray(r, dtype=np.float64) for r in rows]
 
-    def random(self, n):
+    def random(self, out):
         row = self.rows.pop(0)
-        assert row.shape == (n,)
-        return row
+        assert row.shape == out.shape
+        out[...] = row
+        return out
 
 
 def _pure_topic_catalog(num_topics=4, per_topic=5, topic_dim=2):
@@ -257,17 +255,27 @@ def test_criterion_04_boredom_masks_five_turns_and_recovers_exactly():
                     boredom_threshold=5, boredom_window=10, boredom_duration=5)
     catalog = _pure_topic_catalog()
     base = np.ones(8) / np.sqrt(8.0)
-    user = UserState(base_embedding=base.copy())
+    user = Environment(cfg, catalog, disclosed=True)
+    user.reset([0])
+    user.set_state(base_embeddings=base[None])
     probe = 0  # pure topic-0 item
-    rel_before = relevance(user, probe, catalog, cfg)
-    fully_masked_user = UserState(base_embedding=base.copy(),
-                                  bored_topics={t: 3 for t in range(4)})
-    rel_masked = relevance(fully_masked_user, probe, catalog, cfg)
+
+    def relevance(env):
+        return env.disclosed_relevance()[0, probe]
+
+    def bored_topics(env):
+        return {t: int(left) for t, left in enumerate(env.disclosed_bored_topics()[0]) if left}
+
+    rel_before = relevance(user)
+    fully_masked_user = Environment(cfg, catalog, disclosed=True)
+    fully_masked_user.reset([0])
+    fully_masked_user.set_state(base_embeddings=base[None], bored_turns=np.full((1, 4), 3))
+    rel_masked = relevance(fully_masked_user)
     assert rel_before != rel_masked
 
     click_all = np.zeros(5)
     click_first_two = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    rng = _ScriptRng([click_all] + [click_first_two] * 5)
+    user.rngs = [_ScriptRng([click_all] + [click_first_two] * 5)]
     # turn 0: five topic-0 clicks trigger boredom; turns 1-5 click other
     # topics (two per turn) so the window drains before the mask expires
     slates = [np.array([0, 1, 2, 3, 4]),
@@ -277,17 +285,17 @@ def test_criterion_04_boredom_masks_five_turns_and_recovers_exactly():
               np.array([7, 8, 0, 1, 2]),     # topic 1
               np.array([12, 13, 0, 1, 2])]   # topic 2
 
-    step(user, slates[0], catalog, cfg, rng)
-    assert user.bored_topics == {0: 5}
+    user.step(slates[0][None])
+    assert bored_topics(user) == {0: 5}
     masked_turns = 0
     for t in range(1, 6):
-        assert relevance(user, probe, catalog, cfg) == rel_masked
+        assert relevance(user) == rel_masked
         masked_turns += 1
-        step(user, slates[t], catalog, cfg, rng)
+        user.step(slates[t][None])
     assert masked_turns == 5
     # turn 6: the mask has expired and nothing re-triggers it
-    assert user.bored_topics == {}
-    assert relevance(user, probe, catalog, cfg) == rel_before
+    assert bored_topics(user) == {}
+    assert relevance(user) == rel_before
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +306,10 @@ def test_criterion_05_oracle_beats_all_enumerated_slates():
     cfg = SimConfig(num_items=20, slate_size=3, click_model="TopDown")
     catalog = generate_item_catalog(cfg, seed=5)
     env = Environment(cfg, catalog, disclosed=True)
-    env.reset(123)
-    rel = env.disclosed_relevance()
+    env.reset([123])
+    rel = env.disclosed_relevance()[0]
     exam = examination_vector(cfg)
-    oracle = rank_short_term_oracle(env, cfg.slate_size)
+    oracle = rank_short_term_oracle(env, cfg.slate_size)[0]
     perms = np.array(list(itertools.permutations(range(20), 3)))
     assert perms.shape[0] == 6840
     values = rel[perms] @ exam

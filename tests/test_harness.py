@@ -165,20 +165,20 @@ def test_action_dims(artifacts):
 
 @pytest.mark.parametrize("agent, ranker", [("sac", "gems"), ("sac", "wknn"),
                                            ("sac", "topk-mf"), ("reinforce", "softmax"),
-                                           ("none", "random")])
+                                           ("none", "random"), ("none", "oracle")])
 def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
     cfg = tiny_config(agent=agent, ranker=ranker, gems_ckpt=artifacts["gems"],
                       mf_embeddings=artifacts["mf"])
     catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
     policy = build_policy(cfg, catalog, seed=5)
     env = Environment(cfg.sim, catalog, disclosed=policy.needs_disclosed)
-    env.reset(7)
+    env.reset([7])
     dtype = policy.encoder.dtype if policy.encoder is not None else np.float64
     h = np.random.default_rng(5).uniform(-0.5, 0.5, cfg.belief_dim).astype(dtype)
     for mode in ("sample", "mean"):
         one_rng, batch_rng = np.random.default_rng(9), np.random.default_rng(9)
         action, slate = policy.act_single(h, env, mode, one_rng)
-        actions, slates = policy.act(h[None], [env], mode, batch_rng)
+        actions, slates = policy.act(h[None], env, mode, batch_rng)
         assert slates.shape == (1, cfg.sim.slate_size)
         np.testing.assert_array_equal(slate, slates[0])
         if agent == "sac":
@@ -187,6 +187,28 @@ def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
         else:
             assert action is None and actions is None
         assert one_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("agent, ranker", [("none", "oracle"), ("sac", "topk-ideal"),
+                                           ("sac", "topk-mf"), ("sac", "gems")])
+def test_lockstep_rollout_returns_equal_one_user_rollouts(artifacts, agent, ranker):
+    """Deterministic policies: a user's return does not depend on which
+    users share its lockstep batch, and the diagnostics rows agree too."""
+    cfg = tiny_config(agent=agent, ranker=ranker, gems_ckpt=artifacts["gems"],
+                      mf_embeddings=artifacts["mf"])
+    catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
+    policy = build_policy(cfg, catalog, seed=3)
+    seeds = [900 + 7 * i for i in range(6)]
+    rows = []
+    together = rollout_returns(policy, catalog, 6, lambda i: seeds[i],
+                               np.random.default_rng(0), diagnostics=rows)
+    for i, s in enumerate(seeds):
+        alone_rows = []
+        alone = rollout_returns(policy, catalog, 1, lambda _: s, np.random.default_rng(0),
+                                diagnostics=alone_rows, traj_offset=i)
+        assert alone[0] == together[i]
+        assert alone_rows == [r for r in rows if r[0] == i]
+    assert len(rows) == 6 * cfg.sim.episode_length * cfg.sim.slate_size
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -411,7 +433,7 @@ def test_random_policy_matches_analytic_return():
     expected = np.empty(n)
     for i, s in enumerate(seeds):
         env = Environment(cfg.sim, catalog, disclosed=True)
-        env.reset(s)
+        env.reset([s])
         attr = env.disclosed_relevance()
         expected[i] = cfg.sim.episode_length * attr.mean() * exam_sum
 

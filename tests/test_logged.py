@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import slatelab.logged
 from slatelab.logged import (
     LoggedDataset,
     epsilon_greedy_slate,
@@ -26,7 +29,8 @@ def small_cfg(**kw):
 
 def test_pure_oracle_slate_is_topk_with_id_ties():
     scores = np.array([0.5, 0.9, 0.5, 0.1, 0.9])
-    slate = epsilon_greedy_slate(scores, epsilon=0.0, k=4, rng=np.random.default_rng(0))
+    slate = epsilon_greedy_slate(scores[None], epsilon=0.0, k=4,
+                                 rngs=[np.random.default_rng(0)])[0]
     # Descending score, ties broken by lowest id.
     np.testing.assert_array_equal(slate, [1, 4, 0, 2])
 
@@ -34,7 +38,7 @@ def test_pure_oracle_slate_is_topk_with_id_ties():
 def test_epsilon_one_slates_are_distinct():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        slate = epsilon_greedy_slate(np.zeros(8), epsilon=1.0, k=8, rng=rng)
+        slate = epsilon_greedy_slate(np.zeros((1, 8)), epsilon=1.0, k=8, rngs=[rng])[0]
         assert len(set(slate.tolist())) == 8
 
 
@@ -54,12 +58,12 @@ def test_epsilon_zero_matches_live_oracle_replay():
     ds = generate_dataset(cfg, cat, num_trajectories=4, epsilon=0.0, seed=11)
     env = Environment(cfg, cat, disclosed=True)
     for i in range(ds.num_trajectories):
-        env.reset(int(ds.user_seeds[i]))
+        env.reset([int(ds.user_seeds[i])])
         for t in range(ds.episode_length):
-            scores = env.disclosed_relevance()
+            scores = env.disclosed_relevance()[0]
             want = np.argsort(-scores, kind="stable")[: cfg.slate_size]
             np.testing.assert_array_equal(ds.slates[i, t], want)
-            env.step(ds.slates[i, t])
+            env.step(ds.slates[i, t][None])
 
 
 def test_topdown_click_rate_decreases_with_rank():
@@ -78,6 +82,33 @@ def test_generation_seed_determinism():
     assert np.array_equal(a.slates, b.slates)
     assert np.array_equal(a.clicks, b.clicks)
     assert np.array_equal(a.user_seeds, b.user_seeds)
+
+
+def test_lockstep_blocks_do_not_change_the_data(monkeypatch):
+    cfg = small_cfg(episode_length=12, click_model="DivPen")
+    cat = generate_item_catalog(cfg, seed=4)
+    whole = generate_dataset(cfg, cat, num_trajectories=7, epsilon=0.5, seed=9)
+    for block in (1, 3):
+        monkeypatch.setattr(slatelab.logged, "LOCKSTEP_USERS", block)
+        ds = generate_dataset(cfg, cat, num_trajectories=7, epsilon=0.5, seed=9)
+        assert np.array_equal(ds.slates, whole.slates)
+        assert np.array_equal(ds.clicks, whole.clicks)
+        assert np.array_equal(ds.user_seeds, whole.user_seeds)
+
+
+@pytest.mark.parametrize("sim, digest", [
+    (dict(click_model="DivPen", embedding_variant="focused"),
+     "33e75c3d25cf32f1e32eb4b2a876084fe2c0c0fa26b84aa733bd79741a34ab69"),
+    (dict(), "329aa4cf3ebecb4f0f294d639d2b7498fcce152c42fee9a4594397a85511e2e0"),
+])
+def test_dataset_bytes_are_pinned(tmp_path, sim, digest):
+    """70 trajectories (two lockstep blocks) of 20 turns over 100 items; the
+    digests are those of the one-user-at-a-time logger."""
+    cfg = SimConfig(num_items=100, episode_length=20, **sim)
+    cat = generate_item_catalog(cfg, seed=2)
+    path = tmp_path / "log.bin"
+    write_dataset(path, generate_dataset(cfg, cat, num_trajectories=70, epsilon=0.5, seed=3))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # --- file format ------------------------------------------------------------------

@@ -13,10 +13,10 @@ from slatelab.rankers import (
     rank_short_term_oracle,
     rank_topk,
     rank_wknn,
+    top_k,
 )
 from slatelab.reinforce import ReinforceConfig, ReinforcePolicy, sample_slate
-from slatelab.simulator import (Environment, ItemCatalog, SimConfig, UserState,
-                                generate_item_catalog)
+from slatelab.simulator import Environment, ItemCatalog, SimConfig, generate_item_catalog
 
 
 def unit_table(n, e, seed=0):
@@ -31,7 +31,7 @@ def disclosed_env(seed=3, **kw):
                     click_model="TopDown", **kw)
     catalog = generate_item_catalog(cfg, seed=seed)
     env = Environment(cfg, catalog, disclosed=True)
-    env.reset(seed=seed + 1)
+    env.reset([seed + 1])
     return cfg, env
 
 
@@ -84,6 +84,68 @@ def test_topk_dim_mismatch_raises():
         rank_topk(np.zeros(5), emb, slate_size=3)
     with pytest.raises(ValueError):
         rank_topk(np.zeros(4), emb, slate_size=11)
+
+
+def top_k_cases():
+    """Score tables [n, N]: continuous, rounded to a few tied levels,
+    constant, signed zeros among ties, infinities, and paper-sized rows."""
+    rng = np.random.default_rng(30)
+    yield rng.normal(size=(6, 40))
+    yield np.round(rng.random((9, 60)), 1)
+    yield np.zeros((3, 25))
+    yield np.full((2, 12), -4.5)
+    yield rng.choice([0.0, -0.0, 1.0, -1.0], size=(8, 30))
+    yield rng.choice([np.inf, -np.inf, 0.5, 0.5], size=(5, 20))
+    yield rng.integers(0, 3, size=(4, 50)).astype(np.float64)
+    yield rng.random((40, 1000))
+    yield np.round(rng.random((40, 1000)), 2)
+
+
+def test_top_k_equals_a_full_stable_argsort():
+    for scores in top_k_cases():
+        n_items = scores.shape[1]
+        for k in sorted({1, 2, 3, 10, n_items // 2, n_items - 1, n_items}):
+            want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            got = top_k(scores, k)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(top_k(scores[0], k), want[0])
+            np.testing.assert_array_equal(top_k(scores.reshape(1, *scores.shape), k)[0], want)
+
+
+def test_top_k_rejects_bad_k_and_nan():
+    with pytest.raises(ValueError):
+        top_k(np.zeros(5), 0)
+    with pytest.raises(ValueError):
+        top_k(np.zeros(5), 6)
+    scores = np.arange(8.0)
+    scores[6] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        top_k(scores, 3)
+
+
+def test_batched_topk_equals_one_action_at_a_time():
+    emb = unit_table(1000, 20, seed=31)
+    actions = np.random.default_rng(32).normal(size=(7, 20)).astype(np.float32)
+    actions[3] = 0.0          # every score ties
+    slates = rank_topk(actions, emb, slate_size=10)
+    assert slates.shape == (7, 10) and slates.dtype == np.int64
+    for a, slate in zip(actions, slates):
+        scores = emb @ a.astype(np.float64)
+        np.testing.assert_array_equal(slate, np.argsort(-scores, kind="stable")[:10])
+        np.testing.assert_array_equal(rank_topk(a, emb, slate_size=10), slate)
+
+
+def test_batched_oracle_ranks_each_user_like_a_lone_user():
+    cfg = SimConfig(num_items=300, slate_size=10, click_model="TopDown")
+    catalog = generate_item_catalog(cfg, seed=33)
+    env = Environment(cfg, catalog, disclosed=True)
+    env.reset(range(5))
+    env.set_state(bored_turns=np.eye(5, cfg.num_topics, dtype=np.int64) * 2)
+    slates = rank_short_term_oracle(env, cfg.slate_size)
+    rel = env.disclosed_relevance()
+    for i in range(5):
+        np.testing.assert_array_equal(slates[i], np.argsort(-rel[i], kind="stable")[:10])
 
 
 # --- wknn --------------------------------------------------------------------
@@ -322,8 +384,8 @@ def test_random_marginal_uniform_chi2():
 
 def test_oracle_beats_all_ordered_slates():
     cfg, env = disclosed_env(seed=17)
-    rel = env.disclosed_relevance()
-    oracle = rank_short_term_oracle(env, slate_size=3)
+    rel = env.disclosed_relevance()[0]
+    oracle = rank_short_term_oracle(env, slate_size=3)[0]
     best = expected_clicks(oracle, rel, cfg.epsilon_exam)
     count = 0
     for slate in itertools.permutations(range(20), 3):
@@ -334,8 +396,8 @@ def test_oracle_beats_all_ordered_slates():
 
 def test_oracle_descending_order_optimal_among_permutations():
     cfg, env = disclosed_env(seed=18)
-    rel = env.disclosed_relevance()
-    oracle = rank_short_term_oracle(env, slate_size=3)
+    rel = env.disclosed_relevance()[0]
+    oracle = rank_short_term_oracle(env, slate_size=3)[0]
     assert rel[oracle[0]] >= rel[oracle[1]] >= rel[oracle[2]]
     best = expected_clicks(oracle, rel, cfg.epsilon_exam)
     for perm in itertools.permutations(oracle.tolist()):
@@ -343,8 +405,6 @@ def test_oracle_descending_order_optimal_among_permutations():
 
 
 def test_oracle_skips_bored_topic():
-    from collections import deque
-
     # Hand-built catalog: two items per topic, all living in a single topic
     # block, so relevances under masking are exactly predictable.
     cfg = SimConfig(num_items=8, slate_size=3, num_topics=4, topic_dim=2,
@@ -356,18 +416,16 @@ def test_oracle_skips_bored_topic():
         emb[item, 2 * topic:2 * topic + 2] = vec
     catalog = ItemCatalog(embeddings=emb, main_topic=np.arange(8) // 2)
     env = Environment(cfg, catalog, disclosed=True)
-    env.reset(seed=20)
+    env.reset([20])
     # Script a user who loves topic 0, then likes topics 1, 2, 3 less and less.
     base = np.array([1.0, 0.2, 0.5, 0.1, 0.35, 0.05, 0.2, 0.0])
-    user = UserState(base_embedding=base,
-                     click_history=deque(maxlen=cfg.boredom_window))
-    env._user = user
+    env.set_state(base_embeddings=base[None])
 
-    fresh = rank_short_term_oracle(env, slate_size=3)
+    fresh = rank_short_term_oracle(env, slate_size=3)[0]
     assert fresh.tolist() == [0, 1, 2]
 
-    user.bored_topics = {0: 3}
-    bored = rank_short_term_oracle(env, slate_size=3)
+    env.set_state(bored_turns=[[3, 0, 0, 0]])
+    bored = rank_short_term_oracle(env, slate_size=3)[0]
     assert bored.tolist() == [2, 3, 4]
     assert all(catalog.main_topic[i] != 0 for i in bored)
 
@@ -380,7 +438,7 @@ def test_oracle_deterministic_and_requires_disclosure():
 
     cfg = SimConfig(num_items=10, slate_size=3)
     closed = Environment(cfg, generate_item_catalog(cfg, seed=0), disclosed=False)
-    closed.reset(seed=1)
+    closed.reset([1])
     with pytest.raises(PermissionError):
         rank_short_term_oracle(closed, slate_size=3)
 
@@ -402,5 +460,5 @@ def test_structural_validity_across_rankers():
             assert slate.min() >= 0 and slate.max() < 25
             if i != 2:
                 assert len(set(slate.tolist())) == 4
-        oracle = rank_short_term_oracle(env, slate_size=3)
+        oracle = rank_short_term_oracle(env, slate_size=3)[0]
         assert len(set(oracle.tolist())) == 3 and oracle.max() < 20

@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from slatelab.simulator import (
     Environment,
     ItemCatalog,
     SimConfig,
-    UserState,
-    attractiveness_vector,
-    click_probabilities,
     examination,
     examination_vector,
     generate_item_catalog,
-    relevance,
-    relevance_scores,
-    sample_user,
-    step,
     validate_slate,
 )
 
@@ -24,7 +18,7 @@ def _sigmoid(x):
 
 
 class ScriptRng:
-    """Stand-in rng whose random(k) returns pre-scripted uniform draws.
+    """Stand-in rng whose random(out=row) fills pre-scripted uniform draws.
 
     0.0 forces a click at that slot (every probability beats it), 1.0 forces
     no click.
@@ -34,11 +28,12 @@ class ScriptRng:
         self.rows = [np.asarray(r, dtype=np.float64) for r in rows]
         self.calls = 0
 
-    def random(self, n):
+    def random(self, out):
         row = self.rows[self.calls]
         self.calls += 1
-        assert row.shape == (n,)
-        return row
+        assert row.shape == out.shape
+        out[...] = row
+        return out
 
 
 def pure_topic_catalog(cfg, topics):
@@ -49,9 +44,39 @@ def pure_topic_catalog(cfg, topics):
     return ItemCatalog(embeddings=emb, main_topic=np.asarray(topics))
 
 
-def uniform_user(cfg):
+def uniform_embedding(cfg):
     e = np.ones(cfg.embed_dim)
-    return UserState(base_embedding=e / np.linalg.norm(e))
+    return e / np.linalg.norm(e)
+
+
+def user_env(cfg, cat, base=None, bored=None, rng=None, seed=0):
+    """Disclosed one-user environment; base embedding [e], bored topics
+    {topic: turns left} and the user's generator overwrite the sampled ones."""
+    env = Environment(cfg, cat, disclosed=True)
+    env.reset([seed])
+    if base is not None:
+        env.set_state(base_embeddings=np.asarray(base)[None])
+    if bored is not None:
+        turns = np.zeros((1, cfg.num_topics), dtype=np.int64)
+        for t, left in bored.items():
+            turns[0, t] = left
+        env.set_state(bored_turns=turns)
+    if rng is not None:
+        env.rngs = [rng]
+    return env
+
+
+def bored_topics(env, i=0):
+    """User i's bored topics as {topic: turns left}."""
+    return {t: int(left) for t, left in enumerate(env.disclosed_bored_topics()[i]) if left}
+
+
+def relevance(env, item):
+    return float(env.disclosed_relevance()[0, item])
+
+
+def step(env, slate):
+    return env.step(np.asarray(slate)[None])
 
 
 # --- embeddings ---------------------------------------------------------------
@@ -103,14 +128,26 @@ def test_embedding_components_keep_sign():
 
 def test_sample_user_fresh_state():
     cfg = SimConfig()
-    rng = np.random.default_rng(0)
-    u = sample_user(cfg, rng)
-    assert np.linalg.norm(u.base_embedding) == pytest.approx(1.0, abs=1e-9)
-    assert u.bored_topics == {}
-    assert len(u.click_history) == 0
-    assert u.turn_index == 0
-    v = sample_user(cfg, np.random.default_rng(1))
-    assert not np.array_equal(u.base_embedding, v.base_embedding)
+    env = Environment(cfg, generate_item_catalog(cfg, seed=0), disclosed=True)
+    env.reset([0, 1])
+    u, v = env.base_embeddings
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
+    assert bored_topics(env, 0) == {}
+    assert len(env.click_history[0]) == 0
+    assert env.turn_index == 0
+    assert not np.array_equal(u, v)
+
+
+def test_reset_draws_each_user_from_its_own_seed():
+    cfg = SimConfig(num_items=30)
+    cat = generate_item_catalog(cfg, seed=0)
+    env = Environment(cfg, cat)
+    env.reset([4, 9, 4])
+    ref = oracles.sample_user(cfg, np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))))
+    np.testing.assert_array_equal(env.base_embeddings[1], ref.base_embedding)
+    np.testing.assert_array_equal(env.base_embeddings[0], env.base_embeddings[2])
+    with pytest.raises(ValueError):
+        env.reset([])
 
 
 # --- relevance ----------------------------------------------------------------
@@ -121,36 +158,36 @@ def test_relevance_half_at_offset():
     cat = pure_topic_catalog(cfg, [0])
     e = np.zeros(cfg.embed_dim)
     e[0] = cfg.sigmoid_offset
-    user = UserState(base_embedding=e)
-    assert relevance(user, 0, cat, cfg) == pytest.approx(0.5, abs=1e-12)
+    env = user_env(cfg, cat, base=e)
+    assert relevance(env, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_relevance_at_perfect_match():
     cfg = SimConfig(num_items=1, slate_size=1)
     cat = pure_topic_catalog(cfg, [0])
-    user = UserState(base_embedding=cat.embeddings[0].copy())
+    env = user_env(cfg, cat, base=cat.embeddings[0].copy())
     want = _sigmoid((1.0 - 0.28) * 5.0)
-    assert relevance(user, 0, cat, cfg) == pytest.approx(want, abs=1e-12)
+    assert relevance(env, 0) == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.973, abs=5e-4)
 
 
 def test_relevance_fully_masked_user():
     cfg = SimConfig(num_items=1, slate_size=1)
     cat = pure_topic_catalog(cfg, [0])
-    user = uniform_user(cfg)
-    user.bored_topics = {t: 3 for t in range(cfg.num_topics)}
+    env = user_env(cfg, cat, base=uniform_embedding(cfg),
+                   bored={t: 3 for t in range(cfg.num_topics)})
     want = _sigmoid(-0.28 * 5.0)
-    assert relevance(user, 0, cat, cfg) == pytest.approx(want, abs=1e-12)
+    assert relevance(env, 0) == pytest.approx(want, abs=1e-12)
 
 
 def test_relevance_scores_match_scalar():
     cfg = SimConfig(num_items=40)
     cat = generate_item_catalog(cfg, seed=5)
-    user = sample_user(cfg, np.random.default_rng(5))
-    user.bored_topics = {2: 1}
-    scores = relevance_scores(user, cat, cfg)
+    env = user_env(cfg, cat, bored={2: 1}, seed=5)
+    user = oracles.UserState(base_embedding=env.base_embeddings[0].copy(), bored_topics={2: 1})
+    scores = env.disclosed_relevance()[0]
     for i in (0, 7, 39):
-        assert scores[i] == pytest.approx(relevance(user, i, cat, cfg), abs=1e-12)
+        assert scores[i] == pytest.approx(oracles.relevance(user, i, cat, cfg), abs=1e-12)
 
 
 # --- examination ---------------------------------------------------------------
@@ -191,43 +228,64 @@ def test_examination_rank_bounds():
 
 # --- attractiveness and click models --------------------------------------------
 
+def attractiveness(cfg, cat, base, slate):
+    return user_env(cfg, cat, base=base).disclosed_attractiveness(np.asarray(slate)[None])[0]
+
+
+def click_probabilities(env, slate):
+    return env.disclosed_attractiveness(np.asarray(slate)[None])[0] * examination_vector(env.cfg)
+
+
 def test_mixed_attractiveness_equals_relevance():
     cfg = SimConfig(num_items=30, click_model="Mixed")
     cat = generate_item_catalog(cfg, seed=11)
-    user = sample_user(cfg, np.random.default_rng(11))
+    env = user_env(cfg, cat, seed=11)
     slate = np.arange(10)
-    a = attractiveness_vector(user, slate, cat, cfg)
-    want = [relevance(user, i, cat, cfg) for i in slate]
+    a = env.disclosed_attractiveness(slate[None])[0]
+    want = [relevance(env, i) for i in slate]
     np.testing.assert_allclose(a, want, atol=1e-12)
 
 
 def test_divpen_triggers_on_fifth_same_topic_item():
     cfg = SimConfig(num_items=10, click_model="DivPen")
     cat = pure_topic_catalog(cfg, [3, 3, 3, 3, 3, 1, 2, 4, 5, 6])
-    user = uniform_user(cfg)
+    user = uniform_embedding(cfg)
     slate = np.arange(10)
     mixed = SimConfig(num_items=10, click_model="Mixed")
-    base = attractiveness_vector(user, slate, cat, mixed)
-    penalized = attractiveness_vector(user, slate, cat, cfg)
+    base = attractiveness(mixed, cat, user, slate)
+    penalized = attractiveness(cfg, cat, user, slate)
     np.testing.assert_allclose(penalized, base / 3.0, atol=1e-12)
 
 
 def test_divpen_inactive_at_four_per_topic():
     cfg = SimConfig(num_items=10, click_model="DivPen")
     cat = pure_topic_catalog(cfg, [3, 3, 3, 3, 1, 1, 2, 4, 5, 6])
-    user = uniform_user(cfg)
+    user = uniform_embedding(cfg)
     slate = np.arange(10)
     mixed = SimConfig(num_items=10, click_model="Mixed")
-    np.testing.assert_allclose(attractiveness_vector(user, slate, cat, cfg),
-                               attractiveness_vector(user, slate, cat, mixed),
+    np.testing.assert_allclose(attractiveness(cfg, cat, user, slate),
+                               attractiveness(mixed, cat, user, slate),
                                atol=1e-12)
+
+
+def test_divpen_penalizes_only_the_slates_over_the_count():
+    cfg = SimConfig(num_items=10, click_model="DivPen")
+    cat = pure_topic_catalog(cfg, [3, 3, 3, 3, 3, 1, 2, 4, 5, 6])
+    env = Environment(cfg, cat, disclosed=True)
+    env.reset([0, 1])
+    env.set_state(base_embeddings=np.tile(uniform_embedding(cfg), (2, 1)))
+    slates = np.array([np.arange(10), [0, 1, 2, 3, 5, 6, 7, 8, 9, 9]])
+    a = env.disclosed_attractiveness(slates)
+    mixed = attractiveness(SimConfig(num_items=10, click_model="Mixed"), cat,
+                           uniform_embedding(cfg), np.arange(10))
+    np.testing.assert_array_equal(a[0], mixed / 3.0)
+    np.testing.assert_array_equal(a[1], mixed[slates[1]])
 
 
 def test_click_probabilities_in_unit_interval():
     cfg = SimConfig(num_items=50, click_model="Mixed")
     cat = generate_item_catalog(cfg, seed=13)
-    user = sample_user(cfg, np.random.default_rng(13))
-    p = click_probabilities(user, np.arange(10), cat, cfg)
+    p = click_probabilities(user_env(cfg, cat, seed=13), np.arange(10))
     assert ((p > 0) & (p < 1)).all()
 
 
@@ -236,9 +294,8 @@ def test_click_rate_calibration(model):
     """Frozen user, fixed slate: empirical per-slot click rate matches A*E."""
     cfg = SimConfig(num_items=100, click_model=model)
     cat = generate_item_catalog(cfg, seed=17)
-    user = sample_user(cfg, np.random.default_rng(17))
     slate = np.arange(10)
-    probs = click_probabilities(user, slate, cat, cfg)
+    probs = click_probabilities(user_env(cfg, cat, seed=17), slate)
     n = 100_000
     draws = np.random.default_rng(99).random((n, cfg.slate_size)) < probs
     rate = draws.mean(axis=0)
@@ -258,47 +315,47 @@ def small_cfg(**kw):
 def test_no_clicks_leaves_user_untouched():
     cfg = small_cfg()
     cat = generate_item_catalog(cfg, seed=1)
-    user = sample_user(cfg, np.random.default_rng(1))
-    before = user.base_embedding.copy()
-    res = step(user, np.arange(5), cat, cfg, ScriptRng([np.ones(5)]))
-    assert res.reward == 0
+    env = user_env(cfg, cat, rng=ScriptRng([np.ones(5)]), seed=1)
+    before = env.base_embeddings[0].copy()
+    res = step(env, np.arange(5))
+    assert res.rewards[0] == 0
     assert not res.clicks.any()
-    assert np.array_equal(user.base_embedding, before)
-    assert user.turn_index == 1
+    assert np.array_equal(env.base_embeddings[0], before)
+    assert env.turn_index == 1
 
 
 def test_click_applies_influence_in_slate_order():
     cfg = small_cfg(omega=0.9)
     cat = generate_item_catalog(cfg, seed=2)
-    user = sample_user(cfg, np.random.default_rng(2))
-    e0 = user.base_embedding.copy()
+    env = user_env(cfg, cat, rng=ScriptRng([[0.0, 1.0, 0.0, 1.0, 1.0]]), seed=2)
+    e0 = env.base_embeddings[0].copy()
     slate = np.array([3, 7, 1, 0, 2])
-    step(user, slate, cat, cfg, ScriptRng([[0.0, 1.0, 0.0, 1.0, 1.0]]))
+    step(env, slate)
     want = 0.9 * e0 + 0.1 * cat.embeddings[3]
     want = 0.9 * want + 0.1 * cat.embeddings[1]
-    np.testing.assert_allclose(user.base_embedding, want, atol=1e-12)
-    assert list(user.click_history) == [3, 1]
+    np.testing.assert_allclose(env.base_embeddings[0], want, atol=1e-12)
+    assert list(env.click_history[0]) == [3, 1]
 
 
 def test_influence_preserves_boundedness():
     cfg = small_cfg(episode_length=200)
     cat = generate_item_catalog(cfg, seed=3)
-    user = sample_user(cfg, np.random.default_rng(3))
     rng = np.random.default_rng(30)
+    env = user_env(cfg, cat, rng=rng, seed=3)
     for _ in range(200):
         slate = rng.choice(cfg.num_items, size=5, replace=False)
-        step(user, slate, cat, cfg, rng)
-        assert np.linalg.norm(user.base_embedding) <= 1.0 + 1e-12
+        step(env, slate)
+        assert np.linalg.norm(env.base_embeddings[0]) <= 1.0 + 1e-12
 
 
 def test_duplicate_slots_click_independently():
     cfg = small_cfg()
     cat = generate_item_catalog(cfg, seed=4)
-    user = sample_user(cfg, np.random.default_rng(4))
+    env = user_env(cfg, cat, rng=ScriptRng([[0.0, 1.0, 0.0, 1.0, 0.0]]), seed=4)
     slate = np.array([2, 2, 2, 2, 2])
-    res = step(user, slate, cat, cfg, ScriptRng([[0.0, 1.0, 0.0, 1.0, 0.0]]))
-    np.testing.assert_array_equal(res.clicks, [1, 0, 1, 0, 1])
-    assert res.reward == 3
+    res = step(env, slate)
+    np.testing.assert_array_equal(res.clicks[0], [1, 0, 1, 0, 1])
+    assert res.rewards[0] == 3
 
 
 def test_validate_slate_errors():
@@ -311,7 +368,31 @@ def test_validate_slate_errors():
     assert out.dtype == np.int64
 
 
+def test_validate_slate_rejects_non_integer_and_boolean_slates():
+    cfg = small_cfg(slate_size=3)
+    for bad in ([1.7, 2.2, 3.9], np.array([1.0, 2.0, 3.0]), np.array([True, False, True]),
+                ["1", "2", "3"]):
+        with pytest.raises(ValueError, match="integers"):
+            validate_slate(bad, cfg)
+    with pytest.raises(ValueError, match="out-of-range"):
+        validate_slate(np.array([0, -1, 2]), cfg)
+    np.testing.assert_array_equal(validate_slate(np.array([1, 2, 3], np.uint32), cfg), [1, 2, 3])
+    env = Environment(cfg, generate_item_catalog(cfg, seed=0))
+    env.reset([0])
+    with pytest.raises(ValueError, match="integers"):
+        env.step(np.array([[1.7, 2.2, 3.9]]))
+    with pytest.raises(ValueError, match="shape"):
+        env.step(np.array([[0, 1, 2], [3, 4, 5]]))
+    assert env.turn_index == 0
+
+
 # --- boredom -----------------------------------------------------------------
+
+def scripted_step(env, slate, row):
+    """One step of the one-user env whose click draws are the uniforms row."""
+    env.rngs = [ScriptRng([row])]
+    return step(env, slate)
+
 
 def test_boredom_five_turn_mask_then_recovery():
     """Five same-topic clicks trigger a 5-turn mask; pushing them out of the
@@ -319,12 +400,12 @@ def test_boredom_five_turn_mask_then_recovery():
     cfg = small_cfg(num_items=12, slate_size=5, episode_length=30)
     # Items 0-4 pure topic 0, items 5-10 pure topics 1-6, item 11 topic 7.
     cat = pure_topic_catalog(cfg, [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7])
-    user = uniform_user(cfg)
+    env = user_env(cfg, cat, base=uniform_embedding(cfg))
     masked_rel = _sigmoid(-cfg.sigmoid_offset * cfg.sigmoid_slope)
 
     # Turn 1: click all five topic-0 items.
-    step(user, np.arange(5), cat, cfg, ScriptRng([np.zeros(5)]))
-    assert user.bored_topics == {0: 5}
+    scripted_step(env, np.arange(5), np.zeros(5))
+    assert bored_topics(env) == {0: 5}
 
     # Five masked turns; two off-topic clicks per turn age the history,
     # rotated so no filler topic itself accumulates five clicks.
@@ -332,48 +413,120 @@ def test_boredom_five_turn_mask_then_recovery():
     rows = [[0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [0, 1, 1, 1, 0],
             [1, 0, 0, 1, 1], [1, 1, 1, 0, 0]]
     for row in rows:
-        assert relevance(user, 0, cat, cfg) == pytest.approx(masked_rel, abs=1e-12)
-        step(user, filler, cat, cfg, ScriptRng([np.asarray(row, dtype=float)]))
+        assert relevance(env, 0) == pytest.approx(masked_rel, abs=1e-12)
+        scripted_step(env, filler, np.asarray(row, dtype=float))
     # Counter expired and the window now holds at most four topic-0 clicks.
-    assert user.bored_topics == {}
-    assert relevance(user, 0, cat, cfg) > masked_rel
+    assert bored_topics(env) == {}
+    assert relevance(env, 0) > masked_rel
 
 
 def test_boredom_counter_not_refreshed_while_active():
     cfg = small_cfg()
     cat = pure_topic_catalog(cfg, [0] * 12)
-    user = uniform_user(cfg)
-    step(user, np.arange(5), cat, cfg, ScriptRng([np.zeros(5)]))
-    assert user.bored_topics == {0: 5}
+    env = user_env(cfg, cat, base=uniform_embedding(cfg))
+    scripted_step(env, np.arange(5), np.zeros(5))
+    assert bored_topics(env) == {0: 5}
     # Keep clicking the bored topic: history stays saturated but the counter
     # must keep counting down instead of resetting.
-    step(user, np.arange(5), cat, cfg, ScriptRng([np.zeros(5)]))
-    assert user.bored_topics == {0: 4}
-    step(user, np.arange(5), cat, cfg, ScriptRng([[0.0, 1.0, 1.0, 1.0, 1.0]]))
-    assert user.bored_topics == {0: 3}
+    scripted_step(env, np.arange(5), np.zeros(5))
+    assert bored_topics(env) == {0: 4}
+    scripted_step(env, np.arange(5), [0.0, 1.0, 1.0, 1.0, 1.0])
+    assert bored_topics(env) == {0: 3}
 
 
 def test_boredom_retriggers_if_history_still_saturated():
     cfg = small_cfg()
     cat = pure_topic_catalog(cfg, [0] * 12)
-    user = uniform_user(cfg)
-    step(user, np.arange(5), cat, cfg, ScriptRng([np.zeros(5)]))
+    env = user_env(cfg, cat, base=uniform_embedding(cfg))
+    scripted_step(env, np.arange(5), np.zeros(5))
     # No further clicks: the five topic-0 clicks stay in the window, so on
     # expiry the topic is immediately bored again.
     for _ in range(5):
-        step(user, np.arange(5), cat, cfg, ScriptRng([np.ones(5)]))
-    assert user.bored_topics == {0: 5}
+        scripted_step(env, np.arange(5), np.ones(5))
+    assert bored_topics(env) == {0: 5}
 
 
 def test_bored_values_stay_in_range():
     cfg = small_cfg()
     cat = generate_item_catalog(cfg, seed=8)
-    user = sample_user(cfg, np.random.default_rng(8))
     rng = np.random.default_rng(80)
+    env = user_env(cfg, cat, rng=rng, seed=8)
     for _ in range(cfg.episode_length):
-        step(user, rng.choice(cfg.num_items, 5, replace=False), cat, cfg, rng)
-        for counter in user.bored_topics.values():
+        step(env, rng.choice(cfg.num_items, 5, replace=False))
+        for counter in bored_topics(env).values():
             assert 1 <= counter <= cfg.boredom_duration
+
+
+# --- lockstep users against the one-user reference ---------------------------------
+
+
+def boredom_heavy_slates(cfg, cat, rng, users, n):
+    """Per user: the current top-k, k items of one main topic (with repeats
+    when the topic is small), or k uniform items, chosen at random."""
+    by_topic = [np.flatnonzero(cat.main_topic == t) for t in range(cfg.num_topics)]
+    by_topic = [items for items in by_topic if items.size]
+    slates = np.empty((n, cfg.slate_size), dtype=np.int64)
+    for i in range(n):
+        mode = rng.integers(3)
+        if mode == 0:
+            rel = oracles.relevance_scores(users[i], cat, cfg)
+            slates[i] = np.argsort(-rel, kind="stable")[:cfg.slate_size]
+        elif mode == 1:
+            items = by_topic[rng.integers(len(by_topic))]
+            slates[i] = rng.choice(items, cfg.slate_size, replace=items.size < cfg.slate_size)
+        else:
+            slates[i] = rng.choice(cfg.num_items, cfg.slate_size, replace=False)
+    return slates
+
+
+@pytest.mark.parametrize("click_model", ["TopDown", "Mixed", "DivPen"])
+@pytest.mark.parametrize("variant", ["focused", "diffuse"])
+def test_lockstep_env_matches_one_user_reference_bit_for_bit(click_model, variant):
+    cfg = SimConfig(num_items=200, episode_length=25, click_model=click_model,
+                    embedding_variant=variant)
+    cat = generate_item_catalog(cfg, seed=3)
+    ever_bored = 0
+    for n in (1, 7, 40):
+        seeds = [100 + 13 * i for i in range(n)]
+        env = Environment(cfg, cat, disclosed=True)
+        env.reset(seeds)
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+        users = [oracles.sample_user(cfg, rng) for rng in rngs]
+        slate_rng = np.random.default_rng(n)
+        for t in range(cfg.episode_length):
+            rel = env.disclosed_relevance()
+            slates = boredom_heavy_slates(cfg, cat, slate_rng, users, n)
+            res = env.step(slates)
+            for i in range(n):
+                np.testing.assert_array_equal(rel[i], oracles.relevance_scores(users[i], cat, cfg))
+                ref = oracles.step(users[i], slates[i], cat, cfg, rngs[i])
+                np.testing.assert_array_equal(res.clicks[i], ref.clicks)
+                assert res.rewards[i] == ref.reward
+                np.testing.assert_array_equal(env.base_embeddings[i], users[i].base_embedding)
+                assert bored_topics(env, i) == users[i].bored_topics
+                assert list(env.click_history[i]) == list(users[i].click_history)
+                ever_bored += bool(users[i].bored_topics)
+            assert res.done == ref.done
+    assert ever_bored > 100
+
+
+def test_history_window_shorter_than_the_slate_matches_reference():
+    cfg = SimConfig(num_items=30, slate_size=8, num_topics=3, boredom_window=3,
+                    boredom_threshold=2, episode_length=30, click_model="Mixed")
+    cat = generate_item_catalog(cfg, seed=4)
+    env = Environment(cfg, cat, disclosed=True)
+    env.reset([1, 2, 3])
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in (1, 2, 3)]
+    users = [oracles.sample_user(cfg, rng) for rng in rngs]
+    slate_rng = np.random.default_rng(0)
+    for t in range(cfg.episode_length):
+        slates = boredom_heavy_slates(cfg, cat, slate_rng, users, 3)
+        res = env.step(slates)
+        for i in range(3):
+            ref = oracles.step(users[i], slates[i], cat, cfg, rngs[i])
+            np.testing.assert_array_equal(res.clicks[i], ref.clicks)
+            assert bored_topics(env, i) == users[i].bored_topics
+            assert list(env.click_history[i]) == list(users[i].click_history)
 
 
 # --- environment wrapper -------------------------------------------------------
@@ -385,11 +538,11 @@ def test_episode_replay_bit_identical():
 
     def run():
         env = Environment(cfg, cat)
-        env.reset(seed=5)
+        env.reset([5])
         out = []
         for t in range(20):
-            res = env.step(slates[t])
-            out.append((res.clicks.copy(), res.reward, res.done))
+            res = env.step(slates[t][None])
+            out.append((res.clicks.copy(), res.rewards[0], res.done))
         return out
 
     a, b = run(), run()
@@ -403,13 +556,13 @@ def test_env_guards():
     cat = generate_item_catalog(cfg, seed=1)
     env = Environment(cfg, cat)
     with pytest.raises(RuntimeError):
-        env.step(np.arange(5))
-    env.reset(seed=0)
-    env.step(np.arange(5))
-    env.step(np.arange(5))
+        env.step(np.arange(5)[None])
+    env.reset([0])
+    env.step(np.arange(5)[None])
+    env.step(np.arange(5)[None])
     assert env.done
     with pytest.raises(RuntimeError):
-        env.step(np.arange(5))
+        env.step(np.arange(5)[None])
 
 
 def test_disclosed_mode_gates_accessors():
@@ -419,11 +572,33 @@ def test_disclosed_mode_gates_accessors():
     with pytest.raises(PermissionError):
         env.disclosed_item_embeddings()
     denv = Environment(cfg, cat, disclosed=True)
-    denv.reset(seed=0)
+    denv.reset([0])
     assert denv.disclosed_item_embeddings().shape == (12, cfg.embed_dim)
     scores = denv.disclosed_relevance()
-    assert scores.shape == (12,)
+    assert scores.shape == (1, 12)
     assert ((scores > 0) & (scores < 1)).all()
+    env.reset([0])
+    for accessor in (env.disclosed_relevance, env.disclosed_bored_topics,
+                     lambda: env.disclosed_attractiveness(np.arange(5)[None])):
+        with pytest.raises(PermissionError):
+            accessor()
+
+
+def test_set_state_checks_shapes_and_refreshes_scores():
+    cfg = small_cfg()
+    cat = generate_item_catalog(cfg, seed=2)
+    env = Environment(cfg, cat, disclosed=True)
+    env.reset([0, 1])
+    before = env.disclosed_relevance()
+    env.set_state(bored_turns=np.full((2, cfg.num_topics), 2))
+    masked = _sigmoid(-cfg.sigmoid_offset * cfg.sigmoid_slope)
+    np.testing.assert_allclose(env.disclosed_relevance(), masked, atol=1e-12)
+    env.set_state(bored_turns=np.zeros((2, cfg.num_topics), dtype=np.int64))
+    np.testing.assert_array_equal(env.disclosed_relevance(), before)
+    with pytest.raises(ValueError):
+        env.set_state(base_embeddings=np.zeros((1, cfg.embed_dim)))
+    with pytest.raises(ValueError):
+        env.set_state(bored_turns=-np.ones((2, cfg.num_topics)))
 
 
 def test_config_validation():
@@ -437,3 +612,9 @@ def test_config_validation():
     assert SimConfig(click_model="Mixed").nu == 0.5
     assert SimConfig(click_model="DivPen").nu == 0.5
     assert SimConfig().embed_dim == 20
+
+
+def test_boredom_settings_must_be_at_least_one():
+    for key in ("boredom_threshold", "boredom_window", "boredom_duration"):
+        with pytest.raises(ValueError, match=key):
+            SimConfig(**{key: 0})
