@@ -17,7 +17,6 @@ from .simulator import Environment, ItemCatalog, SimConfig
 
 MAGIC = b"SLDATA01"
 VERSION = 1
-LOCKSTEP_USERS = 64     # users per lockstep block while logging
 
 
 def sim_config_text(cfg: SimConfig) -> str:
@@ -97,26 +96,23 @@ def generate_dataset(cfg: SimConfig, catalog: ItemCatalog, num_trajectories: int
     """Roll num_trajectories fresh users under the epsilon-greedy oracle
     logging policy and record every (slate, clicks) pair.
 
-    Users step in lockstep blocks of at most LOCKSTEP_USERS; trajectory i
-    draws its user from substream ("logged-user", i) and its slates from
-    ("logged-policy", i), so the data do not depend on the block size."""
+    All users step in lockstep; trajectory i draws its user from substream
+    ("logged-user", i) and its slates from ("logged-policy", i), so its data
+    do not depend on how many trajectories are rolled with it."""
+    if num_trajectories < 1:
+        raise ValueError(f"num_trajectories must be at least 1, got {num_trajectories}")
     env = Environment(cfg, catalog, disclosed=True)
     k, t_len = cfg.slate_size, cfg.episode_length
-    user_seeds = np.empty(num_trajectories, dtype=np.uint64)
+    user_seeds = np.array([rngmod.substream_seed(seed, "logged-user", i)
+                           for i in range(num_trajectories)], dtype=np.uint64)
+    policy_rngs = [rngmod.substream(seed, "logged-policy", i) for i in range(num_trajectories)]
     slates = np.empty((num_trajectories, t_len, k), dtype=np.uint32)
     clicks = np.empty((num_trajectories, t_len, k), dtype=np.uint8)
-    for lo in range(0, num_trajectories, LOCKSTEP_USERS):
-        block = range(lo, min(lo + LOCKSTEP_USERS, num_trajectories))
-        seeds = [rngmod.substream_seed(seed, "logged-user", i) for i in block]
-        policy_rngs = [rngmod.substream(seed, "logged-policy", i) for i in block]
-        user_seeds[lo:block.stop] = seeds
-        env.reset(seeds)
-        for t in range(t_len):
-            slate = epsilon_greedy_slate(env.disclosed_relevance(), epsilon, k,
-                                         policy_rngs)
-            result = env.step(slate)
-            slates[lo:block.stop, t] = slate
-            clicks[lo:block.stop, t] = result.clicks
+    env.reset(user_seeds.tolist())
+    for t in range(t_len):
+        slate = epsilon_greedy_slate(env.disclosed_relevance(), epsilon, k, policy_rngs)
+        slates[:, t] = slate
+        clicks[:, t] = env.step(slate).clicks
     return LoggedDataset(user_seeds=user_seeds, slates=slates, clicks=clicks,
                          num_items=cfg.num_items, config_hash=sim_config_hash(cfg))
 

@@ -25,13 +25,15 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
     A partition finds each row's k-th highest value; only the k indices
     above it, plus the lowest-indexed ties at it, are then stably sorted.
-    NaN scores raise ValueError.
+    NaN scores raise ValueError, wherever they would rank.
     """
     scores = np.asarray(scores)
     num = scores.shape[-1]
     if not 1 <= k <= num:
         raise ValueError(f"k={k} must lie in 1..{num}")
     rows = scores.reshape(-1, num)
+    if rows.dtype.kind in "fc" and np.isnan(rows).any():
+        raise ValueError("scores must not contain NaN")
     kth = np.partition(rows, num - k, axis=1)[:, num - k, None]
     keep = rows >= kth
     flat = np.flatnonzero(keep)
@@ -41,8 +43,6 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         need = k - (rows > kth).sum(axis=1, keepdims=True)
         keep &= ~tied | (np.cumsum(tied, axis=1) <= need)
         flat = np.flatnonzero(keep)
-        if flat.size != len(rows) * k:
-            raise ValueError("scores must not contain NaN")
     flat = flat.reshape(-1, k)
     # flat ascends in each row, so the stable sort breaks score ties by lower id.
     order = np.argsort(-rows.reshape(-1)[flat], axis=1, kind="stable")

@@ -276,7 +276,7 @@ class Environment:
         for i, t in self._saturated:
             if not bored[i, t]:
                 bored[i, t] = cfg.boredom_duration
-                self._bored_left = cfg.boredom_duration
+                self._bored_left = max(self._bored_left, cfg.boredom_duration)
         self._masked = None
 
         self.turn_index += 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import slatelab.logged
 from slatelab.logged import (
     LoggedDataset,
     epsilon_greedy_slate,
@@ -84,16 +83,17 @@ def test_generation_seed_determinism():
     assert np.array_equal(a.user_seeds, b.user_seeds)
 
 
-def test_lockstep_blocks_do_not_change_the_data(monkeypatch):
+def test_a_trajectory_does_not_depend_on_the_users_rolled_with_it():
     cfg = small_cfg(episode_length=12, click_model="DivPen")
     cat = generate_item_catalog(cfg, seed=4)
     whole = generate_dataset(cfg, cat, num_trajectories=7, epsilon=0.5, seed=9)
-    for block in (1, 3):
-        monkeypatch.setattr(slatelab.logged, "LOCKSTEP_USERS", block)
-        ds = generate_dataset(cfg, cat, num_trajectories=7, epsilon=0.5, seed=9)
-        assert np.array_equal(ds.slates, whole.slates)
-        assert np.array_equal(ds.clicks, whole.clicks)
-        assert np.array_equal(ds.user_seeds, whole.user_seeds)
+    for n in (1, 3):
+        ds = generate_dataset(cfg, cat, num_trajectories=n, epsilon=0.5, seed=9)
+        assert np.array_equal(ds.slates, whole.slates[:n])
+        assert np.array_equal(ds.clicks, whole.clicks[:n])
+        assert np.array_equal(ds.user_seeds, whole.user_seeds[:n])
+    with pytest.raises(ValueError, match="num_trajectories"):
+        generate_dataset(cfg, cat, num_trajectories=0)
 
 
 @pytest.mark.parametrize("sim, digest", [
@@ -102,8 +102,8 @@ def test_lockstep_blocks_do_not_change_the_data(monkeypatch):
     (dict(), "329aa4cf3ebecb4f0f294d639d2b7498fcce152c42fee9a4594397a85511e2e0"),
 ])
 def test_dataset_bytes_are_pinned(tmp_path, sim, digest):
-    """70 trajectories (two lockstep blocks) of 20 turns over 100 items; the
-    digests are those of the one-user-at-a-time logger."""
+    """70 lockstep trajectories of 20 turns over 100 items; the digests are
+    those of the one-user-at-a-time logger."""
     cfg = SimConfig(num_items=100, episode_length=20, **sim)
     cat = generate_item_catalog(cfg, seed=2)
     path = tmp_path / "log.bin"

@@ -122,6 +122,11 @@ def test_top_k_rejects_bad_k_and_nan():
     scores[6] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         top_k(scores, 3)
+    # A NaN that the k kept would not reach raises too.
+    with pytest.raises(ValueError, match="NaN"):
+        top_k(np.array([np.nan, 1.0, 1.0]), 2)
+    with pytest.raises(ValueError, match="NaN"):
+        top_k(np.array([[0.0, 2.0, 1.0], [3.0, 1.0, np.nan]]), 1)
 
 
 def test_batched_topk_equals_one_action_at_a_time():

@@ -28,9 +28,12 @@ class ScriptRng:
         self.rows = [np.asarray(r, dtype=np.float64) for r in rows]
         self.calls = 0
 
-    def random(self, out):
+    def random(self, size=None, out=None):
         row = self.rows[self.calls]
         self.calls += 1
+        if out is None:
+            assert row.shape == (size,)
+            return row.copy()
         assert row.shape == out.shape
         out[...] = row
         return out
@@ -599,6 +602,31 @@ def test_set_state_checks_shapes_and_refreshes_scores():
         env.set_state(base_embeddings=np.zeros((1, cfg.embed_dim)))
     with pytest.raises(ValueError):
         env.set_state(bored_turns=-np.ones((2, cfg.num_topics)))
+
+
+def test_scripted_boredom_above_the_duration_outlasts_a_new_trigger():
+    """A counter scripted above boredom_duration keeps its topic masked
+    after a second topic triggers and expires, as in the reference."""
+    cfg = small_cfg(num_items=12, slate_size=5, episode_length=30)
+    cat = pure_topic_catalog(cfg, [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7])
+    base = uniform_embedding(cfg)
+    # Turn 0 bores topic 0; turns 1-2 push its clicks out of the window.
+    rows = [np.zeros(5)] * 3 + [np.ones(5)] * 9
+    env = user_env(cfg, cat, base=base, bored={7: 3 * cfg.boredom_duration},
+                   rng=ScriptRng(rows))
+    user = oracles.UserState(base_embedding=base.copy(),
+                             bored_topics={7: 3 * cfg.boredom_duration})
+    ref_rng = ScriptRng(rows)
+    for t in range(len(rows)):
+        slate = np.arange(5) if t == 0 else np.arange(5, 10)
+        res = step(env, slate)
+        ref = oracles.step(user, slate, cat, cfg, ref_rng)
+        np.testing.assert_array_equal(res.clicks[0], ref.clicks)
+        assert bored_topics(env) == user.bored_topics
+        np.testing.assert_array_equal(env.disclosed_relevance()[0],
+                                      oracles.relevance_scores(user, cat, cfg))
+    assert bored_topics(env) == {7: 3 * cfg.boredom_duration - len(rows)}
+    assert relevance(env, 11) == _sigmoid(-cfg.sigmoid_offset * cfg.sigmoid_slope)
 
 
 def test_config_validation():
