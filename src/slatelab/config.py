@@ -80,6 +80,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.ranker == "wknn" and self.wknn_p > self.sim.num_items:
             raise ValueError(f"wknn_p={self.wknn_p} exceeds sim.num_items={self.sim.num_items}")
+        if not 0.0 <= self.logged_epsilon <= 1.0:
+            raise ValueError(f"logged_epsilon must lie in [0, 1], got {self.logged_epsilon}")
         if self.agent == "sac" and self.buffer_capacity < self.batch_size:
             raise ValueError("buffer_capacity below batch_size: SAC would never update")
         self.hidden = tuple(int(h) for h in self.hidden)

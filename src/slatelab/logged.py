@@ -4,6 +4,7 @@ logging policy, and a fixed-width binary file format with bit-exact round-trip.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import struct
 from dataclasses import asdict, dataclass
@@ -71,24 +72,29 @@ def epsilon_greedy_slate(scores: np.ndarray, epsilon: float, k: int,
     Placed items are excluded from both branches, so slates contain distinct
     items.  At most k - 1 items are placed before the last slot, so the
     greedy walk never passes a row's k-th best item.
+
+    Draw order, per slot: one ``random()``, then, if it explores, one
+    ``integers(0, N - j)`` over the N - j unplaced items, taken in id order.
     """
     num_items = scores.shape[1]
-    best = top_k(scores, k).tolist()
-    slates = np.empty((len(rngs), k), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        order = best[i]
-        placed = np.zeros(num_items, dtype=bool)
-        ptr = 0
+    rows = []
+    for order, rng in zip(top_k(scores, k).tolist(), rngs):
+        row, placed, ptr = [], [], 0
         for j in range(k):
             if rng.random() < epsilon:
-                choice = int(rng.choice(np.flatnonzero(~placed)))
+                choice = int(rng.integers(0, num_items - j))
+                for p in placed:
+                    if p > choice:
+                        break
+                    choice += 1
             else:
-                while placed[order[ptr]]:
+                while order[ptr] in placed:
                     ptr += 1
                 choice = order[ptr]
-            placed[choice] = True
-            slates[i, j] = choice
-    return slates
+            bisect.insort(placed, choice)
+            row.append(choice)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rngs), k)
 
 
 def generate_dataset(cfg: SimConfig, catalog: ItemCatalog, num_trajectories: int,
@@ -101,6 +107,8 @@ def generate_dataset(cfg: SimConfig, catalog: ItemCatalog, num_trajectories: int
     do not depend on how many trajectories are rolled with it."""
     if num_trajectories < 1:
         raise ValueError(f"num_trajectories must be at least 1, got {num_trajectories}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     env = Environment(cfg, catalog, disclosed=True)
     k, t_len = cfg.slate_size, cfg.episode_length
     user_seeds = np.array([rngmod.substream_seed(seed, "logged-user", i)

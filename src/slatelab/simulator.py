@@ -84,15 +84,19 @@ class StepResult:
     done: bool
 
 
-def _raw_embedding(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Diffuse generative process: topic propensities scale magnitude-clipped
-    Gaussian blocks, then the full vector is normalized to unit L2."""
-    w = rng.uniform(0.0, 1.0, size=cfg.num_topics)
-    w /= w.sum()
-    eps = rng.normal(0.0, cfg.component_stddev, size=(cfg.num_topics, cfg.topic_dim))
-    blocks = w[:, None] * np.sign(eps) * np.minimum(np.abs(eps), 1.0)
-    e = blocks.reshape(-1)
-    return e / np.linalg.norm(e)
+def _raw_embeddings(cfg: SimConfig, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Diffuse generative process, row i drawn from rngs[i]: topic
+    propensities scale magnitude-clipped Gaussian blocks, then the full
+    vector is normalized to unit L2.  Each row's norm is its own dot
+    product, so a row's bytes do not depend on the rows built with it."""
+    w = np.empty((len(rngs), cfg.num_topics))
+    eps = np.empty((len(rngs), cfg.num_topics, cfg.topic_dim))
+    for i, rng in enumerate(rngs):
+        w[i] = rng.uniform(0.0, 1.0, size=cfg.num_topics)
+        eps[i] = rng.normal(0.0, cfg.component_stddev, size=(cfg.num_topics, cfg.topic_dim))
+    w /= w.sum(axis=1, keepdims=True)
+    e = (w[:, :, None] * np.sign(eps) * np.minimum(np.abs(eps), 1.0)).reshape(len(rngs), -1)
+    return e / np.sqrt([row.dot(row) for row in e])[:, None]
 
 
 def _main_topics(embeddings: np.ndarray, cfg: SimConfig) -> np.ndarray:
@@ -102,7 +106,7 @@ def _main_topics(embeddings: np.ndarray, cfg: SimConfig) -> np.ndarray:
 
 def generate_item_catalog(cfg: SimConfig, seed: int) -> ItemCatalog:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    emb = np.stack([_raw_embedding(cfg, rng) for _ in range(cfg.num_items)])
+    emb = _raw_embeddings(cfg, [rng] * cfg.num_items)
     if cfg.embedding_variant == "focused":
         emb = emb * emb
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
@@ -181,7 +185,7 @@ class Environment:
         if n == 0:
             raise ValueError("reset() needs at least one seed")
         # Users always follow the diffuse process; only items get the focused variant.
-        self.base_embeddings = np.stack([_raw_embedding(cfg, rng) for rng in self.rngs])
+        self.base_embeddings = _raw_embeddings(cfg, self.rngs)
         self.bored_turns = np.zeros((n, cfg.num_topics), dtype=np.int64)
         self._bored_left = 0      # the largest entry of bored_turns
         self.click_history = [deque(maxlen=cfg.boredom_window) for _ in range(n)]

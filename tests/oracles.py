@@ -18,21 +18,28 @@ pick the same items from the same critic rows, bit for bit.  :func:`step`
 and the :class:`UserState` helpers are the one-user simulator as it was
 before users were held as arrays; the lockstep ``Environment`` must
 reproduce its clicks, embeddings and boredom counters bit for bit, so it
-leans on the simulator's generative process and examination curve.
+leans on the simulator's examination curve.  :func:`raw_embedding` is the
+generative process one vector at a time, as it was before catalogs and
+users were built as one stack; :func:`catalog_embeddings` builds a catalog
+from it, and both must match the stacked build byte for byte.
+:func:`epsilon_greedy_slate` is the logging policy as it was when an
+explore slot drew with ``Generator.choice`` over the unplaced items; the
+logger must give the same slates and leave every generator in the same
+state, so it leans on the library's exact ``top_k``.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from slatelab import autodiff as ad
 from slatelab.autodiff import Tensor, _check_finite, _node, _sigmoid
 from slatelab.gems import GemsLossParts
-from slatelab.simulator import (ItemCatalog, SimConfig, _raw_embedding,
-                                examination_vector)
+from slatelab.rankers import top_k
+from slatelab.simulator import ItemCatalog, SimConfig, examination_vector
 
 
 def finite_difference_grads(store, loss_fn, h=1e-5):
@@ -296,7 +303,57 @@ def reference_rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
     return np.asarray(chosen, dtype=np.int64)
 
 
+def epsilon_greedy_slate(scores: np.ndarray, epsilon: float, k: int,
+                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Slates [n, k] for score rows [n, N], row i drawing from rngs[i].
+
+    Fill each slot independently: uniform item with probability epsilon,
+    otherwise the best not-yet-placed item by score (ties to the lower id).
+    Placed items are excluded from both branches, so slates contain distinct
+    items.  At most k - 1 items are placed before the last slot, so the
+    greedy walk never passes a row's k-th best item.
+    """
+    num_items = scores.shape[1]
+    best = top_k(scores, k).tolist()
+    slates = np.empty((len(rngs), k), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        order = best[i]
+        placed = np.zeros(num_items, dtype=bool)
+        ptr = 0
+        for j in range(k):
+            if rng.random() < epsilon:
+                choice = int(rng.choice(np.flatnonzero(~placed)))
+            else:
+                while placed[order[ptr]]:
+                    ptr += 1
+                choice = order[ptr]
+            placed[choice] = True
+            slates[i, j] = choice
+    return slates
+
+
 # --- one-user reference simulator -------------------------------------------------
+
+
+def raw_embedding(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Diffuse generative process: topic propensities scale magnitude-clipped
+    Gaussian blocks, then the full vector is normalized to unit L2."""
+    w = rng.uniform(0.0, 1.0, size=cfg.num_topics)
+    w /= w.sum()
+    eps = rng.normal(0.0, cfg.component_stddev, size=(cfg.num_topics, cfg.topic_dim))
+    blocks = w[:, None] * np.sign(eps) * np.minimum(np.abs(eps), 1.0)
+    e = blocks.reshape(-1)
+    return e / np.linalg.norm(e)
+
+
+def catalog_embeddings(cfg: SimConfig, seed: int) -> np.ndarray:
+    """Item embeddings [num_items, embed_dim], one item at a time."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    emb = np.stack([raw_embedding(cfg, rng) for _ in range(cfg.num_items)])
+    if cfg.embedding_variant == "focused":
+        emb = emb * emb
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return emb
 
 
 @dataclass
@@ -326,7 +383,7 @@ class StepResult:
 
 def sample_user(cfg: SimConfig, rng: np.random.Generator) -> UserState:
     # Users always follow the diffuse process; only items get the focused variant.
-    return UserState(base_embedding=_raw_embedding(cfg, rng),
+    return UserState(base_embedding=raw_embedding(cfg, rng),
                      click_history=deque(maxlen=cfg.boredom_window))
 
 

@@ -63,6 +63,15 @@ def test_generate_data_trajectory_override(workspace, tmp_path):
     assert read_dataset(out).num_trajectories == 5
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "-0.5", "1.7"])
+def test_generate_data_rejects_a_bad_epsilon(workspace, tmp_path, epsilon):
+    out = tmp_path / "bad.npz"
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        main(["generate-data", "--config", str(workspace["cfg"]), "--seed", "1",
+              "--out", str(out), "--trajectories", "2", "--epsilon", epsilon])
+    assert not out.exists()
+
+
 def test_train_rerun_is_identical(workspace, tmp_path):
     args = ["train", "--config", str(workspace["cfg"])]
     assert main(args + ["--workdir", str(tmp_path / "run1")]) == 0

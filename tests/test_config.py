@@ -74,6 +74,11 @@ def test_invalid_choices_raise():
     build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})
     with pytest.raises(ValueError, match="seeds must name at least one seed"):
         build_config({"seeds": ""})
+    for value in ("nan", "-0.5", "1.7"):
+        with pytest.raises(ValueError, match="logged_epsilon must lie in"):
+            build_config({"logged_epsilon": value})
+    build_config({"logged_epsilon": "0"})
+    build_config({"logged_epsilon": "1"})
     for dtype in ("float16", "float", "int32", ""):
         with pytest.raises(ValueError, match="dtype must be float32 or float64"):
             SacConfig(action_dim=2, dtype=dtype)

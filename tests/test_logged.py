@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from slatelab.logged import (
     LoggedDataset,
     epsilon_greedy_slate,
@@ -39,6 +40,29 @@ def test_epsilon_one_slates_are_distinct():
     for _ in range(50):
         slate = epsilon_greedy_slate(np.zeros((1, 8)), epsilon=1.0, k=8, rngs=[rng])[0]
         assert len(set(slate.tolist())) == 8
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_epsilon_greedy_matches_the_choice_reference(epsilon, k):
+    """Same slates, and every generator left in the same state, as the
+    logger that drew explore slots with Generator.choice; scores on four
+    levels tie often, and k = 12 places every item."""
+    scores = np.random.default_rng(k).integers(0, 4, size=(20, 5, 12)) / 4.0
+    rngs = [np.random.default_rng(s) for s in range(5)]
+    ref_rngs = [np.random.default_rng(s) for s in range(5)]
+    for turn in scores:
+        np.testing.assert_array_equal(epsilon_greedy_slate(turn, epsilon, k, rngs),
+                                      oracles.epsilon_greedy_slate(turn, epsilon, k, ref_rngs))
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.5, 1.7])
+def test_generate_dataset_rejects_epsilon_outside_the_unit_interval(epsilon):
+    cfg = small_cfg()
+    cat = generate_item_catalog(cfg, seed=0)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        generate_dataset(cfg, cat, num_trajectories=2, epsilon=epsilon)
 
 
 def test_epsilon_one_marginals_uniform():

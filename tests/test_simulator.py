@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,35 @@ def test_reset_draws_each_user_from_its_own_seed():
     np.testing.assert_array_equal(env.base_embeddings[0], env.base_embeddings[2])
     with pytest.raises(ValueError):
         env.reset([])
+
+
+@pytest.mark.parametrize("variant", ["diffuse", "focused"])
+@pytest.mark.parametrize("num_topics", [1, 9, 130, 257])
+@pytest.mark.parametrize("topic_dim", [1, 3, 60])
+def test_catalog_and_users_match_the_per_item_reference(variant, num_topics, topic_dim):
+    cfg = SimConfig(num_items=40, slate_size=5, num_topics=num_topics, topic_dim=topic_dim,
+                    embedding_variant=variant)
+    cat = generate_item_catalog(cfg, seed=5)
+    ref = oracles.catalog_embeddings(cfg, seed=5)
+    assert cat.embeddings.shape == ref.shape
+    assert cat.embeddings.tobytes() == ref.tobytes()
+    env = Environment(cfg, cat)
+    seeds = [3, 0, 3, 11]
+    env.reset(seeds)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    users = np.stack([oracles.raw_embedding(cfg, rng) for rng in rngs])
+    assert env.base_embeddings.tobytes() == users.tobytes()
+    assert [r.bit_generator.state for r in env.rngs] == [r.bit_generator.state for r in rngs]
+
+
+@pytest.mark.parametrize("variant, digest", [
+    ("diffuse", "2618eae82d648e21db2d6cd9982b9533b934b70c6dab3998a18f2d643a777d41"),
+    ("focused", "6fbd03f340e1e74d386fb2d82bf86fbf9fc42c9912c7c16807adc90540b406e5"),
+])
+def test_paper_default_catalog_bytes_are_pinned(variant, digest):
+    """The digests are those of the one-item-at-a-time catalog build."""
+    cat = generate_item_catalog(SimConfig(embedding_variant=variant), seed=0)
+    assert hashlib.sha256(cat.embeddings.tobytes()).hexdigest() == digest
 
 
 # --- relevance ----------------------------------------------------------------
