@@ -7,6 +7,13 @@ the learnable item table) and per-slot click probabilities.  Training
 scores each slot's logged item with one fused ``softmax_pick`` node, so
 the [b*k, num_items] logits are never built.  After pretraining on logged
 data, the frozen decoder turns agent proto-actions into slates.
+
+The model computes in float32: its store, its graphs, pretraining,
+:func:`encode` and the acting decoder, which takes SAC's float32 actions
+without a cast.  Initial draws are float64 draws cast by the store, and
+checkpoints hold float64 values, which load into a float32 model.
+Tests that need float64 precision (finite differences, 1e-10
+identities) build float64 models.
 """
 
 from __future__ import annotations
@@ -41,8 +48,11 @@ class GemsConfig:
     kl_form: str = "standard"      # standard | literal
 
     def __post_init__(self):
-        if self.latent_dim <= 0:
-            raise ValueError("latent_dim must be positive")
+        for name in ("latent_dim", "item_embed_dim", "epochs", "batch_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.beta < 0 or self.lam < 0:
             raise ValueError("beta and lambda must be non-negative")
         if self.kl_form not in ("standard", "literal"):
@@ -68,11 +78,13 @@ class GemsLossParts:
 class GemsModel:
     """Item table + encoder/decoder MLPs in one parameter store."""
 
-    def __init__(self, cfg: GemsConfig, num_items: int, slate_size: int, seed: int):
+    def __init__(self, cfg: GemsConfig, num_items: int, slate_size: int, seed: int,
+                 dtype=np.float32):
         self.cfg = cfg
         self.num_items = num_items
         self.slate_size = slate_size
-        self.store = ParameterStore()
+        self.store = ParameterStore(dtype)
+        self.dtype = self.store.dtype
         rng = rngmod.substream(seed, "gems-init")
         self.store.add("items.E",
                        rng.normal(0.0, 0.01, size=(num_items, cfg.item_embed_dim)))
@@ -96,7 +108,7 @@ class GemsModel:
         d = self.cfg.latent_dim
         emb = ad.gather_rows(self.store.tensor("items.E"), slates.reshape(-1))
         emb = ad.reshape(emb, (b, k, e))
-        cl = ad.constant(np.asarray(clicks, dtype=np.float64).reshape(b, k, 1))
+        cl = ad.constant(np.asarray(clicks, dtype=self.dtype).reshape(b, k, 1))
         x = ad.reshape(ad.concat([emb, cl], axis=-1), (b, k * (e + 1)))
         out = self.encoder(x)
         return out[:, :d], out[:, d:]
@@ -121,7 +133,7 @@ class GemsModel:
 
     def decode_array(self, z: np.ndarray) -> np.ndarray:
         """Inference decoder: every item's logit per slot [b, k, num_items]."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = np.atleast_2d(np.asarray(z, dtype=self.dtype))
         k, e = self.slate_size, self.cfg.item_embed_dim
         out = self.decoder.forward_array(z).reshape(z.shape[0], k, e + 1)
         return out[:, :, :e] @ self.item_table().T
@@ -136,7 +148,7 @@ def encode(model: GemsModel, slates, clicks, noise: Optional[np.ndarray] = None)
     if noise is None:
         z = mu.copy()
     else:
-        z = mu + np.exp(log_sigma) * noise
+        z = mu + np.exp(log_sigma) * np.asarray(noise, mu.dtype)
     return LatentSample(mu=mu, log_sigma=log_sigma, z=z)
 
 
@@ -167,25 +179,25 @@ def gems_loss(model: GemsModel, slates: np.ndarray, clicks: np.ndarray,
     per-example sum averaged over the batch; the KL component is reported
     unweighted.
     """
-    cfg = model.cfg
+    cfg, dt = model.cfg, model.dtype
     b, k = slates.shape
     mu, log_sigma = model.encode_graph(slates, clicks)
     sigma = ad.exp(log_sigma)
-    z = ad.add(mu, ad.mul(sigma, ad.constant(noise)))
+    z = ad.add(mu, ad.mul(sigma, ad.constant(np.asarray(noise, dt))))
     picked, click_logits = model.decode_graph(z, slates, frozen_table)
     slate_nll = ad.scale(ad.sum_(picked), -1.0 / b)
 
-    c = ad.constant(np.asarray(clicks, dtype=np.float64))
+    c = ad.constant(np.asarray(clicks, dtype=dt))
     bce = ad.add(ad.softplus(click_logits), ad.scale(ad.mul(c, click_logits), -1.0))
     click_nll = ad.scale(ad.sum_(bce), 1.0 / b)
 
     if cfg.kl_form == "standard":
         per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(-1.0)))
+                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
         kl = ad.scale(ad.sum_(per), 0.5 / b)
     else:
         per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(-1.0)))
+                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(dt.type(-1.0))))
         kl = ad.scale(ad.sum_(per), 1.0 / b)
 
     total = ad.add(ad.add(slate_nll, ad.scale(click_nll, cfg.lam)),

@@ -27,6 +27,10 @@ class MfConfig:
     batch_size: int = 256
     init_scale: float = 0.1
 
+    def __post_init__(self):
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+
 
 @dataclass
 class MfResult:

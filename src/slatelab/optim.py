@@ -2,9 +2,9 @@
 
 A :class:`ParameterStore` owns every trainable array of one network
 component together with its gradient buffer and Adam moment estimates, all
-in the store's dtype (float64 unless given; SAC uses float32).  The dtype
-follows the parameters: graphs over a store compute in it, and Adam and
-Polyak updates work in place in it.  Stores are confined to one worker at
+in the store's dtype (float64 unless given; SAC and GeMS use float32).  The
+dtype follows the parameters: graphs over a store compute in it, and Adam
+and Polyak updates work in place in it.  Stores are confined to one worker at
 a time; parallel runs use independent stores.
 """
 

@@ -104,13 +104,14 @@ def mc_gaussian_kl(mu, sigma, num_samples, seed):
 def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     """GeMS batch loss and its parts with the whole [b*k, num_items] item
     logits built: matmul against the constant item table, log_softmax over
-    the catalogue, then pick of each slot's logged item."""
-    cfg = model.cfg
+    the catalogue, then pick of each slot's logged item.  Constants take the
+    model's dtype."""
+    cfg, dt = model.cfg, model.dtype
     b, k = slates.shape
     e = cfg.item_embed_dim
     mu, log_sigma = model.encode_graph(slates, clicks)
     sigma = ad.exp(log_sigma)
-    z = ad.add(mu, ad.mul(sigma, ad.constant(noise)))
+    z = ad.add(mu, ad.mul(sigma, ad.constant(np.asarray(noise, dt))))
     out = ad.reshape(model.decoder(z), (b, k, e + 1))
     recon = ad.reshape(out[:, :, :e], (b * k, e))
     click_logits = out[:, :, e]
@@ -119,17 +120,17 @@ def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     picked = ad.pick(ad.log_softmax(item_logits), slates.reshape(-1))
     slate_nll = ad.scale(ad.sum_(picked), -1.0 / b)
 
-    c = ad.constant(np.asarray(clicks, dtype=np.float64))
+    c = ad.constant(np.asarray(clicks, dtype=dt))
     bce = ad.add(ad.softplus(click_logits), ad.scale(ad.mul(c, click_logits), -1.0))
     click_nll = ad.scale(ad.sum_(bce), 1.0 / b)
 
     if cfg.kl_form == "standard":
         per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(-1.0)))
+                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
         kl = ad.scale(ad.sum_(per), 0.5 / b)
     else:
         per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(-1.0)))
+                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(dt.type(-1.0))))
         kl = ad.scale(ad.sum_(per), 1.0 / b)
 
     total = ad.add(ad.add(slate_nll, ad.scale(click_nll, cfg.lam)),

@@ -150,7 +150,7 @@ def _fd_sac_critic(seed):
 def _fd_gems(seed):
     cfg = GemsConfig(latent_dim=3, item_embed_dim=4, hidden=(8,),
                      beta=0.7, lam=0.4)
-    model = GemsModel(cfg, num_items=6, slate_size=3, seed=seed)
+    model = GemsModel(cfg, num_items=6, slate_size=3, seed=seed, dtype=np.float64)
     slates, clicks = gems_batch(seed)
     noise = substream(seed, "eps").normal(0.0, 1.0, (2, 3))
     # snapshot the decoder's stop-gradient view of the item table so the

@@ -72,6 +72,16 @@ def test_generate_data_rejects_a_bad_epsilon(workspace, tmp_path, epsilon):
     assert not out.exists()
 
 
+def test_pretrain_gems_rejects_zero_epochs_before_writing(workspace, tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "gems.epochs = 0\n")
+    out = tmp_path / "gems.slk"
+    with pytest.raises(ValueError, match="epochs must be positive"):
+        main(["pretrain-gems", "--config", str(cfg), "--data", str(workspace["data"]),
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_train_rerun_is_identical(workspace, tmp_path):
     args = ["train", "--config", str(workspace["cfg"])]
     assert main(args + ["--workdir", str(tmp_path / "run1")]) == 0

@@ -79,6 +79,13 @@ def test_invalid_choices_raise():
             build_config({"logged_epsilon": value})
     build_config({"logged_epsilon": "0"})
     build_config({"logged_epsilon": "1"})
+    for key, value in (("gems.epochs", "0"), ("gems.batch_size", "0"), ("mf.batch_size", "0"),
+                       ("gems.item_embed_dim", "0"), ("gems.latent_dim", "-1"),
+                       ("gems.learning_rate", "-1"), ("gems.learning_rate", "0"),
+                       ("gems.learning_rate", "nan")):
+        name = key.split(".")[1]
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            build_config({key: value})
     for dtype in ("float16", "float", "int32", ""):
         with pytest.raises(ValueError, match="dtype must be float32 or float64"):
             SacConfig(action_dim=2, dtype=dtype)
