@@ -172,8 +172,10 @@ class Policy:
         self.agent = agent
         self.ranker = ranker
 
+        # A restored agent's belief table lives in its own checkpoint, so
+        # only GeMS decoding and fresh gems-table beliefs read the VAE.
         self.gems_model = None
-        if ranker == "gems" or (agent != "none"
+        if ranker == "gems" or (agent != "none" and model is None
                                 and self._belief_source() == "gems-table"):
             path = _require_file(cfg.gems_ckpt, "gems checkpoint")
             self.gems_model = load_gems(path)

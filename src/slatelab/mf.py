@@ -28,8 +28,11 @@ class MfConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        for name in ("embed_dim", "epochs", "batch_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -39,25 +42,31 @@ class MfResult:
 
 
 def _positives(ds: LoggedDataset):
-    """(user, item) pair per click event, plus per-user clicked-item sets."""
+    """(user, item) pair per click event, plus the sorted distinct pair
+    codes ``user * num_items + item`` of the clicked pairs."""
     n, t, k = ds.slates.shape
     users = np.repeat(np.arange(n), t * k)
     items = ds.slates.reshape(-1).astype(np.int64)
     mask = ds.clicks.reshape(-1).astype(bool)
     pos_u, pos_i = users[mask], items[mask]
-    clicked = [set() for _ in range(n)]
-    for u, i in zip(pos_u, pos_i):
-        clicked[u].add(int(i))
-    return pos_u, pos_i, clicked
+    return pos_u, pos_i, np.unique(pos_u * ds.num_items + pos_i)
 
 
-def _sample_negatives(pos_u, clicked, num_items, ratio, rng):
+def _sample_negatives(pos_u, codes, num_items, ratio, rng):
+    """Uniform items for each positive's user; the clicked ones are found in
+    one pass over the sorted codes, then redrawn one at a time, in index
+    order, until the user did not click them."""
     neg_u = np.repeat(pos_u, ratio)
     neg_i = rng.integers(0, num_items, size=neg_u.size)
-    for idx in range(neg_i.size):
-        u = neg_u[idx]
-        while int(neg_i[idx]) in clicked[u]:
-            neg_i[idx] = rng.integers(0, num_items)
+    q = neg_u * num_items + neg_i
+    rejected = codes[np.minimum(np.searchsorted(codes, q), codes.size - 1)] == q
+    clicked = set(codes.tolist())
+    for idx in np.flatnonzero(rejected):
+        base = int(neg_u[idx]) * num_items
+        item = int(rng.integers(0, num_items))
+        while base + item in clicked:
+            item = int(rng.integers(0, num_items))
+        neg_i[idx] = item
     return neg_u, neg_i
 
 
@@ -71,7 +80,7 @@ def _mean_bce(U, V, users, items, labels):
 def fit_mf(ds: LoggedDataset, cfg: MfConfig, seed: int) -> MfResult:
     if not ds.clicks.any():
         raise ValueError("dataset contains no clicks")
-    pos_u, pos_i, clicked = _positives(ds)
+    pos_u, pos_i, codes = _positives(ds)
     n_users = ds.num_trajectories
 
     init_rng = rngmod.substream(seed, "mf-init")
@@ -80,7 +89,7 @@ def fit_mf(ds: LoggedDataset, cfg: MfConfig, seed: int) -> MfResult:
 
     sample_rng = rngmod.substream(seed, "mf-sample")
     # Fixed negative set for the loss monitor so epochs are comparable.
-    mon_u, mon_i = _sample_negatives(pos_u, clicked, ds.num_items,
+    mon_u, mon_i = _sample_negatives(pos_u, codes, ds.num_items,
                                      cfg.negatives_per_positive, sample_rng)
     all_users = np.concatenate([pos_u, mon_u])
     all_items = np.concatenate([pos_i, mon_i])
@@ -88,7 +97,7 @@ def fit_mf(ds: LoggedDataset, cfg: MfConfig, seed: int) -> MfResult:
     losses = [_mean_bce(U, V, all_users, all_items, all_labels)]
 
     for _ in range(cfg.epochs):
-        neg_u, neg_i = _sample_negatives(pos_u, clicked, ds.num_items,
+        neg_u, neg_i = _sample_negatives(pos_u, codes, ds.num_items,
                                          cfg.negatives_per_positive, sample_rng)
         users = np.concatenate([pos_u, neg_u])
         items = np.concatenate([pos_i, neg_i])

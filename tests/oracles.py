@@ -2,10 +2,13 @@
 
 Everything here is deliberately written without importing the library's own
 numerics (beyond data containers), so a bug in the package cannot hide in
-its own test oracle.  Two exceptions lean on autodiff's node and check
-helpers.  :func:`reference_gems_loss` is the GeMS loss built from the
+its own test oracle.  A few exceptions lean on the library's autodiff
+helpers or networks.  :func:`reference_gems_loss` is the GeMS loss built from the
 unfused autodiff primitives, the reference that the fused
-slot-reconstruction op must match bit for bit.  :func:`reference_gru_window`
+slot-reconstruction op must match bit for bit, and
+:func:`reference_decode_logits` is the acting decoder's full [n, k,
+num_items] logits, whose argmax the blocked ``decode_to_slate`` must match
+bit for bit; it runs the library's decoder network.  :func:`reference_gru_window`
 and :func:`reference_gru_sequence` are the batch-major, one-step-at-a-time
 GRU window and its BPTT that the feature-major kernel replaced, kept as the
 reference it must match to 1e-12.  :func:`freeze_mask_gru_window` is the
@@ -25,7 +28,9 @@ from it, and both must match the stacked build byte for byte.
 :func:`epsilon_greedy_slate` is the logging policy as it was when an
 explore slot drew with ``Generator.choice`` over the unplaced items; the
 logger must give the same slates and leave every generator in the same
-state, so it leans on the library's exact ``top_k``.
+state, so it leans on the library's exact ``top_k``.  :func:`sample_negatives`
+is MF's negative sampler with per-user clicked-item sets; the vectorised
+sampler must draw the same items and leave its generator in the same state.
 """
 
 import math
@@ -138,6 +143,31 @@ def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     parts = GemsLossParts(total=total.item(), slate_nll=slate_nll.item(),
                           click_nll=click_nll.item(), kl=kl.item())
     return total, parts
+
+
+def reference_decode_logits(model, z):
+    """GeMS's acting decoder as it was before blocked decoding: every item's
+    logit per slot [n, k, num_items], one [k, e] @ [e, num_items] product
+    per row of z.  Its argmax over the last axis is the reference slate."""
+    z = np.atleast_2d(np.asarray(z, dtype=model.dtype))
+    k, e = model.slate_size, model.cfg.item_embed_dim
+    out = model.decoder.forward_array(z).reshape(z.shape[0], k, e + 1)
+    return out[:, :, :e] @ model.item_table().T
+
+
+def sample_negatives(pos_u, pos_i, num_items, ratio, rng):
+    """MF's negative sampler as it was before its membership test was
+    vectorised: a uniform item per negative, then each negative, in index
+    order, redrawn while its user's clicked-item set holds it."""
+    clicked = {}
+    for u, i in zip(pos_u, pos_i):
+        clicked.setdefault(int(u), set()).add(int(i))
+    neg_u = np.repeat(pos_u, ratio)
+    neg_i = rng.integers(0, num_items, size=neg_u.size)
+    for idx in range(neg_i.size):
+        while int(neg_i[idx]) in clicked[int(neg_u[idx])]:
+            neg_i[idx] = rng.integers(0, num_items)
+    return neg_u, neg_i
 
 
 def reference_gru_window(h0: np.ndarray, x: np.ndarray, W: np.ndarray, U: np.ndarray,

@@ -82,7 +82,9 @@ def test_invalid_choices_raise():
     for key, value in (("gems.epochs", "0"), ("gems.batch_size", "0"), ("mf.batch_size", "0"),
                        ("gems.item_embed_dim", "0"), ("gems.latent_dim", "-1"),
                        ("gems.learning_rate", "-1"), ("gems.learning_rate", "0"),
-                       ("gems.learning_rate", "nan")):
+                       ("gems.learning_rate", "nan"), ("mf.embed_dim", "0"),
+                       ("mf.epochs", "0"), ("mf.epochs", "-1"), ("mf.learning_rate", "-1"),
+                       ("mf.learning_rate", "0"), ("mf.learning_rate", "nan")):
         name = key.split(".")[1]
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             build_config({key: value})

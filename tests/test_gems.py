@@ -23,7 +23,7 @@ from slatelab.optim import AdamConfig, adam_step
 from slatelab.simulator import SimConfig, generate_item_catalog
 
 from oracles import (finite_difference_grads, max_relative_error, mc_gaussian_kl,
-                     reference_gems_loss)
+                     reference_decode_logits, reference_gems_loss)
 
 
 def tiny_model(dtype=np.float32, **kw):
@@ -83,7 +83,7 @@ def test_decode_slot_distributions_normalize():
     model = tiny_model(np.float64)
     z = np.random.default_rng(0).standard_normal((4, 3))
     slates = np.random.default_rng(1).integers(0, 6, size=(4, 3))
-    log_probs = log_softmax(model.decode_array(z), axis=-1)
+    log_probs = log_softmax(reference_decode_logits(model, z), axis=-1)
     np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-10)
     picked, click_logits = model.decode_graph(ad.constant(z), slates)
     np.testing.assert_allclose(picked.value,
@@ -104,6 +104,24 @@ def test_decode_to_slate_tie_breaks_to_lowest_id():
     model.store["items.E"].value[...] = 0.0   # all items tie on every slot
     slate = decode_to_slate(model, np.zeros((1, 3)))
     np.testing.assert_array_equal(slate, [[0, 0, 0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 6, 7, 64, 65, 200])
+def test_blocked_decode_matches_full_logit_argmax(n, dtype):
+    # n users x 3 slots: 1, 6 and 7 users fit one block, 64, 65 and 200 span
+    # several.  Row 0 has z = 0, so with the decoder's zero biases every
+    # logit of its slots is 0 and the lowest id must win.
+    model = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=4, hidden=(8,)),
+                      num_items=300, slate_size=3, seed=0, dtype=dtype)
+    z = 3.0 * np.random.default_rng(n).standard_normal((n, 3))
+    z[0] = 0.0
+    want = np.argmax(reference_decode_logits(model, z), axis=-1)
+    assert (reference_decode_logits(model, z[:1]) == 0).all()
+    got = decode_to_slate(model, z)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[0], [0, 0, 0])
 
 
 def test_decode_valid_slate_range():
@@ -240,8 +258,8 @@ def test_float32_gems_batch_upcasts_nothing():
     sample = encode(model, slates, clicks, noise)
     for a in (sample.mu, sample.log_sigma, sample.z):
         assert a.dtype == np.float32
-    for z in (noise.astype(np.float32), noise):
-        assert model.decode_array(z).dtype == np.float32
+    np.testing.assert_array_equal(decode_to_slate(model, noise),
+                                  decode_to_slate(model, noise.astype(np.float32)))
 
 
 def test_gems_loss_graph_never_holds_catalogue_sized_logits():
@@ -323,8 +341,8 @@ def test_overfit_roundtrip_on_tiny_corpus():
     clicks = rng.integers(0, 2, size=slates.shape)
     ds = slate_dataset(slates, clicks)
     cfg = GemsConfig(latent_dim=16, beta=0.0, lam=0.0, item_embed_dim=6,
-                     hidden=(64,), batch_size=20, learning_rate=0.003)
-    model, history = pretrain(ds, cfg, seed=1, epochs=400)
+                     hidden=(64,), epochs=400, batch_size=20, learning_rate=0.003)
+    model, history = pretrain(ds, cfg, seed=1)
     z = encode(model, slates, clicks).mu
     recon = decode_to_slate(model, z)
     accuracy = float((recon == slates).mean())
@@ -360,5 +378,6 @@ def test_float64_checkpoint_loads_as_float32(tmp_path):
         np.testing.assert_array_equal(back.store[name].value, p.value.astype(np.float32))
         cast.store[name].value[...] = p.value.astype(np.float32)
     z = np.random.default_rng(19).standard_normal((8, 4))
-    np.testing.assert_array_equal(back.decode_array(z), cast.decode_array(z))
+    np.testing.assert_array_equal(reference_decode_logits(back, z),
+                                  reference_decode_logits(cast, z))
     np.testing.assert_array_equal(decode_to_slate(back, z), decode_to_slate(cast, z))

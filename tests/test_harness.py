@@ -386,6 +386,22 @@ def test_evaluate_does_not_mutate_checkpoint(artifacts, tmp_path):
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == before
 
 
+@pytest.mark.parametrize("ranker", ["wknn", "topk-mf"])
+def test_restored_sac_policy_needs_the_gems_checkpoint_only_to_decode(artifacts, tmp_path,
+                                                                      ranker):
+    # the restored belief table comes from the agent checkpoint itself
+    gems = tmp_path / "gems.slk"
+    gems.write_bytes(open(artifacts["gems"], "rb").read())
+    cfg = tiny_config(ranker=ranker, gems_ckpt=gems, mf_embeddings=artifacts["mf"])
+    rec = train(cfg, seed=2, workdir=tmp_path)
+    ckpt = tmp_path / f"ckpt-{rec.best_checkpoint:04d}.slk"
+    with_gems = evaluate(ckpt, cfg, 3, seed=4)
+    gems.unlink()
+    assert evaluate(ckpt, cfg, 3, seed=4) == with_gems
+    with pytest.raises(FileNotFoundError, match="gems checkpoint"):
+        build_policy(cfg, generate_item_catalog(cfg.sim, cfg.catalog_seed), 0)
+
+
 def test_evaluate_diagnostics_csv(artifacts, tmp_path):
     cfg = tiny_config(gems_ckpt=artifacts["gems"], training_steps=0)
     train(cfg, seed=1, workdir=tmp_path)

@@ -13,7 +13,7 @@ from slatelab.logged import (
     sim_config_hash,
     write_dataset,
 )
-from slatelab.mf import MfConfig, fit_mf, train_mf
+from slatelab.mf import MfConfig, _positives, _sample_negatives, fit_mf, train_mf
 from slatelab.simulator import Environment, SimConfig, generate_item_catalog
 
 
@@ -186,6 +186,37 @@ def test_mf_loss_decreases_after_first_epoch():
     result = fit_mf(ds, MfConfig(), seed=0)
     assert result.epoch_losses[1] < result.epoch_losses[0]
     assert result.epoch_losses[-1] < result.epoch_losses[0]
+
+
+def test_mf_negatives_match_the_per_negative_loop():
+    # 20 items and 30 users who click often: many first draws are clicked
+    # items, and some need several redraws
+    cfg = small_cfg(episode_length=20)
+    ds = generate_dataset(cfg, generate_item_catalog(cfg, seed=6), num_trajectories=30,
+                          epsilon=0.5, seed=15)
+    pos_u, pos_i, codes = _positives(ds)
+    for ratio in (1, 3):
+        rng, ref_rng = np.random.default_rng(ratio), np.random.default_rng(ratio)
+        neg_u, neg_i = _sample_negatives(pos_u, codes, ds.num_items, ratio, rng)
+        ref_u, ref_i = oracles.sample_negatives(pos_u, pos_i, ds.num_items, ratio, ref_rng)
+        np.testing.assert_array_equal(neg_u, ref_u)
+        np.testing.assert_array_equal(neg_i, ref_i)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    clicked = set(zip(pos_u.tolist(), pos_i.tolist()))
+    assert not clicked & set(zip(neg_u.tolist(), neg_i.tolist()))
+
+
+def test_mf_fit_reproduces_pinned_table_and_losses():
+    # digest and losses recorded with the per-negative redraw loop
+    cfg = small_cfg(episode_length=20)
+    ds = generate_dataset(cfg, generate_item_catalog(cfg, seed=6), num_trajectories=30,
+                          epsilon=0.5, seed=15)
+    result = fit_mf(ds, MfConfig(embed_dim=4, epochs=3), seed=2)
+    assert (hashlib.sha256(result.item_embeddings.tobytes()).hexdigest()
+            == "e02d836f3c61548c35b2e4d3d8c8b264ce4bbfdfd9a64cd758f3b01fb7ec4f53")
+    assert [x.hex() for x in result.epoch_losses] == [
+        "0x1.629536865d937p-1", "0x1.628ba3fa6f951p-1", "0x1.62824936b2bd3p-1",
+        "0x1.62795bdc8c887p-1"]
 
 
 def test_mf_coclick_geometry():
