@@ -75,7 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown agent {self.agent!r}")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
-        for name in ("update_every", "validation_every", "wknn_p"):
+        for name in ("update_every", "validation_every", "wknn_p", "validation_trajectories",
+                     "test_trajectories"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.ranker == "wknn" and self.wknn_p > self.sim.num_items:

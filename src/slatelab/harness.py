@@ -137,7 +137,7 @@ class ReinforceLearner:
 
     def __init__(self, model: ReinforcePolicy, cfg: ExperimentConfig, rng: np.random.Generator):
         self.model = model
-        self.baseline = BaselineState(decay=cfg.baseline_decay)
+        self.baseline = BaselineState(decay=model.cfg.baseline_decay)
         self.episode = []
 
     def observe(self, hidden, slate, clicks, action, reward, done) -> bool:

@@ -6,6 +6,8 @@ probability factorizes into item attractiveness and rank-dependent
 examination.  Two slow dynamics penalize myopic recommenders: clicked items
 drift the user embedding (influence), and over-exposure to one topic zeroes
 that topic's contribution to relevance for a fixed number of turns (boredom).
+Boredom reads each user's last ``boredom_window`` clicks, one [n, W] array;
+their topic counts are derived from it afresh every turn.
 
 :class:`Environment` steps n users in lockstep, their state held as arrays.
 Each user draws from its own generator in the order a lone user would, and
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -113,13 +114,6 @@ def generate_item_catalog(cfg: SimConfig, seed: int) -> ItemCatalog:
     return ItemCatalog(embeddings=emb, main_topic=_main_topics(emb, cfg))
 
 
-def examination(rank: int, cfg: SimConfig) -> float:
-    if not (1 <= rank <= cfg.slate_size):
-        raise ValueError(f"rank must lie in 1..{cfg.slate_size}")
-    e, nu, k = cfg.epsilon_exam, cfg.nu, cfg.slate_size
-    return nu * e**rank + (1.0 - nu) * e**(k + 1 - rank)
-
-
 def examination_vector(cfg: SimConfig) -> np.ndarray:
     ranks = np.arange(1, cfg.slate_size + 1)
     e, nu, k = cfg.epsilon_exam, cfg.nu, cfg.slate_size
@@ -149,13 +143,15 @@ class Environment:
     seed, step(slates) advances them all by one turn.
 
     State, one row per user: base embeddings [n, e], turns left of each
-    topic's boredom [n, topics] (0: not bored), the last ``boredom_window``
-    clicked items of each user, oldest first, with their per-topic counts,
-    and the user's generator ``rngs[i]``.  Read the state freely; overwrite
-    it through :meth:`set_state`.  Agents interact only through reset/step.
-    Rankers that need the true item embeddings or current relevance
-    (TopK-ideal, short-term oracle) must construct the environment with
-    disclosed=True; the privilege is logged loudly once per process.
+    topic's boredom [n, topics] (0: not bored), ``click_history`` [n, W]:
+    the last W = ``boredom_window`` clicked items, oldest first, -1 padding
+    the front, and the user's generator ``rngs[i]``.  Topic counts in the
+    window are derived from ``click_history`` every turn, never stored.
+    Read the state freely; overwrite it through :meth:`set_state`.  Agents
+    interact only through reset/step.  Rankers that need the true item
+    embeddings or current relevance (TopK-ideal, short-term oracle) must
+    construct the environment with disclosed=True; the privilege is logged
+    loudly once per process.
     """
 
     def __init__(self, cfg: SimConfig, catalog: ItemCatalog, disclosed: bool = False):
@@ -165,7 +161,6 @@ class Environment:
         self._exam = examination_vector(cfg)
         # (1 - omega) * e_item, row by row as the influence update scales it.
         self._pull = (1.0 - cfg.omega) * catalog.embeddings
-        self._topic_of = catalog.main_topic.tolist()
         self.num_users = 0
         self.turn_index = 0
         self._done = True
@@ -187,11 +182,7 @@ class Environment:
         # Users always follow the diffuse process; only items get the focused variant.
         self.base_embeddings = _raw_embeddings(cfg, self.rngs)
         self.bored_turns = np.zeros((n, cfg.num_topics), dtype=np.int64)
-        self._bored_left = 0      # the largest entry of bored_turns
-        self.click_history = [deque(maxlen=cfg.boredom_window) for _ in range(n)]
-        self._topic_counts = [[0] * cfg.num_topics for _ in range(n)]
-        # (user, topic) pairs with at least boredom_threshold clicks in the window.
-        self._saturated = set()
+        self.click_history = np.full((n, cfg.boredom_window), -1, dtype=np.int64)
         self._masked = None
         self.turn_index = 0
         self._done = False
@@ -215,15 +206,14 @@ class Environment:
                 raise ValueError(f"bored_turns must be non-negative, of shape "
                                  f"{self.bored_turns.shape}")
             self.bored_turns = bored
-            self._bored_left = int(bored.max())
         self._masked = None
 
     def _masked_embeddings(self) -> np.ndarray:
         """Base embeddings with bored topic blocks zeroed, as scored; cached
         until the next step."""
         if self._masked is None:
-            if self._bored_left:
-                bored = self.bored_turns > 0
+            bored = self.bored_turns > 0
+            if bored.any():
                 base = self.base_embeddings.reshape(*bored.shape, -1)
                 self._masked = np.where(bored[:, :, None], 0.0, base).reshape(len(bored), -1)
             else:
@@ -250,9 +240,11 @@ class Environment:
         """Advance every user by one turn, one slate [k] per user.
 
         Order of effects: clicks are sampled from the pre-turn state;
-        influence and history updates apply per clicked item in slate order;
-        boredom counters decrement before new boredom is detected, so a topic
-        expiring this turn may immediately re-trigger.
+        influence applies per clicked item in slate order, and the clicked
+        items join the history window in slate order; boredom counters
+        decrement before new boredom is detected, so a topic expiring this
+        turn may immediately re-trigger while the window still holds
+        ``boredom_threshold`` of its clicks.
         """
         cfg = self.cfg
         if self.num_users == 0:
@@ -268,52 +260,37 @@ class Environment:
         for i, rng in enumerate(self.rngs):
             rng.random(out=draws[i])
         clicks = (draws < probs).astype(np.uint8)
-        users, slots = clicks.nonzero()
-        rewards = np.bincount(users, minlength=self.num_users)
-        if users.size:
-            self._apply_clicks(slates, clicks, users, slots)
+        per_slot = clicks.sum(axis=0)
+        rewards = clicks.sum(axis=1, dtype=np.int64)
+        rows = np.arange(self.num_users)[:, None]
+        if per_slot.any():
+            # Influence, slot by slot, of every clicked item on its user's base embedding.
+            pull = self._pull[slates]
+            for j, clicked in enumerate(per_slot.tolist()):
+                if clicked:
+                    base = self.base_embeddings
+                    pulled = cfg.omega * base + pull[:, j]
+                    self.base_embeddings = (pulled if clicked == self.num_users
+                                            else np.where(clicks[:, j, None], pulled, base))
+            # Clicked items join the window in slate order: a stable sort on
+            # validity moves every -1 to the front and keeps the rest in order.
+            window = np.concatenate([self.click_history, np.where(clicks, slates, -1)], axis=1)
+            keep = np.argsort(window >= 0, axis=1, kind="stable")[:, -cfg.boredom_window:]
+            self.click_history = window[rows, keep]
 
         bored = self.bored_turns
-        if self._bored_left:
-            bored -= bored > 0
-            self._bored_left -= 1
-        for i, t in self._saturated:
-            if not bored[i, t]:
-                bored[i, t] = cfg.boredom_duration
-                self._bored_left = max(self._bored_left, cfg.boredom_duration)
+        bored -= bored > 0
+        # Each user's clicks per topic in the window; a -1 pad indexes the
+        # last item, and the mask drops it.
+        history = self.click_history
+        keys = rows * cfg.num_topics + self.catalog.main_topic[history]
+        counts = np.bincount(keys[history >= 0], minlength=bored.size).reshape(bored.shape)
+        bored[(bored == 0) & (counts >= cfg.boredom_threshold)] = cfg.boredom_duration
         self._masked = None
 
         self.turn_index += 1
         self._done = self.turn_index >= cfg.episode_length
         return StepResult(clicks=clicks, rewards=rewards, done=self._done)
-
-    def _apply_clicks(self, slates: np.ndarray, clicks: np.ndarray,
-                      users: np.ndarray, slots: np.ndarray) -> None:
-        """Influence, slot by slot, of every clicked item on its user's base
-        embedding, then each click's entry into its user's history window,
-        in slate order; the (users, slots) of the clicks ascend row-major."""
-        omega = self.cfg.omega
-        pull = self._pull[slates]
-        for j, clicked in enumerate(np.bincount(slots, minlength=slates.shape[1]).tolist()):
-            if clicked:
-                base = self.base_embeddings
-                pulled = omega * base + pull[:, j]
-                self.base_embeddings = (pulled if clicked == self.num_users
-                                        else np.where(clicks[:, j, None], pulled, base))
-        topic_of, w = self._topic_of, self.cfg.boredom_window
-        threshold, saturated = self.cfg.boredom_threshold, self._saturated
-        for i, item in zip(users.tolist(), slates[users, slots].tolist()):
-            history, counts = self.click_history[i], self._topic_counts[i]
-            if len(history) == w:
-                t = topic_of[history[0]]
-                counts[t] -= 1
-                if counts[t] == threshold - 1:
-                    saturated.discard((i, t))
-            history.append(item)
-            t = topic_of[item]
-            counts[t] += 1
-            if counts[t] == threshold:
-                saturated.add((i, t))
 
     # Disclosed-mode accessors ------------------------------------------------
 
@@ -321,10 +298,6 @@ class Environment:
         if not self._disclosed:
             raise PermissionError("accessor requires an environment constructed "
                                   "with disclosed=True")
-
-    def disclosed_item_embeddings(self) -> np.ndarray:
-        self._require_disclosed()
-        return self.catalog.embeddings
 
     def disclosed_relevance(self) -> np.ndarray:
         """True relevance [n, num_items] of every item for each user's current

@@ -61,7 +61,8 @@ def test_invalid_choices_raise():
         build_config({"agent": "dqn"})
     with pytest.raises(ValueError, match="wknn_source"):
         build_config({"wknn_source": "catalog"})
-    for key in ("update_every", "validation_every", "wknn_p"):
+    for key in ("update_every", "validation_every", "wknn_p", "validation_trajectories",
+                "test_trajectories"):
         for value in ("0", "-1"):
             with pytest.raises(ValueError, match=f"{key} must be at least 1"):
                 build_config({key: value})

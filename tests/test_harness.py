@@ -10,6 +10,7 @@ from slatelab.config import build_config
 from slatelab.gems import pretrain, save_gems
 from slatelab.harness import (
     NanLossError,
+    ReinforceLearner,
     RunRecord,
     build_policy,
     evaluate,
@@ -293,6 +294,13 @@ def test_reinforce_train_deterministic(tmp_path):
     b = train(cfg, seed=1, workdir=tmp_path / "b")
     assert a.canonical() == b.canonical()
     assert len(a.validation_means) == 3
+
+
+def test_reinforce_learner_reads_the_policy_baseline_decay():
+    cfg = tiny_config(agent="reinforce", ranker="softmax", baseline_decay=0.5)
+    model = build_policy(cfg, generate_item_catalog(cfg.sim, 0), 0).model
+    learner = ReinforceLearner(model, tiny_config(agent="reinforce", ranker="softmax"), None)
+    assert learner.baseline.decay == model.cfg.baseline_decay == 0.5
 
 
 def test_zero_training_steps_single_validation(artifacts, tmp_path):

@@ -8,7 +8,6 @@ from slatelab.simulator import (
     Environment,
     ItemCatalog,
     SimConfig,
-    examination,
     examination_vector,
     generate_item_catalog,
     validate_slate,
@@ -76,6 +75,13 @@ def bored_topics(env, i=0):
     return {t: int(left) for t, left in enumerate(env.disclosed_bored_topics()[i]) if left}
 
 
+def history(env, i=0):
+    """User i's clicked items in the window, oldest first; a -1 anywhere but
+    in the leading padding stays in the list or cuts a clicked item."""
+    row = env.click_history[i].tolist()
+    return row[row.count(-1):]
+
+
 def relevance(env, item):
     return float(env.disclosed_relevance()[0, item])
 
@@ -138,7 +144,7 @@ def test_sample_user_fresh_state():
     u, v = env.base_embeddings
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
     assert bored_topics(env, 0) == {}
-    assert len(env.click_history[0]) == 0
+    assert (env.click_history[0] == -1).all()
     assert env.turn_index == 0
     assert not np.array_equal(u, v)
 
@@ -228,21 +234,21 @@ def test_relevance_scores_match_scalar():
 
 def test_examination_topdown_rank_one():
     cfg = SimConfig(click_model="TopDown")
-    assert examination(1, cfg) == pytest.approx(0.85, abs=1e-12)
+    assert examination_vector(cfg)[0] == pytest.approx(0.85, abs=1e-12)
 
 
 def test_examination_mixed_value():
     cfg = SimConfig(click_model="Mixed")
     want = 0.5 * 0.85 + 0.5 * 0.85**10
-    assert examination(1, cfg) == pytest.approx(want, abs=1e-12)
+    assert examination_vector(cfg)[0] == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.5234, abs=5e-5)
 
 
 def test_examination_mixed_symmetry():
     cfg = SimConfig(click_model="Mixed")
+    e = examination_vector(cfg)
     for r in range(1, cfg.slate_size + 1):
-        assert examination(r, cfg) == pytest.approx(
-            examination(cfg.slate_size + 1 - r, cfg), abs=1e-15)
+        assert e[r - 1] == pytest.approx(e[cfg.slate_size - r], abs=1e-15)
 
 
 def test_examination_topdown_strictly_decreasing():
@@ -250,14 +256,6 @@ def test_examination_topdown_strictly_decreasing():
     e = examination_vector(cfg)
     assert (np.diff(e) < 0).all()
     assert ((e > 0) & (e < 1)).all()
-
-
-def test_examination_rank_bounds():
-    cfg = SimConfig()
-    with pytest.raises(ValueError):
-        examination(0, cfg)
-    with pytest.raises(ValueError):
-        examination(cfg.slate_size + 1, cfg)
 
 
 # --- attractiveness and click models --------------------------------------------
@@ -368,7 +366,7 @@ def test_click_applies_influence_in_slate_order():
     want = 0.9 * e0 + 0.1 * cat.embeddings[3]
     want = 0.9 * want + 0.1 * cat.embeddings[1]
     np.testing.assert_allclose(env.base_embeddings[0], want, atol=1e-12)
-    assert list(env.click_history[0]) == [3, 1]
+    assert history(env, 0) == [3, 1]
 
 
 def test_influence_preserves_boundedness():
@@ -538,29 +536,33 @@ def test_lockstep_env_matches_one_user_reference_bit_for_bit(click_model, varian
                 assert res.rewards[i] == ref.reward
                 np.testing.assert_array_equal(env.base_embeddings[i], users[i].base_embedding)
                 assert bored_topics(env, i) == users[i].bored_topics
-                assert list(env.click_history[i]) == list(users[i].click_history)
+                assert history(env, i) == list(users[i].click_history)
                 ever_bored += bool(users[i].bored_topics)
             assert res.done == ref.done
     assert ever_bored > 100
 
 
-def test_history_window_shorter_than_the_slate_matches_reference():
-    cfg = SimConfig(num_items=30, slate_size=8, num_topics=3, boredom_window=3,
-                    boredom_threshold=2, episode_length=30, click_model="Mixed")
-    cat = generate_item_catalog(cfg, seed=4)
-    env = Environment(cfg, cat, disclosed=True)
-    env.reset([1, 2, 3])
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in (1, 2, 3)]
-    users = [oracles.sample_user(cfg, rng) for rng in rngs]
-    slate_rng = np.random.default_rng(0)
-    for t in range(cfg.episode_length):
-        slates = boredom_heavy_slates(cfg, cat, slate_rng, users, 3)
-        res = env.step(slates)
-        for i in range(3):
-            ref = oracles.step(users[i], slates[i], cat, cfg, rngs[i])
-            np.testing.assert_array_equal(res.clicks[i], ref.clicks)
-            assert bored_topics(env, i) == users[i].bored_topics
-            assert list(env.click_history[i]) == list(users[i].click_history)
+def test_history_window_sizes_match_reference():
+    # Windows shorter than the slate, of one click at threshold one, and
+    # longer than the slate.
+    for window, threshold in ((3, 2), (1, 1), (13, 5)):
+        cfg = SimConfig(num_items=30, slate_size=8, num_topics=3, boredom_window=window,
+                        boredom_threshold=threshold, episode_length=30, click_model="Mixed")
+        cat = generate_item_catalog(cfg, seed=4)
+        env = Environment(cfg, cat, disclosed=True)
+        env.reset([1, 2, 3])
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+                for s in (1, 2, 3)]
+        users = [oracles.sample_user(cfg, rng) for rng in rngs]
+        slate_rng = np.random.default_rng(0)
+        for t in range(cfg.episode_length):
+            slates = boredom_heavy_slates(cfg, cat, slate_rng, users, 3)
+            res = env.step(slates)
+            for i in range(3):
+                ref = oracles.step(users[i], slates[i], cat, cfg, rngs[i])
+                np.testing.assert_array_equal(res.clicks[i], ref.clicks)
+                assert bored_topics(env, i) == users[i].bored_topics
+                assert history(env, i) == list(users[i].click_history)
 
 
 # --- environment wrapper -------------------------------------------------------
@@ -603,11 +605,8 @@ def test_disclosed_mode_gates_accessors():
     cfg = small_cfg()
     cat = generate_item_catalog(cfg, seed=2)
     env = Environment(cfg, cat)
-    with pytest.raises(PermissionError):
-        env.disclosed_item_embeddings()
     denv = Environment(cfg, cat, disclosed=True)
     denv.reset([0])
-    assert denv.disclosed_item_embeddings().shape == (12, cfg.embed_dim)
     scores = denv.disclosed_relevance()
     assert scores.shape == (1, 12)
     assert ((scores > 0) & (scores < 1)).all()
