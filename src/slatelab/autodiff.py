@@ -382,6 +382,13 @@ _MLP_ACTIVATIONS = {
 MLP_ACTIVATIONS = tuple(_MLP_ACTIVATIONS)
 
 
+def activate(pre: np.ndarray, act: str) -> np.ndarray:
+    """A hidden layer of :func:`mlp_values` from its pre-activation: checked
+    for finiteness, then squashed by ``act`` (in place where it can)."""
+    _check_finite(pre, "mlp")
+    return _MLP_ACTIVATIONS[act][0](pre)
+
+
 def mlp_values(x: np.ndarray, Ws: Sequence[np.ndarray], bs: Sequence[np.ndarray],
                act: str, tape: Optional[list] = None) -> np.ndarray:
     """Value-only fully connected stack: ``act(h @ W + b)`` for every layer

@@ -42,7 +42,6 @@ import numpy as np
 
 from .belief import BeliefConfig
 from .optim import ParameterStore
-from .rng import substream
 
 MAGIC = b"SLCKPT01"
 
@@ -142,6 +141,15 @@ def save_agent(path, model, metadata: dict | None = None) -> None:
     save_checkpoint(path, stores, meta)
 
 
+class _NoDraws:
+    """Stands in for the init generator of a model whose every parameter is
+    then overwritten: its "draws" are zeros, so none are computed."""
+
+    @staticmethod
+    def normal(loc=0.0, scale=1.0, size=None):
+        return np.zeros(size)
+
+
 def load_agent(path, cls):
     """(agent of class ``cls``, header) restored from a :func:`save_agent` file."""
     stores, meta = load_checkpoint(path)
@@ -151,7 +159,7 @@ def load_agent(path, cls):
     meta["belief"].pop("truncation", None)   # older checkpoints; no model reads it
     table = next(s["belief.items"].value for s in stores.values() if "belief.items" in s)
     model = cls(cls.config_class(**meta["config"]), BeliefConfig(**meta["belief"]),
-                meta["slate_size"], table, substream(0, "init"))
+                meta["slate_size"], table, _NoDraws())
     for name, attr in cls.stores.items():
         getattr(model, attr).load_state_from(stores[name])
     return model, meta

@@ -23,6 +23,13 @@ from .simulator import generate_item_catalog
 from .stats import confidence_interval, report_csv, report_text, summarize
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--seed", type=int, default=None)
@@ -36,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-data", help="roll the logging policy, write a dataset")
     _add_config(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--trajectories", type=int, default=None)
+    p.add_argument("--trajectories", type=_positive_int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("train-mf", help="fit item embeddings on logged clicks")
@@ -58,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on fresh test users")
     _add_config(p)
     p.add_argument("--ckpt", default="", help="agent checkpoint (omit for agent=none)")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--diagnostics", default=None, help="per-item CSV output path")
 
     p = sub.add_parser("report", help="aggregate run records into a results table")

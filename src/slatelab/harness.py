@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, activate, mlp_values
 from .belief import BeliefConfig
 from .checkpoint import load_agent, save_agent
 from .config import ExperimentConfig, config_hash
@@ -252,16 +252,39 @@ class Policy:
 
     # -- acting ----------------------------------------------------------------
 
-    def _wknn_critic(self, belief_vec: np.ndarray, trials: np.ndarray) -> np.ndarray:
-        """min(Q1, Q2) of one belief with each row of trials [m, k*e]."""
-        x = np.empty((len(trials), belief_vec.size + trials.shape[1]), self.model.dtype)
-        x[:, :belief_vec.size], x[:, belief_vec.size:] = belief_vec, trials
-        return np.minimum(self.model.q1.forward_array(x)[:, 0],
-                          self.model.q2.forward_array(x)[:, 0])
+    def _wknn_critic(self, beliefs: np.ndarray, base: np.ndarray, slot: int,
+                     candidates: np.ndarray) -> np.ndarray:
+        """min(Q1, Q2) [n, m] of each user's rows belief ‖ base [n, k*e] with
+        candidates [n, m, e] placed in ``slot`` (see ``rankers.rank_wknn``).
+
+        The first layer is split: a user's belief and placed items give it
+        one base pre-activation, and each candidate adds its slot's block of
+        rows of W; the zero padding of later slots adds nothing.  The layers
+        after it run on all n*m rows.  Weights are read from the store on
+        every call, as training changes them."""
+        n, m, e = candidates.shape
+        h = beliefs.shape[1]
+        split = h + slot * e
+        fixed = np.empty((n, split), self.model.dtype)
+        fixed[:, :h], fixed[:, h:] = beliefs, base[:, :slot * e]
+        rows = candidates.reshape(n * m, e).astype(self.model.dtype)
+        q = []
+        for critic in (self.model.q1, self.model.q2):
+            (W, *Ws), (b, *bs) = critic.weights()
+            pre = (rows @ W[split:split + e]).reshape(n, m, -1)
+            pre += (fixed @ W[:split] + b)[:, None]
+            hidden = activate(pre.reshape(n * m, -1), critic.activation)
+            q.append(mlp_values(hidden, Ws, bs, critic.activation)[:, 0])
+        return np.minimum(*q).reshape(n, m)
 
     def act(self, hidden, env, mode: str, rng):
         """(actions [n, d] or None, slates [n, k]) for the n lockstep users of
-        env with beliefs hidden [n, H] (None for static policies)."""
+        env with beliefs hidden [n, H] (None for static policies).
+
+        The agent's actions, GeMS decoding, TopK, wknn and the oracle serve
+        all n users in one call each; wknn scores every user's candidates
+        of a slot in one critic call.  Softmax and random slates are drawn
+        user by user, in user order, from ``rng``."""
         if self.agent == "reinforce":
             return None, np.stack([sample_slate(self.model, h, self.slate_size, rng)
                                    for h in hidden])
@@ -274,9 +297,8 @@ class Policy:
         if self.ranker == "gems":
             return actions, decode_to_slate(self.gems_model, actions)
         if self.ranker == "wknn":
-            return actions, np.stack([
-                rank_wknn(a, self.table, self._wknn_critic, h, self.slate_size,
-                          self.cfg.wknn_p) for a, h in zip(actions, hidden)])
+            return actions, rank_wknn(actions, self.table, self._wknn_critic, hidden,
+                                      self.slate_size, self.cfg.wknn_p)
         return actions, rank_topk(actions, self.table, self.slate_size)
 
     def act_single(self, hidden, env, mode: str, rng):

@@ -48,12 +48,16 @@ class Mlp:
         return ad.mlp(x, [s.tensor(n) for n in self._W], [s.tensor(n) for n in self._b],
                       self.activation)
 
+    def weights(self):
+        """(Ws, bs): the store's current weight and bias arrays, layer by layer."""
+        s = self.store
+        return [s[n].value for n in self._W], [s[n].value for n in self._b]
+
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         """The same kernel for inference, with x cast to the store's dtype;
         no graph is built."""
-        s = self.store
-        return ad.mlp_values(np.asarray(x, dtype=s.dtype), [s[n].value for n in self._W],
-                             [s[n].value for n in self._b], self.activation)
+        return ad.mlp_values(np.asarray(x, dtype=self.store.dtype), *self.weights(),
+                             self.activation)
 
 
 class GruCell:

@@ -5,15 +5,16 @@ must be chosen to match (see ``harness.Policy.action_dim``).  A GeMS latent
 action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
 on a batch) and the softmax head's draws live with their agent, in
 ``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
-them.  ``rank_topk`` and the short-term oracle rank every user of a batch
-at once through :func:`top_k`, which partitions to each row's k-th score
-and sorts only the k kept; ``rank_wknn`` ranks one user at a time, from a
-shortlist of each slot's neighbours cut with a rounding margin.  All
-rankers are deterministic given their inputs except the stochastic ones,
-which take an explicit numpy Generator.
+them.  Every ranker but the random one serves a whole batch of users at
+once.  ``rank_topk`` and the short-term oracle go through :func:`top_k`,
+which partitions to each row's k-th score and sorts only the k kept.
+``rank_wknn`` cuts every user's neighbour shortlists once, with a rounding
+margin, then fills the slates slot by slot, with one critic call per slot
+for all users' candidates.  All rankers are deterministic given their
+inputs except the stochastic ones, which take an explicit numpy Generator.
 """
 
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -68,66 +69,85 @@ def rank_topk(actions: np.ndarray, item_embeddings: np.ndarray,
     return top_k(scores, slate_size).reshape(*actions.shape[:-1], slate_size)
 
 
-def rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
-              critic: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              belief: np.ndarray, slate_size: int, p: int) -> np.ndarray:
-    """Fill the slate slot by slot from the p nearest neighbours of each
-    slot's target vector, picking the candidate the critic scores highest.
+def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
+              critic: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray],
+              beliefs: np.ndarray, slate_size: int, p: int) -> np.ndarray:
+    """Fill each user's slate slot by slot from the p nearest neighbours of
+    the slot's target vector, picking the candidate the critic scores
+    highest: slates [..., k] for actions [..., k*e] and beliefs [..., H].
 
-    The action is read as slate_size stacked embedding-sized vectors. For
-    each slot, the p unplaced items closest in Euclidean distance become
-    candidates, and the critic scores them together, as in Dulac-Arnold et
-    al. (2015): critic(belief, trials) gets one row per candidate [m, k*e],
-    the partial slate with that candidate placed (the chosen items'
-    embeddings in slot order, zero-padded for slots not yet filled), and
-    returns m scores.  The first highest score wins. The candidate set
-    shrinks to the remaining count in late slots when p exceeds it; with a
-    single candidate (p == 1 in particular) the critic is never called.
+    Each action is read as slate_size stacked embedding-sized vectors.  At
+    each slot, every user's p unplaced items closest in Euclidean distance
+    become candidates, and the critic scores them together, as in
+    Dulac-Arnold et al. (2015): ``critic(beliefs [n, H], base [n, k*e],
+    slot, candidates [n, m, e])`` returns scores [n, m], where a candidate's
+    row is its user's partial slate ``base`` (the chosen items' embeddings
+    in slot order, zero-padded for the slots not yet filled) with the
+    candidate's embedding placed in ``slot``.  The first highest score
+    wins.  The candidate count m shrinks to the remaining count in late
+    slots when p exceeds it; with a single candidate (p == 1 in particular)
+    the critic is never called.
 
-    Each slot ranks a shortlist, not every unplaced item: those whose
-    expanded squared distance |x|^2 - 2 x.t + |t|^2 (one product per call)
-    is within twice a float64 rounding margin of the m-th smallest.  The
-    direct ((x - t)**2).sum() orders it with a stable sort, so candidates,
-    their order (ties to the lower id) and critic rows equal a full sort's.
+    Each (user, slot) pair shortlists its c = min(p + k - 1, N) nearest
+    items once: those whose expanded squared distance |x|^2 - 2 x.t + |t|^2
+    (one product per call) is within twice a float64 rounding margin of the
+    c-th smallest, ordered by the direct ((x - t)**2).sum() with a stable
+    sort.  At most k - 1 items are placed before any slot, so a slot's
+    candidates, the first m unplaced items of its list, their order (ties
+    to the lower id) and critic rows equal a full sort's.
     """
     emb = np.asarray(item_embeddings, dtype=np.float64)
-    n, e = emb.shape
-    action = np.asarray(action, dtype=np.float64).ravel()
-    if action.size != slate_size * e:
-        raise ValueError(f"action must have {slate_size * e} dims, got {action.size}")
-    if slate_size > n:
-        raise ValueError(f"slate_size={slate_size} exceeds the {n} available items")
+    num, e = emb.shape
+    actions = np.asarray(actions, dtype=np.float64)
+    k = slate_size
+    if actions.ndim == 0 or actions.shape[-1] != k * e:
+        raise ValueError(f"action must have {k * e} dims, got shape {actions.shape}")
+    if k > num:
+        raise ValueError(f"slate_size={k} exceeds the {num} available items")
     if p <= 0:
         raise ValueError("p must be positive")
-    if p > n:
-        raise ValueError(f"p={p} exceeds the {n} available items")
-    if not np.isfinite(action).all():
+    if p > num:
+        raise ValueError(f"p={p} exceeds the {num} available items")
+    if not np.isfinite(actions).all():
         raise ValueError("action must be finite")
-    targets = action.reshape(slate_size, e)
+    lead = actions.shape[:-1]
+    targets = actions.reshape(-1, e)           # [n*k, e], user-major
+    n = len(targets) // k
+    beliefs = np.asarray(beliefs)
+    beliefs = beliefs.reshape(n, beliefs.shape[-1])
+
+    c = min(p + k - 1, num)
     x2 = np.einsum("ij,ij->i", emb, emb)
     t2 = np.einsum("ij,ij->i", targets, targets)
-    expanded = x2 - 2.0 * (targets @ emb.T) + t2[:, None]
+    expanded = targets @ emb.T
+    expanded *= -2.0
+    expanded += x2
+    expanded += t2[:, None]
     # |expanded - direct| <= (2e + 4) eps (|x|^2 + |t|^2) to first order; twice that.
     margin = 2.0 * (2 * e + 4) * np.finfo(np.float64).eps * (x2.max() + t2)
-    chosen: List[int] = []
-    partial = np.zeros(slate_size * e, dtype=np.float64)
-    for s in range(slate_size):
-        d = expanded[s]
-        d[chosen] = np.inf
-        m = min(p, n - s)
-        short = np.flatnonzero(d <= np.partition(d, m - 1)[m - 1] + 2.0 * margin[s])
-        d2 = ((emb[short] - targets[s]) ** 2).sum(axis=1)
-        # short is ascending, so a stable sort breaks ties by lower id.
-        near = short[np.argsort(d2, kind="stable")[:m]]
-        if near.size == 1:
-            pick = int(near[0])
+    cut = np.partition(expanded, c - 1, axis=1)[:, c - 1] + 2.0 * margin
+    rows, items = np.divmod(np.flatnonzero(expanded <= cut[:, None]), num)
+    d2 = ((emb[items] - targets[rows]) ** 2).sum(axis=1)
+    # items ascend within each row, so the stable sort breaks ties by lower id.
+    order = np.lexsort((d2, rows))
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows[order])
+    near = items[order][rank < c].reshape(n, k, c)
+
+    slates = np.empty((n, k), dtype=np.int64)
+    base = np.zeros((n, k * e), dtype=np.float64)
+    users = np.arange(n)
+    for s in range(k):
+        m = min(p, num - s)
+        ranked = near[:, s]
+        unplaced = (ranked[:, :, None] != slates[:, None, :s]).all(axis=2)
+        cands = ranked[unplaced & (unplaced.cumsum(axis=1) <= m)].reshape(n, m)
+        if m == 1:
+            pick = cands[:, 0]
         else:
-            trials = np.tile(partial, (near.size, 1))
-            trials[:, s * e:(s + 1) * e] = emb[near]
-            pick = int(near[np.argmax(critic(belief, trials))])
-        partial[s * e:(s + 1) * e] = emb[pick]
-        chosen.append(pick)
-    return np.asarray(chosen, dtype=np.int64)
+            pick = cands[users, critic(beliefs, base, s, emb[cands]).argmax(axis=1)]
+        slates[:, s] = pick
+        base[:, s * e:(s + 1) * e] = emb[pick]
+    return slates.reshape(*lead, k)
 
 
 def rank_random(num_items: int, slate_size: int,

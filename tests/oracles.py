@@ -17,7 +17,11 @@ freeze mask: a right-aligned history restarted at its first real row must
 reproduce its h_T bit for bit.  :func:`reference_rank_wknn` is the
 Wolpertinger ranker as it was before the shortlist: every slot sorts all
 unplaced items by their direct distance, and the shortlisted ranker must
-pick the same items from the same critic rows, bit for bit.  :func:`step`
+pick the same items from the same critic rows, bit for bit;
+:func:`one_user_critic` turns its one-user critic of trial rows into the
+batched critic the ranker calls, and :func:`reference_wknn_critic` is the
+acting critic as it was before its first layer was split, min(Q1, Q2) of
+each concatenated belief and trial row.  :func:`step`
 and the :class:`UserState` helpers are the one-user simulator as it was
 before users were held as arrays; the lockstep ``Environment`` must
 reproduce its clicks, embeddings and boredom counters bit for bit, so it
@@ -332,6 +336,30 @@ def reference_rank_wknn(action: np.ndarray, item_embeddings: np.ndarray,
         chosen.append(pick)
         mask[pick] = False
     return np.asarray(chosen, dtype=np.int64)
+
+
+def one_user_critic(critic: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """The batched wknn critic ``(beliefs [n, H], base [n, k*e], slot,
+    candidates [n, m, e]) -> [n, m]`` that scores each user's trial rows
+    [m, k*e] (its base with a candidate placed in slot) by one call of
+    ``critic(belief, trials) -> [m]``, user by user."""
+    def batched(beliefs, base, slot, candidates):
+        n, m, e = candidates.shape
+        scores = np.empty((n, m))
+        for i in range(n):
+            trials = np.tile(base[i], (m, 1))
+            trials[:, slot * e:(slot + 1) * e] = candidates[i]
+            scores[i] = critic(beliefs[i], trials)
+        return scores
+    return batched
+
+
+def reference_wknn_critic(model, belief: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """min(Q1, Q2) [m] of a SAC model's critics on each row belief ‖ trials[j],
+    in the model's dtype."""
+    x = np.empty((len(trials), belief.size + trials.shape[1]), model.dtype)
+    x[:, :belief.size], x[:, belief.size:] = belief, trials
+    return np.minimum(model.q1.forward_array(x)[:, 0], model.q2.forward_array(x)[:, 0])
 
 
 def epsilon_greedy_slate(scores: np.ndarray, epsilon: float, k: int,

@@ -49,7 +49,8 @@ from slatelab.simulator import (
 )
 from slatelab.stats import confidence_interval, welch_t_test
 
-from oracles import finite_difference_grads, max_relative_error, mc_gaussian_kl, sample_user
+from oracles import (finite_difference_grads, max_relative_error, mc_gaussian_kl,
+                     one_user_critic, sample_user)
 from test_agents import window_inputs
 from test_gems import batch as gems_batch
 
@@ -347,7 +348,7 @@ def test_criterion_06_wknn_greedy_vs_exhaustive():
         return trials @ _WKNN_W
 
     ranking = _enumerate_pairs(modular)
-    greedy = tuple(rank_wknn(action, _WKNN_EMB, modular, np.zeros(1),
+    greedy = tuple(rank_wknn(action, _WKNN_EMB, one_user_critic(modular), np.zeros(1),
                              slate_size=2, p=5))
     assert greedy == ranking[0][0]
 
@@ -357,7 +358,7 @@ def test_criterion_06_wknn_greedy_vs_exhaustive():
         return trials @ _WKNN_W + 0.5 * trials[:, 1] * trials[:, 2]
 
     ranking = _enumerate_pairs(coupled)
-    greedy = tuple(rank_wknn(action, _WKNN_EMB, coupled, np.zeros(1),
+    greedy = tuple(rank_wknn(action, _WKNN_EMB, one_user_critic(coupled), np.zeros(1),
                              slate_size=2, p=5))
     greedy_value = dict((pair, v) for pair, v in ranking)[greedy]
     assert greedy != ranking[0][0]  # the coupling really displaces greedy

@@ -1138,6 +1138,37 @@ def test_float32_checkpoint_roundtrip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(loaded.belief.table_value(), model.belief.table_value())
 
 
+@pytest.mark.parametrize("kind", ["sac", "reinforce"])
+def test_loaded_agent_stores_equal_the_checkpoint_stores(tmp_path, kind):
+    # load_agent builds its model without drawing initial weights, so every
+    # value, Adam moment and step count it holds must come from the file.
+    if kind == "sac":
+        (_, model), cls = tiny_sac(hidden=(6,), action_dim=2, belief_dim=3, seed=29), SacModel
+    else:
+        (_, model), cls = small_reinforce(seed=29), ReinforcePolicy
+    rng = substream(29, "moments")
+    for attr in cls.stores.values():
+        store = getattr(model, attr)
+        store.step_count = 7
+        for _, p in store.items():
+            p.m[...] = rng.normal(size=p.m.shape)
+            p.v[...] = rng.uniform(size=p.v.shape)
+    path = tmp_path / "agent.slk"
+    save_agent(path, model)
+    stores, _ = load_checkpoint(path)
+    loaded, _ = load_agent(path, cls)
+    for name, attr in cls.stores.items():
+        got = getattr(loaded, attr)
+        assert got.step_count == stores[name].step_count == 7
+        assert [n for n, _ in got.items()] == [n for n, _ in stores[name].items()]
+        for pname, want in stores[name].items():
+            for field in ("value", "m", "v"):
+                a, b = getattr(got[pname], field), getattr(want, field)
+                assert a.tobytes() == b.astype(got.dtype).tobytes(), (name, pname, field)
+    save_agent(tmp_path / "again.slk", loaded)
+    assert (tmp_path / "again.slk").read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_without_a_dtype_loads_as_float32(tmp_path):
     # checkpoints written before SacConfig had a dtype hold a float64 agent
     # and no "dtype" key; a float64 model computes as that code did

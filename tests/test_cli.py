@@ -156,3 +156,18 @@ def test_unknown_config_key_fails_loudly(tmp_path):
     bad.write_text("sim.num_item = 5\n")
     with pytest.raises(ValueError, match="unknown config key"):
         main(["generate-data", "--config", str(bad), "--out", str(tmp_path / "d")])
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--n"),
+                                           ("generate-data", "--trajectories")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_count_below_one_is_a_usage_error_before_any_file_is_read(
+        tmp_path, capsys, command, flag, value):
+    # None of these paths exist: the count is rejected while parsing.
+    missing = str(tmp_path / "missing")
+    args = {"evaluate": ["--ckpt", missing], "generate-data": ["--out", missing]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", missing, *args, flag, value])
+    assert exit_info.value.code == 2
+    assert f"{flag}: must be at least 1, got {int(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oracles import reference_rank_wknn
+from oracles import one_user_critic, reference_rank_wknn
 from slatelab.belief import BeliefConfig
 from slatelab.rankers import (
     rank_random,
@@ -165,7 +165,8 @@ def test_wknn_p1_is_nearest_neighbor_without_critic():
 
     for _ in range(10):
         action = rng.normal(size=4 * 3)
-        got = rank_wknn(action, emb, critic, belief=np.zeros(2), slate_size=4, p=1)
+        got = rank_wknn(action, emb, one_user_critic(critic), beliefs=np.zeros(2),
+                        slate_size=4, p=1)
         targets = action.reshape(4, 3)
         chosen = []
         for s in range(4):
@@ -193,7 +194,8 @@ def test_wknn_linear_critic_matches_exhaustive_pairs():
         return trials @ w
 
     action = np.zeros(4)                    # equidistant targets: all 5 candidates
-    got = rank_wknn(action, emb, critic, belief=np.zeros(1), slate_size=2, p=5)
+    got = rank_wknn(action, emb, one_user_critic(critic), beliefs=np.zeros(1),
+                    slate_size=2, p=5)
 
     best, best_v = None, -np.inf
     for i, j in itertools.permutations(range(5), 2):
@@ -213,7 +215,7 @@ def test_wknn_never_repeats_items():
             return trials @ wq
 
         action = rng.normal(size=4 * 4)
-        slate = rank_wknn(action, emb, critic, np.zeros(3), slate_size=4, p=3)
+        slate = rank_wknn(action, emb, one_user_critic(critic), np.zeros(3), slate_size=4, p=3)
         assert len(set(slate.tolist())) == 4
         assert slate.min() >= 0 and slate.max() < 12
 
@@ -228,7 +230,7 @@ def test_wknn_candidates_clip_in_late_slots():
         calls.append(trials.copy())
         return trials.sum(axis=1)
 
-    slate = rank_wknn(np.zeros(10), emb, critic, np.zeros(1), slate_size=5, p=5)
+    slate = rank_wknn(np.zeros(10), emb, one_user_critic(critic), np.zeros(1), slate_size=5, p=5)
     assert sorted(slate.tolist()) == [0, 1, 2, 3, 4]
     # One call per slot scores all its candidates; the final slot has a
     # single remaining candidate, so no critic call there.
@@ -237,7 +239,7 @@ def test_wknn_candidates_clip_in_late_slots():
 
 def test_wknn_errors():
     emb = unit_table(5, 2)
-    critic = lambda b, trials: np.zeros(len(trials))
+    critic = one_user_critic(lambda b, trials: np.zeros(len(trials)))
     with pytest.raises(ValueError):
         rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=6)
     with pytest.raises(ValueError):
@@ -248,7 +250,7 @@ def test_wknn_errors():
 
 def test_rankers_reject_non_finite_actions_and_oversized_slates():
     emb = unit_table(5, 2)
-    critic = lambda b, trials: np.zeros(len(trials))
+    critic = one_user_critic(lambda b, trials: np.zeros(len(trials)))
     with pytest.raises(ValueError, match="slate_size=6 exceeds the 5 available items"):
         rank_wknn(np.zeros(12), emb, critic, np.zeros(1), slate_size=6, p=1)
     for bad in (np.nan, np.inf, -np.inf):
@@ -260,53 +262,68 @@ def test_rankers_reject_non_finite_actions_and_oversized_slates():
             rank_topk(action[:2], emb, slate_size=2)
 
 
-def wknn_reference_cases():
-    """(table, action, slate_size): random tables, duplicated rows, rounded
-    rows with many exact distance ties, targets on item rows, tables offset
-    by 1e4 whose neighbours lie closer than the expanded distance's rounding,
-    and paper-sized tables."""
+def wknn_reference_cases(users):
+    """(table, actions [users, k*e], slate_size): random tables, duplicated
+    rows, rounded rows with many exact distance ties, targets on item rows,
+    tables offset by 1e4 whose neighbours lie closer than the expanded
+    distance's rounding, and paper-sized tables."""
     rng = np.random.default_rng(31)
     for trial in range(60):
         n, e, k = int(rng.integers(4, 40)), int(rng.integers(1, 9)), int(rng.integers(1, 5))
-        emb, action = rng.normal(size=(n, e)), rng.normal(size=k * e)
+        emb, actions = rng.normal(size=(n, e)), rng.normal(size=(users, k * e))
         kind = trial % 5
         if kind == 1:
             emb = emb[rng.integers(0, n // 2, size=n)]
         elif kind == 2:
-            emb, action = np.round(emb), np.round(action)
+            emb, actions = np.round(emb), np.round(actions)
         elif kind == 3:
             scale = 10.0 ** rng.uniform(-6, -1)
-            emb, action = 1e4 + scale * emb, 1e4 + scale * action
+            emb, actions = 1e4 + scale * emb, 1e4 + scale * actions
         elif kind == 4:
             emb = np.round(emb[rng.integers(0, n // 2, size=n)], 1)
-            action = emb[rng.integers(0, n, size=k)].ravel()
-        yield emb, action, k
+            actions = emb[rng.integers(0, n, size=(users, k))].reshape(users, k * e)
+        yield emb, actions, k
     for _ in range(3):
-        yield 0.3 * rng.normal(size=(1000, 20)), np.tanh(rng.normal(size=200)), 10
+        yield 0.3 * rng.normal(size=(1000, 20)), np.tanh(rng.normal(size=(users, 200))), 10
 
 
 def test_wknn_matches_the_full_sort_reference_bit_for_bit():
+    """Each user of a batch gets the slate, and its candidates the critic
+    rows, of the full-sort reference ranking that user alone."""
     rng = np.random.default_rng(32)
-    for emb, action, k in wknn_reference_cases():
+    for users, (emb, actions, k) in ((users, case) for users in (1, 3, 8)
+                                     for case in wknn_reference_cases(users)):
         n = len(emb)
-        w = rng.normal(size=action.size)
+        w = rng.normal(size=actions.shape[1])
         critics = (lambda t: t @ w, lambda t: np.round(t @ w), lambda t: np.zeros(len(t)))
         for p in sorted({1, 2, 3, n - k + 1, n}):
             for q in critics:
-                got_rows, want_rows = [], []
+                got_rows = [[] for _ in range(users)]
 
                 def recording(rows, q=q):
                     def critic(belief, trials):
-                        rows.append(trials.copy())
+                        rows[int(belief[0])].append(trials.copy())
                         return q(trials)
                     return critic
 
-                got = rank_wknn(action, emb, recording(got_rows), np.zeros(1), k, p)
-                want = reference_rank_wknn(action, emb, recording(want_rows), np.zeros(1), k, p)
-                assert got.tolist() == want.tolist(), (n, k, p)
-                assert len(got_rows) == len(want_rows)
-                for a, b in zip(got_rows, want_rows):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                calls = []
+
+                def batched(*args, score=one_user_critic(recording(got_rows))):
+                    calls.append(args[2])
+                    return score(*args)
+
+                got = rank_wknn(actions, emb, batched, np.arange(users)[:, None], k, p)
+                assert got.shape == (users, k)
+                # one call per slot scores every user's candidates
+                assert calls == [s for s in range(k) if min(p, n - s) > 1]
+                for i in range(users):
+                    want_rows = [[]]
+                    want = reference_rank_wknn(actions[i], emb, recording(want_rows),
+                                               np.zeros(1), k, p)
+                    assert got[i].tolist() == want.tolist(), (n, k, p, i)
+                    assert len(got_rows[i]) == len(want_rows[0])
+                    for a, b in zip(got_rows[i], want_rows[0]):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --- softmax head (the REINFORCE policy's draws) -----------------------------
@@ -456,7 +473,7 @@ def test_structural_validity_across_rankers():
         rng = np.random.default_rng(200 + seed)
         slates = [
             rank_topk(rng.normal(size=6), emb, slate_size=4),
-            rank_wknn(rng.normal(size=24), emb, critic, np.zeros(1), 4, p=3),
+            rank_wknn(rng.normal(size=24), emb, one_user_critic(critic), np.zeros(1), 4, p=3),
             sample_slate(softmax_policy(rng.normal(size=25)), np.zeros(3), 4, rng),
             rank_random(25, 4, rng),
         ]
