@@ -244,6 +244,14 @@ def log_softmax(a: Tensor) -> Tensor:
 _SOFTMAX_PICK_BLOCK = 256
 
 
+def _row_blocks(n: int, block: int) -> list:
+    """(lo, hi) ranges over n rows in fixed blocks of ``block`` rows.  The last
+    block takes the remainder rows: a short trailing product can run a
+    different BLAS kernel than the whole-batch one and round apart."""
+    starts = list(range(0, max(n - block, 0) + 1, block))
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def softmax_pick(x: Tensor, table: np.ndarray, idx: np.ndarray) -> Tensor:
     """``log_softmax(x @ table.T)[i, idx[i]]`` as one node of shape [N].
 
@@ -263,11 +271,8 @@ def softmax_pick(x: Tensor, table: np.ndarray, idx: np.ndarray) -> Tensor:
             or idx.shape != xv.shape[:1]):
         raise ValueError("softmax_pick shape mismatch")
     table_t = np.ascontiguousarray(table.T)   # the operand layout matmul sees unfused
-    # The last block takes the remainder rows: a short trailing product can
-    # run a different BLAS kernel than the whole-batch one and round apart.
     n = xv.shape[0]
-    starts = list(range(0, max(n - _SOFTMAX_PICK_BLOCK, 0) + 1, _SOFTMAX_PICK_BLOCK))
-    blocks = list(zip(starts, starts[1:] + [n]))
+    blocks = _row_blocks(n, _SOFTMAX_PICK_BLOCK)
     lse = np.empty((n, 1), xv.dtype)
     v = np.empty(n, xv.dtype)
     for lo, hi in blocks:

@@ -83,12 +83,15 @@ class _Reader:
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Offset of the next n bytes, which the reader then moves past."""
         if self.pos + n > len(self.buf):
             raise ValueError("truncated checkpoint")
-        chunk = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return chunk
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.buf[self.skip(n):self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -100,9 +103,9 @@ class _Reader:
         return self.take(self.u32()).decode("utf-8")
 
     def array(self, shape) -> np.ndarray:
+        """A read-only view of the next float64 array: copying it is the only copy."""
         n = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * n)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        return np.frombuffer(self.buf, "<f8", n, self.skip(8 * n)).reshape(shape)
 
 
 def load_checkpoint(path) -> Tuple[Dict[str, ParameterStore], dict]:
@@ -121,7 +124,7 @@ def load_checkpoint(path) -> Tuple[Dict[str, ParameterStore], dict]:
             pname = r.string()
             ndim = r.u32()
             shape = tuple(r.u64() for _ in range(ndim))
-            p = store.add(pname, r.array(shape))
+            p = store.add(pname, np.array(r.array(shape), np.float64))
             p.m[...] = r.array(shape)
             p.v[...] = r.array(shape)
         stores[store_name] = store

@@ -5,6 +5,8 @@ Syntax: one `key = value` per line, `#` comments, blank lines ignored, and
 with later keys overriding earlier ones. Keys prefixed `sim.`, `gems.` or
 `mf.` address the corresponding sub-config; everything else is a field of
 ExperimentConfig. Unknown keys are errors so typos surface immediately.
+Agent/ranker pairing is checked at build: each ranker has exactly one
+agent (:data:`RANKER_AGENTS`), so a mismatch fails before any artifact is read.
 """
 
 import dataclasses
@@ -19,6 +21,11 @@ from .mf import MfConfig
 from .simulator import SimConfig
 
 MAX_INCLUDE_DEPTH = 16
+
+# The one agent that drives each ranker: SAC's proto-actions feed GeMS, TopK
+# and wknn, REINFORCE samples softmax slates, random and the oracle need none.
+RANKER_AGENTS = {"gems": "sac", "topk-mf": "sac", "topk-ideal": "sac", "wknn": "sac",
+                 "softmax": "reinforce", "random": "none", "oracle": "none"}
 
 
 @dataclass
@@ -68,11 +75,13 @@ class ExperimentConfig:
     logged_epsilon: float = 0.5
 
     def __post_init__(self):
-        known = {"gems", "topk-mf", "topk-ideal", "wknn", "softmax", "random", "oracle"}
-        if self.ranker not in known:
+        if self.ranker not in RANKER_AGENTS:
             raise ValueError(f"unknown ranker {self.ranker!r}")
-        if self.agent not in ("sac", "reinforce", "none"):
+        if self.agent not in RANKER_AGENTS.values():
             raise ValueError(f"unknown agent {self.agent!r}")
+        if RANKER_AGENTS[self.ranker] != self.agent:
+            raise ValueError(f"agent {self.agent!r} cannot drive ranker {self.ranker!r} "
+                             f"(its agent is {RANKER_AGENTS[self.ranker]!r})")
         if self.wknn_source not in ("mf", "ideal"):
             raise ValueError(f"unknown wknn_source {self.wknn_source!r}")
         for name in ("update_every", "validation_every", "wknn_p", "validation_trajectories",

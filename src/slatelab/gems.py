@@ -45,7 +45,6 @@ class GemsConfig:
     epochs: int = 10
     batch_size: int = 256
     learning_rate: float = 0.001
-    kl_form: str = "standard"      # standard | literal
 
     def __post_init__(self):
         for name in ("latent_dim", "item_embed_dim", "epochs", "batch_size"):
@@ -55,8 +54,6 @@ class GemsConfig:
             raise ValueError("learning_rate must be positive")
         if self.beta < 0 or self.lam < 0:
             raise ValueError("beta and lambda must be non-negative")
-        if self.kl_form not in ("standard", "literal"):
-            raise ValueError(f"unknown kl_form {self.kl_form!r}")
         self.hidden = tuple(self.hidden)
 
 
@@ -167,8 +164,7 @@ def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
     rows = z.shape[0] * k
     recon = model.decoder.forward_array(z).reshape(rows, e + 1)[:, :e]
     table_t = np.ascontiguousarray(model.item_table().T)
-    starts = list(range(0, max(rows - _DECODE_BLOCK, 0) + 1, _DECODE_BLOCK))
-    blocks = list(zip(starts, starts[1:] + [rows]))
+    blocks = ad._row_blocks(rows, _DECODE_BLOCK)
     buf = np.empty((blocks[-1][1] - blocks[-1][0], table_t.shape[1]), model.dtype)
     slate = np.empty(rows, np.intp)
     for lo, hi in blocks:
@@ -177,17 +173,11 @@ def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
     return slate.reshape(-1, k).astype(np.int64, copy=False)
 
 
-def kl_closed_form(mu: np.ndarray, log_sigma: np.ndarray, form: str = "standard") -> float:
+def kl_closed_form(mu: np.ndarray, log_sigma: np.ndarray) -> float:
     """KL(q || N(0, I)) summed over dimensions, averaged over the batch."""
     mu = np.atleast_2d(mu)
     log_sigma = np.atleast_2d(log_sigma)
-    s2 = np.exp(2.0 * log_sigma)
-    if form == "standard":
-        per = 0.5 * (s2 + mu**2 - 2.0 * log_sigma - 1.0)
-    elif form == "literal":
-        per = s2 + mu**2 - log_sigma - 1.0
-    else:
-        raise ValueError(f"unknown kl_form {form!r}")
+    per = 0.5 * (np.exp(2.0 * log_sigma) + mu**2 - 2.0 * log_sigma - 1.0)
     return float(np.mean(per.sum(axis=-1)))
 
 
@@ -211,14 +201,9 @@ def gems_loss(model: GemsModel, slates: np.ndarray, clicks: np.ndarray,
     bce = ad.add(ad.softplus(click_logits), ad.scale(ad.mul(c, click_logits), -1.0))
     click_nll = ad.scale(ad.sum_(bce), 1.0 / b)
 
-    if cfg.kl_form == "standard":
-        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
-        kl = ad.scale(ad.sum_(per), 0.5 / b)
-    else:
-        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(dt.type(-1.0))))
-        kl = ad.scale(ad.sum_(per), 1.0 / b)
+    per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
+                 ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
+    kl = ad.scale(ad.sum_(per), 0.5 / b)
 
     total = ad.add(ad.add(slate_nll, ad.scale(click_nll, cfg.lam)),
                    ad.scale(kl, cfg.beta))
@@ -269,6 +254,7 @@ def load_gems(path) -> GemsModel:
     stores, meta = load_checkpoint(path)
     if meta.get("kind") != "gems":
         raise ValueError("checkpoint does not hold a slate VAE")
+    meta["config"].pop("kl_form", None)   # older checkpoints; always the standard KL
     cfg = GemsConfig(**{**meta["config"], "hidden": tuple(meta["config"]["hidden"])})
     model = GemsModel(cfg, meta["num_items"], meta["slate_size"], seed=0)
     model.store.load_state_from(stores["gems"])

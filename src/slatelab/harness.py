@@ -11,6 +11,14 @@ A learning agent trains through the learner :meth:`Policy.learner` builds.
 Training hands it each turn, with the belief the turn was acted from, as
 ``observe(hidden, slate, clicks, action, reward, done) -> bool`` (is an
 update due?), and runs a due update with ``update() -> dict`` (diagnostics).
+
+A :class:`Policy` names the source of each item table once, when it is
+built: the ranker's (``topk-mf`` reads MF, ``topk-ideal`` the catalog's
+disclosed embeddings, ``wknn`` its ``wknn_source``) and a fresh agent's
+belief's (``belief_item_source``, else GeMS's table for SAC and a learned
+one for REINFORCE).  It reads and size-checks each artifact at most once,
+and derives from those sources the agent's action size and whether rollouts
+need a disclosed environment.
 """
 
 import csv
@@ -40,10 +48,6 @@ from .sac import SacConfig, SacModel, sac_update, select_action
 from .simulator import Environment, ItemCatalog, generate_item_catalog
 
 log = logging.getLogger(__name__)
-
-SAC_RANKERS = ("gems", "topk-mf", "topk-ideal", "wknn")
-REINFORCE_RANKERS = ("softmax",)
-STATIC_RANKERS = ("random", "oracle")
 
 
 @dataclass
@@ -160,88 +164,57 @@ class Policy:
 
     def __init__(self, cfg: ExperimentConfig, catalog: ItemCatalog, seed: int,
                  model=None):
-        agent, ranker = cfg.agent, cfg.ranker
-        allowed = {"sac": SAC_RANKERS, "reinforce": REINFORCE_RANKERS,
-                   "none": STATIC_RANKERS}[agent]
-        if ranker not in allowed:
-            raise ValueError(f"agent {agent!r} cannot drive ranker {ranker!r}; "
-                             f"choose one of {allowed}")
         self.cfg = cfg
         self.catalog = catalog
         self.slate_size = cfg.sim.slate_size
-        self.agent = agent
-        self.ranker = ranker
+        self.agent = agent = cfg.agent
+        self.ranker = ranker = cfg.ranker
 
-        # A restored agent's belief table lives in its own checkpoint, so
-        # only GeMS decoding and fresh gems-table beliefs read the VAE.
+        # A restored agent's belief table lives in its own checkpoint, so only
+        # GeMS decoding, the ranker and a fresh agent's belief read artifacts.
+        ranker_source = {"topk-mf": "mf", "topk-ideal": "ideal",
+                         "wknn": cfg.wknn_source}.get(ranker)
+        belief_source = {"sac": cfg.belief_item_source or "gems-table",
+                         "reinforce": cfg.belief_item_source or "learned"}.get(agent)
+        self.needs_disclosed = ranker == "oracle" or "ideal" in (ranker_source, belief_source)
+        sources = {ranker_source, belief_source if model is None else None,
+                   "gems-table" if ranker == "gems" else None}
+        tables = {"ideal": catalog.embeddings}
         self.gems_model = None
-        if ranker == "gems" or (agent != "none" and model is None
-                                and self._belief_source() == "gems-table"):
+        if "gems-table" in sources:
             path = _require_file(cfg.gems_ckpt, "gems checkpoint")
             self.gems_model = load_gems(path)
             _check_artifact(path, "gems checkpoint", cfg.sim, num_items=self.gems_model.num_items,
                             slate_size=self.gems_model.slate_size)
-
-        self.table = None            # ranker embedding table (topk / wknn)
-        if ranker in ("topk-mf", "topk-ideal", "wknn"):
-            source = cfg.wknn_source if ranker == "wknn" else ranker.split("-")[1]
-            if source == "mf":
-                self.table = self._mf_table()
-            else:
-                self.table = catalog.embeddings
-        self.needs_disclosed = (
-            ranker in ("topk-ideal", "oracle")
-            or (ranker == "wknn" and cfg.wknn_source == "ideal")
-            or (agent != "none" and self._belief_source() == "ideal"))
+            tables["gems-table"] = self.gems_model.item_table()
+        if "mf" in sources:
+            path = _require_file(cfg.mf_embeddings, "mf embeddings")
+            tables["mf"] = load_mf_embeddings(path)
+            _check_artifact(path, "mf embeddings", cfg.sim, num_items=tables["mf"].shape[0])
+        self.table = tables.get(ranker_source)   # ranker embedding table (topk / wknn)
+        if ranker == "gems":
+            self.action_dim = self.gems_model.cfg.latent_dim
+        elif self.table is not None:
+            self.action_dim = self.table.shape[1] * (self.slate_size if ranker == "wknn" else 1)
+        else:
+            self.action_dim = cfg.sim.num_items   # softmax head
 
         self.model = model
         if agent != "none" and model is None:
-            self.model = self._fresh_model(seed)
+            self.model = self._fresh_model(seed, belief_source, tables)
         self.encoder = self.model.belief if agent != "none" else None
         self.eval_mode = "mean" if agent == "sac" else "sample"
 
-    # -- construction --------------------------------------------------------
-
-    def _belief_source(self) -> str:
-        if self.cfg.belief_item_source:
-            return self.cfg.belief_item_source
-        return "learned" if self.cfg.agent == "reinforce" else "gems-table"
-
-    def _mf_table(self) -> np.ndarray:
-        path = _require_file(self.cfg.mf_embeddings, "mf embeddings")
-        table = load_mf_embeddings(path)
-        _check_artifact(path, "mf embeddings", self.cfg.sim, num_items=table.shape[0])
-        return table
-
-    def _belief_table(self, rng: np.random.Generator) -> np.ndarray:
-        source = self._belief_source()
-        if source == "gems-table":
-            return self.gems_model.item_table()
-        if source == "mf":
-            return self._mf_table()
-        if source == "ideal":
-            return self.catalog.embeddings
-        # learned: trainable table, initialized small
-        return 0.1 * rng.standard_normal(
-            (self.cfg.sim.num_items, self.cfg.gems.item_embed_dim))
-
-    def action_dim(self) -> int:
-        if self.ranker == "gems":
-            return self.gems_model.cfg.latent_dim
-        if self.ranker in ("topk-mf", "topk-ideal"):
-            return self.table.shape[1]
-        if self.ranker == "wknn":
-            return self.slate_size * self.table.shape[1]
-        return self.cfg.sim.num_items     # softmax head
-
-    def _fresh_model(self, seed: int):
+    def _fresh_model(self, seed: int, belief_source: str, tables: dict):
         cfg = self.cfg
         init_rng = substream(seed, STREAM_INIT)
-        belief_cfg = BeliefConfig(belief_dim=cfg.belief_dim,
-                                  item_source=self._belief_source())
-        table = self._belief_table(init_rng)
+        belief_cfg = BeliefConfig(belief_dim=cfg.belief_dim, item_source=belief_source)
+        if belief_source == "learned":   # trainable table, initialized small
+            table = 0.1 * init_rng.standard_normal((cfg.sim.num_items, cfg.gems.item_embed_dim))
+        else:
+            table = tables[belief_source]
         if cfg.agent == "sac":
-            sac_cfg = SacConfig(action_dim=self.action_dim(), gamma=cfg.gamma,
+            sac_cfg = SacConfig(action_dim=self.action_dim, gamma=cfg.gamma,
                                 tau=cfg.tau, alpha=cfg.alpha,
                                 critic_lr=cfg.critic_lr, actor_lr=cfg.actor_lr,
                                 batch_size=cfg.batch_size, hidden=cfg.hidden)
@@ -341,8 +314,7 @@ def load_policy(cfg: ExperimentConfig, catalog: ItemCatalog, ckpt_path) -> Polic
 
 def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
                     env_seed: Callable[[int], int], rng: np.random.Generator,
-                    diagnostics: Optional[list] = None,
-                    traj_offset: int = 0) -> np.ndarray:
+                    diagnostics: Optional[list] = None) -> np.ndarray:
     """Episode returns for n lockstep users under the evaluation protocol.
 
     With diagnostics, appends per-recommended-item rows
@@ -362,13 +334,21 @@ def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
             bored = (env.disclosed_bored_topics() > 0).sum(axis=1)
             for i in range(n):
                 for slot, item in enumerate(slates[i]):
-                    diagnostics.append((traj_offset + i, t, slot, int(item),
-                                        float(rel[i, item]), int(bored[i])))
+                    diagnostics.append((i, t, slot, int(item), float(rel[i, item]), int(bored[i])))
         res = env.step(slates)
         returns += res.rewards
         if hidden is not None:
             hidden = policy.encoder.step_hidden(hidden, slates, res.clicks)
     return returns
+
+
+def _test_returns(policy: Policy, catalog: ItemCatalog, n: int, seed: int,
+                  diagnostics: Optional[list] = None) -> np.ndarray:
+    """:func:`rollout_returns` of n users on the test protocol's action and
+    user streams of ``seed``, disjoint from training's and validation's."""
+    return rollout_returns(policy, catalog, n,
+                           lambda i: substream_seed(seed, STREAM_ENV_TEST, i),
+                           substream(seed, STREAM_ACTION, 2), diagnostics=diagnostics)
 
 
 def write_diagnostics_csv(path, rows) -> None:
@@ -455,10 +435,7 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
     best = int(np.argmax(validation_means))
     if learner is not None:
         policy = load_policy(cfg, catalog, workdir / f"ckpt-{best:04d}.slk")
-    test_rng = substream(seed, STREAM_ACTION, 2)
-    test_returns = rollout_returns(
-        policy, catalog, cfg.test_trajectories,
-        lambda i: substream_seed(seed, STREAM_ENV_TEST, i), test_rng)
+    test_returns = _test_returns(policy, catalog, cfg.test_trajectories, seed)
 
     record = RunRecord(method=cfg.method_label, env=cfg.env_label, seed=seed,
                        config_hash=chash, validation_means=validation_means,
@@ -473,12 +450,8 @@ def evaluate(ckpt_path, cfg: ExperimentConfig, n: int, seed: int,
              diagnostics_path=None) -> List[float]:
     """Score a checkpoint on n fresh test users; never mutates the checkpoint."""
     catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
-    policy = load_policy(cfg, catalog, ckpt_path)
-    rng = substream(seed, STREAM_ACTION, 2)
     diagnostics = [] if diagnostics_path else None
-    returns = rollout_returns(policy, catalog, n,
-                              lambda i: substream_seed(seed, STREAM_ENV_TEST, i),
-                              rng, diagnostics=diagnostics)
+    returns = _test_returns(load_policy(cfg, catalog, ckpt_path), catalog, n, seed, diagnostics)
     if diagnostics_path:
         write_diagnostics_csv(diagnostics_path, diagnostics)
     return [float(r) for r in returns]

@@ -133,14 +133,9 @@ def reference_gems_loss(model, slates, clicks, noise, frozen_table=None):
     bce = ad.add(ad.softplus(click_logits), ad.scale(ad.mul(c, click_logits), -1.0))
     click_nll = ad.scale(ad.sum_(bce), 1.0 / b)
 
-    if cfg.kl_form == "standard":
-        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
-        kl = ad.scale(ad.sum_(per), 0.5 / b)
-    else:
-        per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
-                     ad.add(ad.scale(log_sigma, -1.0), ad.constant(dt.type(-1.0))))
-        kl = ad.scale(ad.sum_(per), 1.0 / b)
+    per = ad.add(ad.add(ad.square(sigma), ad.square(mu)),
+                 ad.add(ad.scale(log_sigma, -2.0), ad.constant(dt.type(-1.0))))
+    kl = ad.scale(ad.sum_(per), 0.5 / b)
 
     total = ad.add(ad.add(slate_nll, ad.scale(click_nll, cfg.lam)),
                    ad.scale(kl, cfg.beta))

@@ -823,6 +823,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(critic["q"].value, stores["critic"]["q"].value)
 
 
+def test_checkpoint_loads_writable_arrays_and_rejects_truncation(tmp_path):
+    store = ParameterStore()
+    store.add("W", np.arange(12.0).reshape(4, 3))
+    store.add("s", np.array(2.5))
+    store.add("e", np.zeros((0, 3)))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"odd-length-name": store})
+    loaded = load_checkpoint(path)[0]["odd-length-name"]
+    for name, p in store.items():
+        q = loaded[name]
+        assert q.value.shape == p.value.shape and q.value.flags.writeable
+        q.value[...] += 1.0               # a copy, not a view of the file's bytes
+        np.testing.assert_array_equal(q.value, p.value + 1.0)
+    raw = path.read_bytes()
+    for cut in (10, 20, len(raw) // 2, len(raw) - 8, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

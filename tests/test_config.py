@@ -59,6 +59,11 @@ def test_invalid_choices_raise():
             build_config({"ranker": ranker})
     with pytest.raises(ValueError, match="unknown agent"):
         build_config({"agent": "dqn"})
+    for values in ({"agent": "reinforce"}, {"agent": "none", "ranker": "gems"},
+                   {"agent": "sac", "ranker": "softmax"}, {"agent": "sac", "ranker": "oracle"},
+                   {"agent": "reinforce", "ranker": "random"}):
+        with pytest.raises(ValueError, match=f"agent '{values['agent']}' cannot drive ranker"):
+            build_config(values)
     with pytest.raises(ValueError, match="wknn_source"):
         build_config({"wknn_source": "catalog"})
     for key in ("update_every", "validation_every", "wknn_p", "validation_trajectories",
@@ -72,7 +77,8 @@ def test_invalid_choices_raise():
     build_config({"ranker": "topk-mf", "wknn_p": "26", "sim.num_items": "25"})
     with pytest.raises(ValueError, match="never update"):
         build_config({"buffer_capacity": "10", "batch_size": "16"})
-    build_config({"agent": "reinforce", "buffer_capacity": "10", "batch_size": "16"})
+    build_config({"agent": "reinforce", "ranker": "softmax", "buffer_capacity": "10",
+                  "batch_size": "16"})
     with pytest.raises(ValueError, match="seeds must name at least one seed"):
         build_config({"seeds": ""})
     for value in ("nan", "-0.5", "1.7"):

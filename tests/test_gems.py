@@ -1,4 +1,5 @@
 import functools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import log_softmax
 import slatelab.gems
 from slatelab import autodiff as ad
 from slatelab.autodiff import backward
+from slatelab.checkpoint import load_checkpoint, save_checkpoint
 from slatelab.gems import (
     GemsConfig,
     GemsModel,
@@ -157,12 +159,6 @@ def test_kl_reference_points():
     mu = np.zeros((1, 4))
     mu[0, 0] = 1.0
     assert kl_closed_form(mu, np.zeros((1, 4))) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_literal_kl_form_can_go_negative():
-    log_sigma = np.full((1, 1), np.log(1.0 / np.sqrt(2.0)))
-    assert kl_closed_form(np.zeros((1, 1)), log_sigma, form="literal") < 0.0
-    assert kl_closed_form(np.zeros((1, 1)), log_sigma, form="standard") > 0.0
 
 
 def test_kl_matches_monte_carlo():
@@ -364,6 +360,27 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(p.value, back.store[name].value)
     z = np.random.default_rng(14).standard_normal((3, 4))
     np.testing.assert_array_equal(decode_to_slate(model, z), decode_to_slate(back, z))
+
+
+def test_checkpoint_with_a_stored_kl_form_still_loads(tmp_path):
+    # GeMS checkpoints written while GemsConfig had a kl_form knob hold
+    # kl_form=standard in their header; they load and decode the same slates.
+    ds = small_logged_dataset(num_traj=3)
+    cfg = GemsConfig(latent_dim=4, item_embed_dim=4, hidden=(16,), epochs=1,
+                     batch_size=64)
+    model, _ = pretrain(ds, cfg, seed=4)
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, {"gems": model.store},
+                    {"kind": "gems", "config": {**asdict(cfg), "kl_form": "standard"},
+                     "num_items": model.num_items, "slate_size": model.slate_size})
+    back = load_gems(old)
+    assert back.cfg == cfg
+    for name, p in model.store.items():
+        np.testing.assert_array_equal(back.store[name].value, p.value)
+    z = np.random.default_rng(15).standard_normal((6, 4))
+    np.testing.assert_array_equal(decode_to_slate(back, z), decode_to_slate(model, z))
+    save_gems(tmp_path / "new.ckpt", model)
+    assert "kl_form" not in load_checkpoint(tmp_path / "new.ckpt")[1]["config"]
 
 
 def test_float64_checkpoint_loads_as_float32(tmp_path):

@@ -150,6 +150,20 @@ def test_agent_checkpoint_of_another_agent_is_rejected(artifacts, tmp_path):
         load_policy(sac, generate_item_catalog(sac.sim, 0), ckpt)
 
 
+def test_each_artifact_is_read_once(artifacts, monkeypatch):
+    # the ranker and the belief both read the MF table: one load serves both
+    loads = []
+    read = slatelab.harness.load_mf_embeddings
+    monkeypatch.setattr(slatelab.harness, "load_mf_embeddings",
+                        lambda path: loads.append(path) or read(path))
+    cfg = tiny_config(ranker="topk-mf", belief_item_source="mf",
+                      mf_embeddings=artifacts["mf"])
+    policy = build_policy(cfg, generate_item_catalog(cfg.sim, 0), 0)
+    assert [str(path) for path in loads] == [artifacts["mf"]]
+    np.testing.assert_array_equal(policy.encoder.table_value(),
+                                  policy.table.astype(policy.encoder.dtype))
+
+
 def test_action_dims(artifacts):
     cases = [
         (dict(ranker="gems", gems_ckpt=artifacts["gems"]), 4),
@@ -162,7 +176,7 @@ def test_action_dims(artifacts):
     for over, expected in cases:
         cfg = tiny_config(**over)
         catalog = generate_item_catalog(cfg.sim, 0)
-        assert build_policy(cfg, catalog, 0).action_dim() == expected
+        assert build_policy(cfg, catalog, 0).action_dim == expected
 
 
 @pytest.mark.parametrize("agent, ranker", [("sac", "gems"), ("sac", "wknn"),
@@ -184,7 +198,7 @@ def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
         assert slates.shape == (1, cfg.sim.slate_size)
         np.testing.assert_array_equal(slate, slates[0])
         if agent == "sac":
-            assert actions.shape == (1, policy.action_dim())
+            assert actions.shape == (1, policy.action_dim)
             np.testing.assert_array_equal(action, actions[0])
         else:
             assert action is None and actions is None
@@ -208,9 +222,9 @@ def test_lockstep_rollout_returns_equal_one_user_rollouts(artifacts, agent, rank
     for i, s in enumerate(seeds):
         alone_rows = []
         alone = rollout_returns(policy, catalog, 1, lambda _: s, np.random.default_rng(0),
-                                diagnostics=alone_rows, traj_offset=i)
+                                diagnostics=alone_rows)
         assert alone[0] == together[i]
-        assert alone_rows == [r for r in rows if r[0] == i]
+        assert [(i, *r[1:]) for r in alone_rows] == [r for r in rows if r[0] == i]
     assert len(rows) == 6 * cfg.sim.episode_length * cfg.sim.slate_size
 
 
