@@ -2,6 +2,10 @@
 
 Graphs are built define-by-run: every primitive allocates a fresh node and
 ``backward`` walks the tape once, accumulating gradients by the chain rule.
+Nodes are built only by the named functions below (:func:`add`,
+:func:`scale`, :func:`matmul`, ...): a :class:`Tensor` has no arithmetic
+operators, and indexing it (``t[key]``, a :func:`slice_` node) is its one
+shorthand.
 Sized for the small MLP/GRU/VAE workloads in this package: no views, no
 GPU.  A graph computes in the dtype of its operands, which follow the
 parameters: float32 and float64 arrays are kept as they are, anything else
@@ -84,45 +88,14 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
     def item(self) -> float:
         return float(self.value.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
-    # Operator sugar; scalars are promoted to constants.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x) -> Tensor:
@@ -359,21 +332,19 @@ def pick(a: Tensor, idx: np.ndarray) -> Tensor:
     return _node("pick", v, (a,), vjp)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    v = a.value.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    v = a.value.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _node("sum", v, (a,), vjp)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     n = a.value.size if axis is None else a.value.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(sum_(a, axis=axis), 1.0 / n)
 
 
 # Hidden-layer activations of mlp: a forward that may overwrite its

@@ -29,6 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import GruCell
 from .optim import ParameterStore
+from .simulator import check_item_ids
 
 ITEM_SOURCES = ("gems-table", "mf", "ideal", "learned")
 
@@ -75,8 +76,7 @@ class BeliefEncoder:
     """
 
     def __init__(self, store: ParameterStore, cfg: BeliefConfig, slate_size: int,
-                 item_embeddings: np.ndarray, rng: np.random.Generator,
-                 prefix: str = "belief"):
+                 item_embeddings: np.ndarray, rng: np.random.Generator):
         table = np.asarray(item_embeddings, dtype=store.dtype)
         if table.ndim != 2:
             raise ValueError("item embedding table must be 2-D")
@@ -84,18 +84,16 @@ class BeliefEncoder:
         self.slate_size = int(slate_size)
         self.num_items = table.shape[0]
         self.item_dim = table.shape[1]
-        self.prefix = prefix
         self.store = store
         self.dtype = store.dtype
         self.trainable_table = cfg.item_source == "learned"
         if self.trainable_table:
-            store.add(prefix + ".items", table.copy())
+            store.add("belief.items", table.copy())
             self._table = None
         else:
             self._table = table.copy()
         self.input_dim = self.slate_size * (self.item_dim + 1)
-        self.cell = GruCell(store, prefix + ".gru", self.input_dim,
-                            cfg.belief_dim, rng)
+        self.cell = GruCell(store, "belief.gru", self.input_dim, cfg.belief_dim, rng)
 
     @property
     def belief_dim(self) -> int:
@@ -103,25 +101,19 @@ class BeliefEncoder:
 
     def table_value(self) -> np.ndarray:
         if self.trainable_table:
-            return self.store[self.prefix + ".items"].value
+            return self.store["belief.items"].value
         return self._table
-
-    def _check_ids(self, slates: np.ndarray) -> np.ndarray:
-        ids = np.asarray(slates, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_items):
-            raise ValueError("unknown item id in slate")
-        return ids
 
     def _inputs(self, slates: np.ndarray, clicks: np.ndarray) -> Tensor:
         """[..., k] ids and clicks -> [..., k*(e+1)] per-slot [emb ‖ click] rows;
         one constant node unless a learned table takes a gradient."""
-        ids = self._check_ids(slates)
+        ids = check_item_ids(slates, self.num_items)
         cl = np.asarray(clicks, dtype=self.dtype)[..., None]
         shape = (*ids.shape[:-1], self.input_dim)
         if not (self.trainable_table and ad.grad_enabled()):
             return ad.constant(np.concatenate([self.table_value()[ids], cl], axis=-1)
                                .reshape(shape))
-        emb = ad.reshape(ad.gather_rows(self.store.tensor(self.prefix + ".items"),
+        emb = ad.reshape(ad.gather_rows(self.store.tensor("belief.items"),
                                         ids.reshape(-1)), (*ids.shape, self.item_dim))
         return ad.reshape(ad.concat([emb, ad.constant(cl)], axis=-1), shape)
 

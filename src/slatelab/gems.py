@@ -31,6 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .logged import LoggedDataset
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
+from .simulator import check_item_ids
 
 log = logging.getLogger(__name__)
 
@@ -97,9 +98,7 @@ class GemsModel:
     def encode_graph(self, slates: np.ndarray, clicks: np.ndarray):
         """Posterior (mu, log_sigma) graph nodes, each [b, d]; the encoder's
         one definition, also run by :func:`encode` under ``no_grad``."""
-        slates = np.asarray(slates)
-        if slates.size and (slates.min() < 0 or slates.max() >= self.num_items):
-            raise ValueError("slate contains unknown item ids")
+        slates = check_item_ids(slates, self.num_items)
         b, k = slates.shape
         e = self.cfg.item_embed_dim
         d = self.cfg.latent_dim
@@ -152,14 +151,15 @@ _DECODE_BLOCK = 64
 
 
 def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
-    """Most likely item per slot [n, k]; ties resolved to the lowest item id.
+    """Most likely item per slot [n, k] of latents z [n, d]; ties resolved to
+    the lowest item id.
 
     The decoder runs once over every row of z.  Its item part, viewed as
     [n*k, e] slot rows, is scored against the item table in blocks of
     ``_DECODE_BLOCK`` rows written into one reused buffer, and each block is
     reduced to its argmax before the next is formed, so the [n, k,
     num_items] logits are never built."""
-    z = np.atleast_2d(np.asarray(z, dtype=model.dtype))
+    z = np.asarray(z, dtype=model.dtype)
     k, e = model.slate_size, model.cfg.item_embed_dim
     rows = z.shape[0] * k
     recon = model.decoder.forward_array(z).reshape(rows, e + 1)[:, :e]
@@ -175,8 +175,6 @@ def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
 
 def kl_closed_form(mu: np.ndarray, log_sigma: np.ndarray) -> float:
     """KL(q || N(0, I)) summed over dimensions, averaged over the batch."""
-    mu = np.atleast_2d(mu)
-    log_sigma = np.atleast_2d(log_sigma)
     per = 0.5 * (np.exp(2.0 * log_sigma) + mu**2 - 2.0 * log_sigma - 1.0)
     return float(np.mean(per.sum(axis=-1)))
 

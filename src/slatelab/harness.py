@@ -300,11 +300,15 @@ def build_policy(cfg: ExperimentConfig, catalog: ItemCatalog, seed: int) -> Poli
 
 
 def load_policy(cfg: ExperimentConfig, catalog: ItemCatalog, ckpt_path) -> Policy:
-    """Policy acting with parameters restored from a checkpoint."""
+    """Policy acting with parameters restored from a checkpoint; a static
+    policy (``agent = none``) takes no checkpoint."""
     if cfg.agent not in LEARNERS:
+        if ckpt_path:
+            raise ValueError(f"agent {cfg.agent!r} takes no checkpoint, got {ckpt_path}")
         return Policy(cfg, catalog, seed=0)
-    model, meta = load_agent(ckpt_path, LEARNERS[cfg.agent].model_class)
-    _check_artifact(Path(ckpt_path), "agent checkpoint", cfg.sim,
+    path = _require_file(ckpt_path, "agent checkpoint")
+    model, meta = load_agent(path, LEARNERS[cfg.agent].model_class)
+    _check_artifact(path, "agent checkpoint", cfg.sim,
                     num_items=meta["num_items"], slate_size=meta["slate_size"])
     return Policy(cfg, catalog, seed=0, model=model)
 
@@ -312,8 +316,8 @@ def load_policy(cfg: ExperimentConfig, catalog: ItemCatalog, ckpt_path) -> Polic
 # -- rollouts ---------------------------------------------------------------------
 
 
-def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
-                    env_seed: Callable[[int], int], rng: np.random.Generator,
+def rollout_returns(policy: Policy, n: int, env_seed: Callable[[int], int],
+                    rng: np.random.Generator,
                     diagnostics: Optional[list] = None) -> np.ndarray:
     """Episode returns for n lockstep users under the evaluation protocol.
 
@@ -323,7 +327,7 @@ def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
     """
     sim = policy.cfg.sim
     disclosed = policy.needs_disclosed or diagnostics is not None
-    env = Environment(sim, catalog, disclosed=disclosed)
+    env = Environment(sim, policy.catalog, disclosed=disclosed)
     env.reset([env_seed(i) for i in range(n)])
     hidden = policy.init_hidden(n)
     returns = np.zeros(n)
@@ -342,12 +346,11 @@ def rollout_returns(policy: Policy, catalog: ItemCatalog, n: int,
     return returns
 
 
-def _test_returns(policy: Policy, catalog: ItemCatalog, n: int, seed: int,
+def _test_returns(policy: Policy, n: int, seed: int,
                   diagnostics: Optional[list] = None) -> np.ndarray:
     """:func:`rollout_returns` of n users on the test protocol's action and
     user streams of ``seed``, disjoint from training's and validation's."""
-    return rollout_returns(policy, catalog, n,
-                           lambda i: substream_seed(seed, STREAM_ENV_TEST, i),
+    return rollout_returns(policy, n, lambda i: substream_seed(seed, STREAM_ENV_TEST, i),
                            substream(seed, STREAM_ACTION, 2), diagnostics=diagnostics)
 
 
@@ -402,7 +405,7 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
     def validate(round_idx: int, traj_done: int) -> None:
         rng = substream(seed, STREAM_ACTION, 1, round_idx)
         returns = rollout_returns(
-            policy, catalog, cfg.validation_trajectories,
+            policy, cfg.validation_trajectories,
             lambda i: substream_seed(seed, STREAM_ENV_VAL, round_idx, i), rng)
         mean = float(returns.mean())
         validation_means.append(mean)
@@ -435,7 +438,7 @@ def train(cfg: ExperimentConfig, seed: int, workdir) -> RunRecord:
     best = int(np.argmax(validation_means))
     if learner is not None:
         policy = load_policy(cfg, catalog, workdir / f"ckpt-{best:04d}.slk")
-    test_returns = _test_returns(policy, catalog, cfg.test_trajectories, seed)
+    test_returns = _test_returns(policy, cfg.test_trajectories, seed)
 
     record = RunRecord(method=cfg.method_label, env=cfg.env_label, seed=seed,
                        config_hash=chash, validation_means=validation_means,
@@ -451,7 +454,7 @@ def evaluate(ckpt_path, cfg: ExperimentConfig, n: int, seed: int,
     """Score a checkpoint on n fresh test users; never mutates the checkpoint."""
     catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
     diagnostics = [] if diagnostics_path else None
-    returns = _test_returns(load_policy(cfg, catalog, ckpt_path), catalog, n, seed, diagnostics)
+    returns = _test_returns(load_policy(cfg, catalog, ckpt_path), n, seed, diagnostics)
     if diagnostics_path:
         write_diagnostics_csv(diagnostics_path, diagnostics)
     return [float(r) for r in returns]

@@ -2,7 +2,9 @@
 
 Each network's forward pass is one autodiff kernel: training wraps it in
 one graph node, and inference (``forward_array``, ``sequence_array``)
-calls it directly, with the same arithmetic and finite checks.
+calls it directly, with the same arithmetic and finite checks.  Both forms
+take batch rows: an :class:`Mlp` rows [n, in], a :class:`GruCell` windows
+[B, T, in], so that one step is a window of length 1.
 """
 
 from __future__ import annotations
@@ -79,8 +81,6 @@ class GruCell:
                  hidden_dim: int, rng: np.random.Generator):
         self.store = store
         self.prefix = prefix
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         si = 1.0 / np.sqrt(input_dim)
         sh = 1.0 / np.sqrt(hidden_dim)
         # Per-gate blocks drawn gate by gate, W before U.
@@ -103,10 +103,3 @@ class GruCell:
         s, p = self.store, self.prefix
         return ad.gru_window(h0, x, s[p + ".W"].value, s[p + ".U"].value,
                              s[p + ".b"].value, resets)
-
-    def __call__(self, h_prev: Tensor, x: Tensor) -> Tensor:
-        """One step: the state of a 1-step window of :meth:`sequence`, [B, H]."""
-        if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
-            raise ValueError("gru_cell input/hidden shape mismatch")
-        h = self.sequence(h_prev, ad.reshape(x, (x.shape[0], 1, self.input_dim)))
-        return ad.reshape(h, h_prev.shape)

@@ -6,8 +6,9 @@ action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
 on a batch) and the softmax head's draws live with their agent, in
 ``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
 them.  Every ranker but the random one serves a whole batch of users at
-once.  ``rank_topk`` and the short-term oracle go through :func:`top_k`,
-which partitions to each row's k-th score and sorts only the k kept.
+once, in rows only: actions [n, d] or scores [n, N] in, slates [n, k] out.
+``rank_topk`` and the short-term oracle go through :func:`top_k`, which
+partitions to each row's k-th score and sorts only the k kept.
 ``rank_wknn`` cuts every user's neighbour shortlists once, with a rounding
 margin, then fills the slates slot by slot, with one critic call per slot
 for all users' candidates.  All rankers are deterministic given their
@@ -20,19 +21,20 @@ import numpy as np
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices [..., k] of the k highest of each row of scores [..., N], in
+    """Indices [n, k] of the k highest of each row of scores [n, N], in
     descending score order with ties to the lower index: bit for bit
-    ``np.argsort(-scores, kind="stable")[..., :k]``.
+    ``np.argsort(-scores, kind="stable")[:, :k]``.
 
     A partition finds each row's k-th highest value; only the k indices
     above it, plus the lowest-indexed ties at it, are then stably sorted.
     NaN scores raise ValueError, wherever they would rank.
     """
-    scores = np.asarray(scores)
-    num = scores.shape[-1]
+    rows = np.asarray(scores)
+    if rows.ndim != 2:
+        raise ValueError(f"scores must be [n, N], got shape {rows.shape}")
+    num = rows.shape[1]
     if not 1 <= k <= num:
         raise ValueError(f"k={k} must lie in 1..{num}")
-    rows = scores.reshape(-1, num)
     if rows.dtype.kind in "fc" and np.isnan(rows).any():
         raise ValueError("scores must not contain NaN")
     kth = np.partition(rows, num - k, axis=1)[:, num - k, None]
@@ -47,26 +49,23 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     flat = flat.reshape(-1, k)
     # flat ascends in each row, so the stable sort breaks score ties by lower id.
     order = np.argsort(-rows.reshape(-1)[flat], axis=1, kind="stable")
-    ids = flat[np.arange(len(flat))[:, None], order] % num
-    return ids.reshape(*scores.shape[:-1], k)
+    return flat[np.arange(len(flat))[:, None], order] % num
 
 
 def rank_topk(actions: np.ndarray, item_embeddings: np.ndarray,
               slate_size: int) -> np.ndarray:
-    """The k distinct items with the highest dot product against each action
-    [..., d], in descending score order; score ties go to the lower item id.
-    Each action's scores are one matrix-vector product, as for a lone action."""
+    """Slates [n, k]: for each action row of [n, d], the k distinct items with
+    the highest dot product against it, in descending score order; score ties
+    go to the lower item id.  Each row's scores are one matrix-vector product,
+    as for a lone action."""
     emb = np.asarray(item_embeddings, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim == 0 or actions.shape[-1] != emb.shape[1]:
-        raise ValueError(f"action must have {emb.shape[1]} dims, got shape {actions.shape}")
-    if slate_size > len(emb):
-        raise ValueError("slate_size exceeds catalog size")
+    if actions.ndim != 2 or actions.shape[1] != emb.shape[1]:
+        raise ValueError(f"actions must be [n, {emb.shape[1]}], got shape {actions.shape}")
     if not np.isfinite(actions).all():
         raise ValueError("action must be finite")
-    rows = actions.reshape(-1, emb.shape[1])
-    scores = np.matmul(emb[None], rows[:, :, None])[..., 0]
-    return top_k(scores, slate_size).reshape(*actions.shape[:-1], slate_size)
+    scores = np.matmul(emb[None], actions[:, :, None])[..., 0]
+    return top_k(scores, slate_size)
 
 
 def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
@@ -74,7 +73,7 @@ def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
               beliefs: np.ndarray, slate_size: int, p: int) -> np.ndarray:
     """Fill each user's slate slot by slot from the p nearest neighbours of
     the slot's target vector, picking the candidate the critic scores
-    highest: slates [..., k] for actions [..., k*e] and beliefs [..., H].
+    highest: slates [n, k] for actions [n, k*e] and beliefs [n, H].
 
     Each action is read as slate_size stacked embedding-sized vectors.  At
     each slot, every user's p unplaced items closest in Euclidean distance
@@ -100,21 +99,16 @@ def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
     num, e = emb.shape
     actions = np.asarray(actions, dtype=np.float64)
     k = slate_size
-    if actions.ndim == 0 or actions.shape[-1] != k * e:
-        raise ValueError(f"action must have {k * e} dims, got shape {actions.shape}")
+    if actions.ndim != 2 or actions.shape[1] != k * e:
+        raise ValueError(f"actions must be [n, {k * e}], got shape {actions.shape}")
     if k > num:
         raise ValueError(f"slate_size={k} exceeds the {num} available items")
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if p > num:
-        raise ValueError(f"p={p} exceeds the {num} available items")
+    if not 1 <= p <= num:
+        raise ValueError(f"p={p} must lie in 1..{num}")
     if not np.isfinite(actions).all():
         raise ValueError("action must be finite")
-    lead = actions.shape[:-1]
-    targets = actions.reshape(-1, e)           # [n*k, e], user-major
-    n = len(targets) // k
-    beliefs = np.asarray(beliefs)
-    beliefs = beliefs.reshape(n, beliefs.shape[-1])
+    n = len(actions)
+    targets = actions.reshape(n * k, e)        # user-major
 
     c = min(p + k - 1, num)
     x2 = np.einsum("ij,ij->i", emb, emb)
@@ -147,7 +141,7 @@ def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
             pick = cands[users, critic(beliefs, base, s, emb[cands]).argmax(axis=1)]
         slates[:, s] = pick
         base[:, s * e:(s + 1) * e] = emb[pick]
-    return slates.reshape(*lead, k)
+    return slates
 
 
 def rank_random(num_items: int, slate_size: int,

@@ -132,9 +132,9 @@ def squashed_log_prob(mu: Tensor, log_sigma: Tensor, u: Tensor) -> Tensor:
 
 def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Sample (or take the mode of) the squashed Gaussian policy."""
-    single = np.asarray(hidden).ndim == 1
-    h = np.atleast_2d(np.asarray(hidden, dtype=model.dtype))
+    """Actions [n, d] for beliefs hidden [n, H]: draws of the squashed
+    Gaussian policy, or its mode with ``mode="mean"``."""
+    h = np.asarray(hidden, dtype=model.dtype)
     if mode == "mean":
         a = np.tanh(model.actor.forward_array(h)[:, :model.cfg.action_dim])
     elif mode == "sample":
@@ -146,7 +146,7 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
         a = np.tanh(mu.value + np.exp(log_sigma.value) * noise)
     else:
         raise ValueError(f"unknown action mode {mode!r}")
-    return a[0] if single else a
+    return a
 
 
 def td_target(model: SacModel, batch: TransitionBatch, next_hidden: np.ndarray,

@@ -120,18 +120,25 @@ def examination_vector(cfg: SimConfig) -> np.ndarray:
     return nu * e**ranks + (1.0 - nu) * e**(k + 1 - ranks)
 
 
+def check_item_ids(ids, num_items: int) -> np.ndarray:
+    """Item ids as int64; booleans, floats and ids outside 0..num_items - 1
+    raise ValueError rather than being cast.  Every input of item ids, to
+    the simulator or to a model, goes through this check."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"slate item ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    # Viewed as unsigned, a negative id exceeds every valid one.
+    if ids.size and ids.view(np.uint64).max() >= num_items:
+        raise ValueError("slate contains out-of-range item ids")
+    return ids
+
+
 def validate_slate(slate: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Slates [..., k] of integer item ids as int64; booleans, floats and
-    out-of-range ids raise ValueError rather than being cast."""
-    slate = np.asarray(slate)
-    if slate.dtype.kind not in "iu":
-        raise ValueError(f"slate item ids must be integers, got dtype {slate.dtype}")
+    """Slates [..., k] of item ids, checked by :func:`check_item_ids`, as int64."""
+    slate = check_item_ids(slate, cfg.num_items)
     if slate.ndim == 0 or slate.shape[-1] != cfg.slate_size:
         raise ValueError(f"slate must have exactly {cfg.slate_size} items")
-    slate = slate.astype(np.int64, copy=False)
-    # Viewed as unsigned, a negative id exceeds every valid one.
-    if slate.view(np.uint64).max() >= cfg.num_items:
-        raise ValueError("slate contains out-of-range item ids")
     return slate
 
 

@@ -85,7 +85,7 @@ def _fd_mlp(seed):
     t = substream(seed, "t").normal(0.0, 1.0, (6, 3))
 
     def graph():
-        d = net(ad.constant(x)) - ad.constant(t)
+        d = ad.add(net(ad.constant(x)), ad.scale(ad.constant(t), -1.0))
         return ad.mean(ad.square(d))
 
     _assert_grads_match(store, lambda: graph().item(), graph)
@@ -98,7 +98,7 @@ def _fd_gru(seed):
     x = substream(seed, "x").normal(0.0, 1.0, (5, 3))
 
     def graph():
-        h1 = cell(ad.constant(h0), ad.constant(x))
+        h1 = cell.sequence(ad.constant(h0), ad.constant(x[:, None]))[:, 0]
         return ad.mean(ad.square(h1))
 
     _assert_grads_match(store, lambda: graph().item(), graph)
@@ -348,8 +348,8 @@ def test_criterion_06_wknn_greedy_vs_exhaustive():
         return trials @ _WKNN_W
 
     ranking = _enumerate_pairs(modular)
-    greedy = tuple(rank_wknn(action, _WKNN_EMB, one_user_critic(modular), np.zeros(1),
-                             slate_size=2, p=5))
+    greedy = tuple(rank_wknn(action[None], _WKNN_EMB, one_user_critic(modular),
+                             np.zeros(1)[None], slate_size=2, p=5)[0])
     assert greedy == ranking[0][0]
 
     def coupled(_, trials):
@@ -358,8 +358,8 @@ def test_criterion_06_wknn_greedy_vs_exhaustive():
         return trials @ _WKNN_W + 0.5 * trials[:, 1] * trials[:, 2]
 
     ranking = _enumerate_pairs(coupled)
-    greedy = tuple(rank_wknn(action, _WKNN_EMB, one_user_critic(coupled), np.zeros(1),
-                             slate_size=2, p=5))
+    greedy = tuple(rank_wknn(action[None], _WKNN_EMB, one_user_critic(coupled),
+                             np.zeros(1)[None], slate_size=2, p=5)[0])
     greedy_value = dict((pair, v) for pair, v in ranking)[greedy]
     assert greedy != ranking[0][0]  # the coupling really displaces greedy
     assert greedy_value >= ranking[2][1]  # but it stays within the top three
@@ -447,7 +447,7 @@ def test_criterion_10_sac_reaches_bandit_optimum_on_all_seeds():
             x = model.belief._input_values(np.array([[[0]]]), np.array([[[float(ctx)]]]))
             h = model.belief.recompute_array(model.belief.init_hidden(1), x,
                                              np.zeros((1, 1), bool))[0, -1]
-            a = select_action(model, h, "mean")[0]
+            a = select_action(model, h[None], "mean")[0, 0]
             reward = 1.0 - (a - target) ** 2
             assert reward >= 0.9, (seed, ctx, a)
 

@@ -13,7 +13,7 @@ from slatelab.belief import (
     prev_beliefs,
 )
 from slatelab.checkpoint import load_agent, load_checkpoint, save_agent, save_checkpoint
-from slatelab.gems import GemsConfig, GemsModel, decode_to_slate
+from slatelab.gems import GemsConfig, GemsModel, decode_to_slate, encode
 from slatelab.optim import ParameterStore
 from slatelab.reinforce import (
     BaselineState,
@@ -73,6 +73,26 @@ def small_encoder(belief_dim=5, k=2, source="mf", seed=0, store=None):
 
 # ---------------------------------------------------------------------------
 # belief encoder
+
+
+def test_model_inputs_take_item_ids_by_the_simulators_rule():
+    """Float, boolean, negative and too-large ids raise at the belief and at
+    the slate VAE, as they do at the simulator, rather than being cast."""
+    _, enc = small_encoder(k=2)                         # 12 items
+    gems = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=2, hidden=(8,)),
+                     num_items=12, slate_size=2, seed=0)
+    clicks = np.zeros((1, 2))
+    for bad, match in (([[0.5, 3.9]], "integers"), (np.array([[0.0, 3.0]]), "integers"),
+                       (np.array([[True, False]]), "integers"),
+                       (np.array([[0, -1]]), "out-of-range"),
+                       (np.array([[0, 12]]), "out-of-range")):
+        with pytest.raises(ValueError, match=match):
+            enc.step_hidden(enc.init_hidden(1), bad, clicks)
+        with pytest.raises(ValueError, match=match):
+            encode(gems, bad, clicks)
+    ok = np.array([[0, 11]], np.uint8)
+    assert enc.step_hidden(enc.init_hidden(1), ok, clicks).shape == (1, 5)
+    assert encode(gems, ok, clicks).mu.shape == (1, 3)
 
 
 def test_init_belief_is_zero_with_configured_dim():
@@ -505,17 +525,17 @@ def test_target_networks_equal_main_networks_at_init():
 def test_mean_action_deterministic_and_samples_strictly_inside_bounds():
     cfg, model = tiny_sac(hidden=(8,), action_dim=3, belief_dim=4)
     h = substream(3, "h").normal(0.0, 0.5, 4)
-    a1 = select_action(model, h, "mean")
-    a2 = select_action(model, h, "mean")
+    a1 = select_action(model, h[None], "mean")
+    a2 = select_action(model, h[None], "mean")
     assert np.array_equal(a1, a2)
     rng = substream(3, "act")
     batch = select_action(model, np.tile(h, (500, 1)), "sample", rng)
     assert batch.shape == (500, 3)
     assert np.all(np.abs(batch) < 1.0)
     with pytest.raises(ValueError):
-        select_action(model, h, "sample")  # rng required
+        select_action(model, h[None], "sample")  # rng required
     with pytest.raises(ValueError):
-        select_action(model, h, "argmax")
+        select_action(model, h[None], "argmax")
 
 
 def test_sample_mean_approaches_tanh_mu_as_sigma_shrinks():
@@ -536,9 +556,9 @@ def test_acting_and_decoding_raise_on_an_inf_weight():
     model.actor_store["pi.l0.W"].value[0, 0] = np.inf
     h = np.full(4, 0.5)
     with pytest.raises(ad.NonFiniteError):
-        select_action(model, h, "mean")
+        select_action(model, h[None], "mean")
     with pytest.raises(ad.NonFiniteError):
-        select_action(model, h, "sample", substream(0, "act"))
+        select_action(model, h[None], "sample", substream(0, "act"))
     gems = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=2, hidden=(8,)),
                      num_items=6, slate_size=3, seed=0)
     gems.store["dec.l1.W"].value[0, 0] = np.inf
@@ -750,7 +770,7 @@ def train_bandit_sac(alpha, updates=700, seed=11):
 
 def test_sac_finds_bandit_optimum_and_q_stays_bounded():
     model, diags = train_bandit_sac(alpha=0.2)
-    a = select_action(model, np.zeros(4), "mean")
+    a = select_action(model, np.zeros(4)[None], "mean")[0]
     assert abs(a[0]) < 0.15  # optimum is a = 0
     for d in diags:
         assert np.isfinite(d["critic_loss"]) and np.isfinite(d["actor_loss"])
@@ -1048,7 +1068,7 @@ def test_float32_sac_update_upcasts_nothing(monkeypatch):
     h = enc.step_hidden(enc.init_hidden(2), np.array([[1], [3]]), np.array([[1.0], [0.0]]))
     assert h.dtype == np.float32
     assert enc.update_belief(enc.init_hidden(1)[0], [2], [1.0]).dtype == np.float32
-    for hidden in (h, h[0]):
+    for hidden in (h, h[:1]):
         assert select_action(model, hidden, "mean").dtype == np.float32
         assert select_action(model, hidden, "sample", rng).dtype == np.float32
     # GeMS computes in float32 too; REINFORCE keeps float64

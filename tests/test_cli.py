@@ -120,6 +120,26 @@ def test_evaluate_with_diagnostics(workspace, tmp_path, capsys):
     assert diag.read_text().startswith("trajectory,turn,slot,item")
 
 
+@pytest.mark.parametrize("agent, ranker", [("sac", "gems"), ("reinforce", "softmax")])
+def test_evaluate_without_a_checkpoint_names_the_missing_path(workspace, tmp_path,
+                                                               agent, ranker):
+    cfg = tmp_path / "agent.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + f"agent = {agent}\nranker = {ranker}\n")
+    with pytest.raises(FileNotFoundError,
+                       match="agent checkpoint required but no path configured"):
+        main(["evaluate", "--config", str(cfg), "--n", "2"])
+
+
+def test_evaluate_of_a_static_policy_rejects_a_checkpoint(workspace, tmp_path, capsys):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "agent = none\nranker = oracle\n")
+    with pytest.raises(ValueError, match="takes no checkpoint"):
+        main(["evaluate", "--config", str(cfg), "--n", "2",
+              "--ckpt", str(workspace["root"] / "gems.slk")])
+    assert main(["evaluate", "--config", str(cfg), "--n", "2"]) == 0
+    assert "mean return" in capsys.readouterr().out
+
+
 def test_report_aggregates_runs(workspace, tmp_path, capsys):
     for ranker, agent, sub in (("gems", "sac", "a"), ("random", "none", "b")):
         assert main(["train", "--config", str(workspace["cfg"]),

@@ -265,9 +265,9 @@ def test_gems_loss_graph_never_holds_catalogue_sized_logits():
     noise = np.random.default_rng(16).standard_normal((64, 3))
     limit = 64 * 3 * 50
     ref, _ = reference_gems_loss(model, slates, clicks, noise)
-    assert max(t.size for t in _graph_nodes(ref)) >= limit   # the test can tell
+    assert max(t.value.size for t in _graph_nodes(ref)) >= limit   # the test can tell
     total, _ = gems_loss(model, slates, clicks, noise)
-    assert max(t.size for t in _graph_nodes(total)) < limit
+    assert max(t.value.size for t in _graph_nodes(total)) < limit
 
 
 # --- pretraining ----------------------------------------------------------------

@@ -217,11 +217,11 @@ def test_lockstep_rollout_returns_equal_one_user_rollouts(artifacts, agent, rank
     policy = build_policy(cfg, catalog, seed=3)
     seeds = [900 + 7 * i for i in range(6)]
     rows = []
-    together = rollout_returns(policy, catalog, 6, lambda i: seeds[i],
+    together = rollout_returns(policy, 6, lambda i: seeds[i],
                                np.random.default_rng(0), diagnostics=rows)
     for i, s in enumerate(seeds):
         alone_rows = []
-        alone = rollout_returns(policy, catalog, 1, lambda _: s, np.random.default_rng(0),
+        alone = rollout_returns(policy, 1, lambda _: s, np.random.default_rng(0),
                                 diagnostics=alone_rows)
         assert alone[0] == together[i]
         assert [(i, *r[1:]) for r in alone_rows] == [r for r in rows if r[0] == i]
@@ -369,7 +369,7 @@ def test_zero_training_steps_single_validation(artifacts, tmp_path):
 def test_best_checkpoint_tie_goes_to_earliest(tmp_path, monkeypatch):
     planned = iter([1.0, 3.0, 3.0, 0.0])   # val rounds 0..2, then test
 
-    def fake_rollout(policy, catalog, n, env_seed, rng, **kw):
+    def fake_rollout(policy, n, env_seed, rng, **kw):
         return np.full(n, next(planned))
 
     monkeypatch.setattr(slatelab.harness, "rollout_returns", fake_rollout)
@@ -505,7 +505,7 @@ def test_random_policy_matches_analytic_return():
 
     n = 150
     seeds = [5000 + i for i in range(n)]
-    returns = rollout_returns(policy, catalog, n, lambda i: seeds[i],
+    returns = rollout_returns(policy, n, lambda i: seeds[i],
                               np.random.default_rng(1))
 
     exam_sum = examination_vector(cfg.sim).sum()

@@ -46,13 +46,13 @@ def expected_clicks(slate, rel, eps):
 
 def test_topk_self_similarity():
     emb = unit_table(12, 6, seed=1)
-    slate = rank_topk(10.0 * emb[7], emb, slate_size=4)
+    slate = rank_topk(10.0 * emb[7][None], emb, slate_size=4)[0]
     assert slate[0] == 7
 
 
 def test_topk_zero_action_tie_break():
     emb = unit_table(9, 5, seed=2)
-    assert rank_topk(np.zeros(5), emb, slate_size=4).tolist() == [0, 1, 2, 3]
+    assert rank_topk(np.zeros(5)[None], emb, slate_size=4)[0].tolist() == [0, 1, 2, 3]
 
 
 def test_topk_matches_full_sort():
@@ -63,7 +63,7 @@ def test_topk_matches_full_sort():
         action = rng.normal(size=8)
         scores = emb @ action
         want = np.lexsort((ids, -scores))[:5]
-        got = rank_topk(action, emb, slate_size=5)
+        got = rank_topk(action[None], emb, slate_size=5)[0]
         assert got.tolist() == want.tolist()
         assert len(set(got.tolist())) == 5
 
@@ -73,17 +73,19 @@ def test_topk_positive_scale_invariance():
     rng = np.random.default_rng(6)
     for _ in range(20):
         a = rng.normal(size=4)
-        base = rank_topk(a, emb, slate_size=6)
+        base = rank_topk(a[None], emb, slate_size=6)[0]
         for c in (0.01, 3.7, 250.0):
-            assert rank_topk(c * a, emb, slate_size=6).tolist() == base.tolist()
+            assert rank_topk(c * a[None], emb, slate_size=6)[0].tolist() == base.tolist()
 
 
 def test_topk_dim_mismatch_raises():
     emb = unit_table(10, 4)
     with pytest.raises(ValueError):
-        rank_topk(np.zeros(5), emb, slate_size=3)
+        rank_topk(np.zeros(5)[None], emb, slate_size=3)
     with pytest.raises(ValueError):
-        rank_topk(np.zeros(4), emb, slate_size=11)
+        rank_topk(np.zeros(4)[None], emb, slate_size=11)
+    with pytest.raises(ValueError, match=r"\[n, 4\]"):
+        rank_topk(np.zeros(4), emb, slate_size=3)
 
 
 def top_k_cases():
@@ -109,22 +111,23 @@ def test_top_k_equals_a_full_stable_argsort():
             got = top_k(scores, k)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(top_k(scores[0], k), want[0])
-            np.testing.assert_array_equal(top_k(scores.reshape(1, *scores.shape), k)[0], want)
+            np.testing.assert_array_equal(top_k(scores[:1], k), want[:1])
+            with pytest.raises(ValueError, match=r"\[n, N\]"):
+                top_k(scores.reshape(1, *scores.shape), k)
 
 
 def test_top_k_rejects_bad_k_and_nan():
     with pytest.raises(ValueError):
-        top_k(np.zeros(5), 0)
+        top_k(np.zeros(5)[None], 0)
     with pytest.raises(ValueError):
-        top_k(np.zeros(5), 6)
+        top_k(np.zeros(5)[None], 6)
     scores = np.arange(8.0)
     scores[6] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        top_k(scores, 3)
+        top_k(scores[None], 3)
     # A NaN that the k kept would not reach raises too.
     with pytest.raises(ValueError, match="NaN"):
-        top_k(np.array([np.nan, 1.0, 1.0]), 2)
+        top_k(np.array([np.nan, 1.0, 1.0])[None], 2)
     with pytest.raises(ValueError, match="NaN"):
         top_k(np.array([[0.0, 2.0, 1.0], [3.0, 1.0, np.nan]]), 1)
 
@@ -138,7 +141,7 @@ def test_batched_topk_equals_one_action_at_a_time():
     for a, slate in zip(actions, slates):
         scores = emb @ a.astype(np.float64)
         np.testing.assert_array_equal(slate, np.argsort(-scores, kind="stable")[:10])
-        np.testing.assert_array_equal(rank_topk(a, emb, slate_size=10), slate)
+        np.testing.assert_array_equal(rank_topk(a[None], emb, slate_size=10)[0], slate)
 
 
 def test_batched_oracle_ranks_each_user_like_a_lone_user():
@@ -165,8 +168,8 @@ def test_wknn_p1_is_nearest_neighbor_without_critic():
 
     for _ in range(10):
         action = rng.normal(size=4 * 3)
-        got = rank_wknn(action, emb, one_user_critic(critic), beliefs=np.zeros(2),
-                        slate_size=4, p=1)
+        got = rank_wknn(action[None], emb, one_user_critic(critic), beliefs=np.zeros(2)[None],
+                        slate_size=4, p=1)[0]
         targets = action.reshape(4, 3)
         chosen = []
         for s in range(4):
@@ -194,8 +197,8 @@ def test_wknn_linear_critic_matches_exhaustive_pairs():
         return trials @ w
 
     action = np.zeros(4)                    # equidistant targets: all 5 candidates
-    got = rank_wknn(action, emb, one_user_critic(critic), beliefs=np.zeros(1),
-                    slate_size=2, p=5)
+    got = rank_wknn(action[None], emb, one_user_critic(critic), beliefs=np.zeros(1)[None],
+                    slate_size=2, p=5)[0]
 
     best, best_v = None, -np.inf
     for i, j in itertools.permutations(range(5), 2):
@@ -215,7 +218,8 @@ def test_wknn_never_repeats_items():
             return trials @ wq
 
         action = rng.normal(size=4 * 4)
-        slate = rank_wknn(action, emb, one_user_critic(critic), np.zeros(3), slate_size=4, p=3)
+        slate = rank_wknn(action[None], emb, one_user_critic(critic), np.zeros(3)[None],
+                          slate_size=4, p=3)[0]
         assert len(set(slate.tolist())) == 4
         assert slate.min() >= 0 and slate.max() < 12
 
@@ -230,7 +234,8 @@ def test_wknn_candidates_clip_in_late_slots():
         calls.append(trials.copy())
         return trials.sum(axis=1)
 
-    slate = rank_wknn(np.zeros(10), emb, one_user_critic(critic), np.zeros(1), slate_size=5, p=5)
+    slate = rank_wknn(np.zeros(10)[None], emb, one_user_critic(critic), np.zeros(1)[None],
+                      slate_size=5, p=5)[0]
     assert sorted(slate.tolist()) == [0, 1, 2, 3, 4]
     # One call per slot scores all its candidates; the final slot has a
     # single remaining candidate, so no critic call there.
@@ -241,25 +246,27 @@ def test_wknn_errors():
     emb = unit_table(5, 2)
     critic = one_user_critic(lambda b, trials: np.zeros(len(trials)))
     with pytest.raises(ValueError):
-        rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=6)
+        rank_wknn(np.zeros(4)[None], emb, critic, np.zeros(1)[None], slate_size=2, p=6)
     with pytest.raises(ValueError):
-        rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=0)
+        rank_wknn(np.zeros(4)[None], emb, critic, np.zeros(1)[None], slate_size=2, p=0)
     with pytest.raises(ValueError):
-        rank_wknn(np.zeros(3), emb, critic, np.zeros(1), slate_size=2, p=2)
+        rank_wknn(np.zeros(3)[None], emb, critic, np.zeros(1)[None], slate_size=2, p=2)
+    with pytest.raises(ValueError, match=r"\[n, 4\]"):
+        rank_wknn(np.zeros(4), emb, critic, np.zeros(1), slate_size=2, p=2)
 
 
 def test_rankers_reject_non_finite_actions_and_oversized_slates():
     emb = unit_table(5, 2)
     critic = one_user_critic(lambda b, trials: np.zeros(len(trials)))
     with pytest.raises(ValueError, match="slate_size=6 exceeds the 5 available items"):
-        rank_wknn(np.zeros(12), emb, critic, np.zeros(1), slate_size=6, p=1)
+        rank_wknn(np.zeros(12)[None], emb, critic, np.zeros(1)[None], slate_size=6, p=1)
     for bad in (np.nan, np.inf, -np.inf):
         action = np.zeros(4)
         action[1] = bad
         with pytest.raises(ValueError, match="action must be finite"):
-            rank_wknn(action, emb, critic, np.zeros(1), slate_size=2, p=2)
+            rank_wknn(action[None], emb, critic, np.zeros(1)[None], slate_size=2, p=2)
         with pytest.raises(ValueError, match="action must be finite"):
-            rank_topk(action[:2], emb, slate_size=2)
+            rank_topk(action[None, :2], emb, slate_size=2)
 
 
 def wknn_reference_cases(users):
@@ -472,8 +479,9 @@ def test_structural_validity_across_rankers():
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         slates = [
-            rank_topk(rng.normal(size=6), emb, slate_size=4),
-            rank_wknn(rng.normal(size=24), emb, one_user_critic(critic), np.zeros(1), 4, p=3),
+            rank_topk(rng.normal(size=6)[None], emb, slate_size=4)[0],
+            rank_wknn(rng.normal(size=24)[None], emb, one_user_critic(critic), np.zeros(1)[None],
+                      4, p=3)[0],
             sample_slate(softmax_policy(rng.normal(size=25)), np.zeros(3), 4, rng),
             rank_random(25, 4, rng),
         ]
