@@ -181,12 +181,6 @@ def square(a: Tensor) -> Tensor:
     return _node("square", a.value * a.value, (a,), lambda g: (g * 2.0 * a.value,))
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.log(a.value)
-    return _node("log", v, (a,), lambda g: (g / a.value,))
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         v = np.exp(a.value)

@@ -128,6 +128,8 @@ def load_checkpoint(path) -> Tuple[Dict[str, ParameterStore], dict]:
             p.m[...] = r.array(shape)
             p.v[...] = r.array(shape)
         stores[store_name] = store
+    if r.pos != len(buf):
+        raise ValueError(f"trailing bytes: {len(buf) - r.pos} after the last store of {path}")
     return stores, metadata
 
 

@@ -31,6 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .logged import LoggedDataset
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
+from .rankers import as_rows
 from .simulator import check_item_ids
 
 log = logging.getLogger(__name__)
@@ -159,7 +160,7 @@ def decode_to_slate(model: GemsModel, z: np.ndarray) -> np.ndarray:
     ``_DECODE_BLOCK`` rows written into one reused buffer, and each block is
     reduced to its argmax before the next is formed, so the [n, k,
     num_items] logits are never built."""
-    z = np.asarray(z, dtype=model.dtype)
+    z = as_rows(z, model.cfg.latent_dim, model.dtype, "z")
     k, e = model.slate_size, model.cfg.item_embed_dim
     rows = z.shape[0] * k
     recon = model.decoder.forward_array(z).reshape(rows, e + 1)[:, :e]

@@ -254,16 +254,13 @@ class Policy:
         """(actions [n, d] or None, slates [n, k]) for the n lockstep users of
         env with beliefs hidden [n, H] (None for static policies).
 
-        The agent's actions, GeMS decoding, TopK, wknn and the oracle serve
-        all n users in one call each; wknn scores every user's candidates
-        of a slot in one critic call.  Softmax and random slates are drawn
-        user by user, in user order, from ``rng``."""
+        Every ranker serves all n users in one call; wknn scores every
+        user's candidates of a slot in one critic call.  Softmax and random
+        slates are drawn per user, in user order, from ``rng``."""
         if self.agent == "reinforce":
-            return None, np.stack([sample_slate(self.model, h, self.slate_size, rng)
-                                   for h in hidden])
+            return None, sample_slate(self.model, hidden, self.slate_size, rng)
         if self.ranker == "random":
-            return None, np.stack([rank_random(self.cfg.sim.num_items, self.slate_size, rng)
-                                   for _ in range(env.num_users)])
+            return None, rank_random(env.num_users, self.cfg.sim.num_items, self.slate_size, rng)
         if self.ranker == "oracle":
             return None, rank_short_term_oracle(env, self.slate_size)
         actions = select_action(self.model, hidden, mode, rng)

@@ -18,6 +18,7 @@ from .simulator import Environment, ItemCatalog, SimConfig
 
 MAGIC = b"SLDATA01"
 VERSION = 1
+HEADER = 60   # magic, five u32 fields (version, k, T, N, num_items), config hash
 
 
 def sim_config_text(cfg: SimConfig) -> str:
@@ -139,18 +140,24 @@ def write_dataset(path, ds: LoggedDataset) -> None:
 
 
 def read_dataset(path) -> LoggedDataset:
+    """A :func:`write_dataset` file, whose length must be the one its header gives."""
     with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise ValueError("not a logged-dataset file")
-        version, k, t, n, num_items = struct.unpack("<IIIII", f.read(20))
-        if version != VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        config_hash = f.read(32)
-        user_seeds = np.frombuffer(f.read(8 * n), dtype="<u8").copy()
-        slates = np.frombuffer(f.read(4 * n * t * k), dtype="<u4").reshape(n, t, k).copy()
-        bytes_per_row = (k + 7) // 8
-        packed = np.frombuffer(f.read(n * t * bytes_per_row), dtype=np.uint8)
-        packed = packed.reshape(n, t, bytes_per_row)
-        clicks = np.unpackbits(packed, axis=-1, count=k, bitorder="little")
+        buf = f.read()
+    if buf[:8] != MAGIC:
+        raise ValueError("not a logged-dataset file")
+    if len(buf) < HEADER:
+        raise ValueError(f"truncated dataset: {len(buf)} bytes, shorter than its header")
+    version, k, t, n, num_items = struct.unpack_from("<IIIII", buf, 8)
+    if version != VERSION:
+        raise ValueError(f"unsupported dataset version {version}")
+    bytes_per_row = (k + 7) // 8
+    size = HEADER + n * (8 + t * (4 * k + bytes_per_row))
+    if len(buf) != size:
+        raise ValueError(f"{'truncated dataset' if len(buf) < size else 'trailing bytes'}: "
+                         f"the header gives {size} bytes, the file holds {len(buf)}")
+    user_seeds = np.frombuffer(buf, "<u8", n, HEADER).copy()
+    slates = np.frombuffer(buf, "<u4", n * t * k, HEADER + 8 * n).reshape(n, t, k).copy()
+    packed = np.frombuffer(buf, np.uint8, offset=size - n * t * bytes_per_row)
+    clicks = np.unpackbits(packed.reshape(n, t, bytes_per_row), axis=-1, count=k, bitorder="little")
     return LoggedDataset(user_seeds=user_seeds, slates=slates, clicks=clicks,
-                         num_items=num_items, config_hash=config_hash)
+                         num_items=num_items, config_hash=buf[28:HEADER])

@@ -1,23 +1,33 @@
 """Rankers: turn an agent's action vector into a slate of item ids.
 
 Each ranker fixes its own action geometry, so the agent's action dimension
-must be chosen to match (see ``harness.Policy.action_dim``).  A GeMS latent
-action is decoded by the slate VAE itself (``gems.decode_to_slate``, always
-on a batch) and the softmax head's draws live with their agent, in
-``reinforce.sample_slate``; ``harness.Policy.act`` dispatches to all of
-them.  Every ranker but the random one serves a whole batch of users at
-once, in rows only: actions [n, d] or scores [n, N] in, slates [n, k] out.
-``rank_topk`` and the short-term oracle go through :func:`top_k`, which
-partitions to each row's k-th score and sorts only the k kept.
-``rank_wknn`` cuts every user's neighbour shortlists once, with a rounding
-margin, then fills the slates slot by slot, with one critic call per slot
-for all users' candidates.  All rankers are deterministic given their
-inputs except the stochastic ones, which take an explicit numpy Generator.
+must be chosen to match (see ``harness.Policy.action_dim``).  GeMS latents
+are decoded by the slate VAE itself (``gems.decode_to_slate``) and the
+softmax head's draws live with their agent (``reinforce.sample_slate``).
+Each of these, like every ranker here, serves a batch of users per call in
+rows only (actions [n, d], beliefs [n, H] or scores [n, N] in, slates
+[n, k] out) behind one check of that form, :func:`as_rows`; the random
+ranker and the softmax head draw each user's slate in user order from one
+generator.  ``rank_topk`` and the short-term oracle go through
+:func:`top_k`, which partitions to each row's k-th score and sorts only the
+k kept.  ``rank_wknn`` cuts every user's neighbour shortlists once, with a
+rounding margin, then fills the slates slot by slot, with one critic call
+per slot for all users' candidates.  All rankers are deterministic given
+their inputs except the stochastic ones, which take a numpy Generator.
 """
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+
+
+def as_rows(x, width: Optional[int], dtype, what: str) -> np.ndarray:
+    """x as an [n, width] array of ``dtype`` (x's own when None; any width
+    when ``width`` is None), else ValueError naming the form."""
+    rows = np.asarray(x, dtype=dtype)
+    if rows.ndim != 2 or width not in (None, rows.shape[1]):
+        raise ValueError(f"{what} must be [n, {width or 'N'}], got shape {rows.shape}")
+    return rows
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -29,9 +39,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     above it, plus the lowest-indexed ties at it, are then stably sorted.
     NaN scores raise ValueError, wherever they would rank.
     """
-    rows = np.asarray(scores)
-    if rows.ndim != 2:
-        raise ValueError(f"scores must be [n, N], got shape {rows.shape}")
+    rows = as_rows(scores, None, None, "scores")
     num = rows.shape[1]
     if not 1 <= k <= num:
         raise ValueError(f"k={k} must lie in 1..{num}")
@@ -59,9 +67,7 @@ def rank_topk(actions: np.ndarray, item_embeddings: np.ndarray,
     go to the lower item id.  Each row's scores are one matrix-vector product,
     as for a lone action."""
     emb = np.asarray(item_embeddings, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.ndim != 2 or actions.shape[1] != emb.shape[1]:
-        raise ValueError(f"actions must be [n, {emb.shape[1]}], got shape {actions.shape}")
+    actions = as_rows(actions, emb.shape[1], np.float64, "actions")
     if not np.isfinite(actions).all():
         raise ValueError("action must be finite")
     scores = np.matmul(emb[None], actions[:, :, None])[..., 0]
@@ -97,10 +103,8 @@ def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
     """
     emb = np.asarray(item_embeddings, dtype=np.float64)
     num, e = emb.shape
-    actions = np.asarray(actions, dtype=np.float64)
     k = slate_size
-    if actions.ndim != 2 or actions.shape[1] != k * e:
-        raise ValueError(f"actions must be [n, {k * e}], got shape {actions.shape}")
+    actions = as_rows(actions, k * e, np.float64, "actions")
     if k > num:
         raise ValueError(f"slate_size={k} exceeds the {num} available items")
     if not 1 <= p <= num:
@@ -144,12 +148,14 @@ def rank_wknn(actions: np.ndarray, item_embeddings: np.ndarray,
     return slates
 
 
-def rank_random(num_items: int, slate_size: int,
+def rank_random(n: int, num_items: int, slate_size: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """k distinct items drawn uniformly without replacement."""
+    """Slates [n, k], each of k distinct items drawn uniformly without
+    replacement, user by user in row order from ``rng``."""
     if slate_size > num_items:
         raise ValueError("slate_size exceeds catalog size")
-    return rng.choice(num_items, size=slate_size, replace=False).astype(np.int64)
+    return np.array([rng.choice(num_items, size=slate_size, replace=False) for _ in range(n)],
+                    dtype=np.int64).reshape(n, slate_size)
 
 
 def rank_short_term_oracle(env, slate_size: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import autodiff as ad
 from .belief import BeliefConfig, BeliefEncoder, prev_beliefs
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step
+from .rankers import as_rows
 
 
 @dataclass
@@ -131,9 +132,10 @@ def reinforce_update(policy: ReinforcePolicy, episode: EpisodeRecord,
 
 def sample_slate(policy: ReinforcePolicy, hidden: np.ndarray, slate_size: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Draw a slate with replacement from the softmax over item logits."""
-    logits = policy.head.forward_array(np.atleast_2d(hidden))[0]
-    shifted = logits - logits.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    return rng.choice(policy.belief.num_items, size=slate_size, replace=True, p=p)
+    """Slates [n, k] for beliefs hidden [n, H]: one head forward for all n
+    users, then each user's k draws with replacement from the softmax over
+    its item logits, user by user in row order from ``rng``."""
+    logits = policy.head.forward_array(as_rows(hidden, policy.belief.belief_dim, None, "hidden"))
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return np.array([rng.choice(len(row), size=slate_size, p=row / row.sum()) for row in p],
+                    dtype=np.int64).reshape(len(p), slate_size)

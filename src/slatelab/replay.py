@@ -3,7 +3,7 @@
 The buffer keeps one row per turn: slate, clicks, action, reward, done,
 the turn's index within its episode, and the acting belief from just
 before the turn.  It samples runs of L consecutive transitions, which
-:func:`run_windows` cuts from the ring in place at sampling time.  One GRU
+:meth:`ReplayBuffer.sample` cuts from the ring in place.  One GRU
 pass over a run's L rows, from the stored belief of its first turn and
 restarting from zero at every episode start (runs may cross episode ends),
 gives each transition its pre- and post-action beliefs under fresh weights.
@@ -14,7 +14,6 @@ state is as old as its turn, and no gradient flows into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -28,16 +27,6 @@ class TransitionBatch:
     actions: np.ndarray       # [B, d] the runs' transitions, run-major, the first B of S*L
     rewards: np.ndarray       # [B]
     dones: np.ndarray         # [B] in {0.0, 1.0}
-
-
-def run_windows(slates: np.ndarray, clicks: np.ndarray, turns: np.ndarray, starts,
-                length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[S, length, k] int64 slates and float64 clicks of rows starts[s] ...
-    starts[s] + length - 1 of per-turn [N, k] arrays (modulo N, so a ring is
-    read in place), and [S, length] resets where ``turns`` (index in the episode) is 0."""
-    rows = (np.asarray(starts)[:, None] + np.arange(length)) % len(slates)
-    return (slates[rows].astype(np.int64), clicks[rows].astype(np.float64),
-            turns[rows] == 0)
 
 
 _COLUMNS = ("_slates", "_clicks", "_actions", "_rewards", "_dones", "_turns", "_hidden")
@@ -115,10 +104,10 @@ class ReplayBuffer:
             raise ValueError(f"cannot sample runs of {run} from {len(self)} transitions")
         first = self._count - len(self) + rng.integers(0, len(self) - run + 1,
                                                        size=-(-batch_size // run))
-        slates, clicks, resets = run_windows(self._slates, self._clicks, self._turns,
-                                             first, run)
-        rows = (first[:, None] + np.arange(run)).reshape(-1)[:batch_size] % self.capacity
-        return TransitionBatch(slates=slates, clicks=clicks, resets=resets,
-                               hidden=self._hidden[first % self.capacity],
+        ring = (first[:, None] + np.arange(run)) % self.capacity   # [S, L] ring rows
+        rows = ring.reshape(-1)[:batch_size]
+        return TransitionBatch(slates=self._slates[ring].astype(np.int64),
+                               clicks=self._clicks[ring].astype(np.float64),
+                               resets=self._turns[ring] == 0, hidden=self._hidden[ring[:, 0]],
                                actions=self._actions[rows], rewards=self._rewards[rows],
                                dones=self._dones[rows].astype(np.float64))

@@ -39,6 +39,7 @@ from .belief import BeliefConfig, BeliefEncoder, next_beliefs, prev_beliefs
 from .checkpoint import load_agent
 from .nn import Mlp
 from .optim import AdamConfig, ParameterStore, adam_step, polyak_update
+from .rankers import as_rows
 from .replay import ReplayBuffer, TransitionBatch
 
 REPLAY_SEQUENCE = 16     # consecutive transitions per sampled run
@@ -134,7 +135,7 @@ def select_action(model: SacModel, hidden: np.ndarray, mode: str = "sample",
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Actions [n, d] for beliefs hidden [n, H]: draws of the squashed
     Gaussian policy, or its mode with ``mode="mean"``."""
-    h = np.asarray(hidden, dtype=model.dtype)
+    h = as_rows(hidden, model.belief.belief_dim, model.dtype, "hidden")
     if mode == "mean":
         a = np.tanh(model.actor.forward_array(h)[:, :model.cfg.action_dim])
     elif mode == "sample":

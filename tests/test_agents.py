@@ -25,7 +25,7 @@ from slatelab.reinforce import (
     return_to_go,
     sample_slate,
 )
-from slatelab.replay import ReplayBuffer, run_windows
+from slatelab.replay import ReplayBuffer
 from slatelab.rng import substream
 from slatelab.sac import (
     SacConfig,
@@ -429,20 +429,28 @@ def test_push_after_a_done_transition_starts_an_empty_history():
     assert list(run.resets[0]) == [True, False, True]
 
 
-def test_run_windows_match_hand_built_windows():
+def test_sampled_runs_match_hand_built_windows():
+    # 9 turns through a ring of 7: runs starting at turns 2..5 read rows 2..6, 0, 1
     rng = substream(41, "episode")
-    T, k, length = 7, 2, 4
+    T, cap, k, length = 9, 7, 2, 4
     slates = rng.integers(1, 9, (T, k))
     clicks = (rng.random((T, k)) < 0.5).astype(float)
-    turns = np.array([3, 4, 0, 1, 2, 0, 1])
-    starts = np.arange(-2, T - 2)
-    ws, wc, resets = run_windows(slates, clicks, turns, starts, length)
+    turns = np.array([0, 1, 0, 1, 2, 0, 1, 2, 3])
+    buf = ReplayBuffer(capacity=cap, slate_size=k, action_dim=1, belief_dim=1, dtype=np.float64)
+    for i in range(T):
+        done = i + 1 < T and turns[i + 1] == 0
+        buf.push(slates[i], clicks[i], [0.0], float(i), done, [float(i)])
+    batch = buf.sample(4 * length, TakeAll(), sequence=length)
+    ws, wc, resets = batch.slates, batch.clicks, batch.resets
     assert ws.dtype == np.int64 and wc.dtype == np.float64 and resets.dtype == bool
-    assert ws.shape == wc.shape == (T, length, k) and resets.shape == (T, length)
-    for s, start in enumerate(starts):
-        rows = [(start + j) % T for j in range(length)]   # read as from a ring
+    assert ws.shape == wc.shape == (4, length, k) and resets.shape == (4, length)
+    for s, start in enumerate(range(T - cap, T - cap + 4)):
+        rows = list(range(start, start + length))
         assert np.array_equal(ws[s], slates[rows]) and np.array_equal(wc[s], clicks[rows])
         assert list(resets[s]) == [turns[r] == 0 for r in rows]
+        assert batch.hidden[s, 0] == start
+    assert np.array_equal(batch.rewards, np.concatenate([np.arange(t, t + length)
+                                                         for t in range(2, 6)]))
 
 
 def test_runs_shrink_to_short_batches_and_the_last_run_is_cut_short():
@@ -564,6 +572,23 @@ def test_acting_and_decoding_raise_on_an_inf_weight():
     gems.store["dec.l1.W"].value[0, 0] = np.inf
     with pytest.raises(ad.NonFiniteError):
         decode_to_slate(gems, np.ones((2, 3)))
+
+
+def test_acting_and_decoding_take_rows_only():
+    # a lone belief or latent names the [n, ...] form instead of dying in numpy
+    _, model = tiny_sac(hidden=(8,), action_dim=3, belief_dim=4)
+    gems = GemsModel(GemsConfig(latent_dim=3, item_embed_dim=2, hidden=(8,)),
+                     num_items=6, slate_size=3, seed=0)
+    _, pol = small_reinforce(seed=3)
+    rng = substream(0, "act")
+    cases = [lambda x: select_action(model, x, "mean"),
+             lambda x: select_action(model, x, "sample", rng),
+             lambda x: decode_to_slate(gems, x), lambda x: sample_slate(pol, x, 2, rng)]
+    for call, width in zip(cases, (4, 4, 3, 5)):
+        for bad in (np.zeros(width), np.zeros((1, 1, width)), np.zeros((2, width + 1))):
+            with pytest.raises(ValueError, match=rf"must be \[n, {width}\], got shape"):
+                call(bad)
+        assert call(np.zeros((2, width))).shape[0] == 2
 
 
 def test_squashed_log_prob_matches_numerical_change_of_variables():
@@ -1284,7 +1309,7 @@ def test_reinforce_prefers_the_rewarding_item_on_a_bandit():
     rng = substream(3, "roll")
     h0 = np.zeros(4)
     for _ in range(1000):
-        slate = sample_slate(pol, h0, 1, rng)
+        slate = sample_slate(pol, h0[None], 1, rng)[0]
         reward = 1.0 if slate[0] == 0 else 0.0
         episode = EpisodeRecord(slates=slate[None, :],
                                 clicks=np.array([[reward]]),
@@ -1330,7 +1355,7 @@ def test_reinforce_trains_on_the_beliefs_it_acted_from():
     hidden, acted, slates, clicks = pol.belief.init_hidden(1)[0], [], [], []
     for _ in range(27):
         acted.append(hidden)
-        slates.append(sample_slate(pol, hidden, 2, rng))
+        slates.append(sample_slate(pol, hidden[None], 2, rng)[0])
         clicks.append((rng.random(2) < 0.5).astype(float))
         hidden = pol.belief.update_belief(hidden, slates[-1], clicks[-1])
     episode = EpisodeRecord(np.array(slates), np.array(clicks), np.ones(27))
@@ -1369,11 +1394,11 @@ def test_sample_slate_draws_with_replacement_from_the_softmax():
             p.value[...] = 0.0
     pol.store["logits.l1.b"].value[...] = np.log([0.6, 0.3, 0.1])
     rng = substream(15, "draw")
-    draws = np.concatenate([sample_slate(pol, np.zeros(5), 4, rng) for _ in range(5000)])
+    draws = np.concatenate([sample_slate(pol, np.zeros(5)[None], 4, rng)[0] for _ in range(5000)])
     freq = np.bincount(draws, minlength=3) / draws.size
     assert np.all(np.abs(freq - [0.6, 0.3, 0.1]) < 0.02)
     # with replacement: some slate must repeat an item
-    repeats = [len(set(sample_slate(pol, np.zeros(5), 4, rng))) < 4 for _ in range(50)]
+    repeats = [len(set(sample_slate(pol, np.zeros(5)[None], 4, rng)[0])) < 4 for _ in range(50)]
     assert any(repeats)
 
 

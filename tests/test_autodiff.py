@@ -140,11 +140,6 @@ def test_relu_fd():
     assert max_relative_error(got["a"], want["a"]) < 1e-4
 
 
-def test_log_fd():
-    check_fd(lambda s: ad.sum_(ad.square(ad.log(s.tensor("a")))),
-             [("a", (3, 4))], low=0.5, high=1.5)
-
-
 def test_log_softmax_fd():
     w = np.arange(15.0).reshape(3, 5)
     check_fd(lambda s: ad.sum_(ad.mul(ad.log_softmax(s.tensor("a")), Tensor(w))),
@@ -555,8 +550,8 @@ def test_nonscalar_root_rejected():
 def test_nonfinite_forward_raises():
     with pytest.raises(NonFiniteError):
         ad.exp(Tensor(np.array([1000.0])))
-    with pytest.raises(NonFiniteError):
-        ad.log(Tensor(np.array([-1.0])))
+    with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+        ad.mul(Tensor(np.array([np.inf])), Tensor(np.array([0.0])))
 
 
 def test_gru_sequence_nonfinite_input_raises():
@@ -840,6 +835,10 @@ def test_checkpoint_loads_writable_arrays_and_rejects_truncation(tmp_path):
     for cut in (10, 20, len(raw) // 2, len(raw) - 8, len(raw) - 1):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
+    for extra in (b"\x00", b"\x00\x00", bytes(8)):
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)
 
 

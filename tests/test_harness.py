@@ -205,6 +205,30 @@ def test_act_single_is_row_zero_of_act(artifacts, agent, ranker):
         assert one_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("agent, ranker", [("reinforce", "softmax"), ("none", "random")])
+def test_one_lockstep_call_draws_like_one_row_calls_in_user_order(agent, ranker):
+    cfg = tiny_config(agent=agent, ranker=ranker)
+    catalog = generate_item_catalog(cfg.sim, cfg.catalog_seed)
+    policy = build_policy(cfg, catalog, seed=5)
+    env, one = Environment(cfg.sim, catalog), Environment(cfg.sim, catalog)
+    env.reset([7, 8, 9, 10])
+    one.reset([7])
+    h = np.random.default_rng(5).uniform(-0.5, 0.5, (4, cfg.belief_dim))
+    for bias_only in (False, True) if agent == "reinforce" else (False,):
+        if bias_only:   # zero body: every belief gets the same logits
+            for name, p in policy.model.store.items():
+                if name.startswith("logits."):
+                    p.value[...] = 0.0
+            policy.model.store["logits.l2.b"].value[...] = np.linspace(-1.0, 2.0, 15)
+        batch_rng, row_rng = np.random.default_rng(9), np.random.default_rng(9)
+        _, slates = policy.act(h, env, "sample", batch_rng)
+        rows = [policy.act(h[i:i + 1], one, "sample", row_rng)[1][0] for i in range(4)]
+        assert slates.shape == (4, cfg.sim.slate_size) and slates.dtype == np.int64
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+        if agent == "none" or bias_only:
+            np.testing.assert_array_equal(slates, rows)
+
+
 @pytest.mark.parametrize("agent, ranker", [("none", "oracle"), ("sac", "topk-ideal"),
                                            ("sac", "topk-mf"), ("sac", "gems"),
                                            ("sac", "wknn")])

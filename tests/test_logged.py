@@ -152,6 +152,27 @@ def test_two_by_three_dataset_roundtrip(tmp_path):
     assert back.num_items == cfg.num_items
 
 
+def test_dataset_whose_length_disagrees_with_its_header_is_rejected(tmp_path):
+    cfg = small_cfg(episode_length=8, slate_size=4, num_items=25)
+    ds = generate_dataset(cfg, generate_item_catalog(cfg, seed=2), num_trajectories=4,
+                          epsilon=0.5, seed=3)
+    path = tmp_path / "log.bin"
+    write_dataset(path, ds)
+    raw = path.read_bytes()
+    assert len(raw) == 60 + 4 * (8 + 8 * (4 * 4 + 1))
+    # cuts in the header, the seeds, the slates and the clicks
+    for cut in (12, 40, 70, len(raw) - 33, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated dataset"):
+            read_dataset(path)
+    for extra in (b"\x00", b"\x00\x00", bytes(32)):
+        path.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            read_dataset(path)
+    path.write_bytes(raw)
+    assert np.array_equal(read_dataset(path).slates, ds.slates)
+
+
 def test_dataset_rejects_wrong_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"XXXXXXXX" + b"\x00" * 64)

@@ -352,7 +352,7 @@ def test_softmax_saturation():
     pol = softmax_policy(logits)
     rng = np.random.default_rng(11)
     for _ in range(200):
-        slate = sample_slate(pol, np.zeros(3), slate_size=4, rng=rng)
+        slate = sample_slate(pol, np.zeros(3)[None], slate_size=4, rng=rng)[0]
         assert slate.tolist() == [3, 3, 3, 3]
 
 
@@ -362,7 +362,7 @@ def test_softmax_uniform_marginals_chi2():
     rng = np.random.default_rng(12)
     counts = np.zeros((k, n))
     for _ in range(draws):
-        slate = sample_slate(pol, np.zeros(3), slate_size=k, rng=rng)
+        slate = sample_slate(pol, np.zeros(3)[None], slate_size=k, rng=rng)[0]
         for slot, item in enumerate(slate):
             counts[slot, item] += 1
     expected = draws / n
@@ -376,7 +376,7 @@ def test_softmax_draws_with_replacement():
     rng = np.random.default_rng(14)
     seen_repeat = False
     for _ in range(200):
-        slate = sample_slate(pol, np.zeros(3), slate_size=3, rng=rng)
+        slate = sample_slate(pol, np.zeros(3)[None], slate_size=3, rng=rng)[0]
         if len(set(slate.tolist())) < 3:
             seen_repeat = True
             break
@@ -387,13 +387,13 @@ def test_softmax_draws_with_replacement():
 
 
 def test_random_distinct_in_range_deterministic():
-    a = rank_random(20, 5, np.random.default_rng(15))
-    b = rank_random(20, 5, np.random.default_rng(15))
+    a = rank_random(1, 20, 5, np.random.default_rng(15))[0]
+    b = rank_random(1, 20, 5, np.random.default_rng(15))[0]
     assert a.tolist() == b.tolist()
     assert len(set(a.tolist())) == 5
     assert a.min() >= 0 and a.max() < 20
     with pytest.raises(ValueError):
-        rank_random(3, 4, np.random.default_rng(0))
+        rank_random(1, 3, 4, np.random.default_rng(0))
 
 
 def test_random_marginal_uniform_chi2():
@@ -401,7 +401,7 @@ def test_random_marginal_uniform_chi2():
     rng = np.random.default_rng(16)
     counts = np.zeros(n)
     for _ in range(draws):
-        for item in rank_random(n, k, rng):
+        for item in rank_random(1, n, k, rng)[0]:
             counts[item] += 1
     expected = draws * k / n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -482,8 +482,8 @@ def test_structural_validity_across_rankers():
             rank_topk(rng.normal(size=6)[None], emb, slate_size=4)[0],
             rank_wknn(rng.normal(size=24)[None], emb, one_user_critic(critic), np.zeros(1)[None],
                       4, p=3)[0],
-            sample_slate(softmax_policy(rng.normal(size=25)), np.zeros(3), 4, rng),
-            rank_random(25, 4, rng),
+            sample_slate(softmax_policy(rng.normal(size=25)), np.zeros(3)[None], 4, rng)[0],
+            rank_random(1, 25, 4, rng)[0],
         ]
         for i, slate in enumerate(slates):
             assert slate.shape == (4,) and slate.dtype == np.int64
